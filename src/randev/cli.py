@@ -26,7 +26,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, write_file
+from randev.bitstream import (
+    _FORMATS,
+    BitSequence,
+    concat,
+    from_raw_bytes,
+    read_file,
+    write_file,
+)
 from randev.estimators import AnalysisReport, PairCounts, accumulate, analyze, deviation_plugin
 from randev.experiments import (
     fig2_csv_lines,
@@ -40,7 +47,6 @@ from randev.sources import DEADTIME_MODES, SOURCE_KINDS, ParameterError, SourceC
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
 
-_FORMATS = ("raw", "ascii")
 _READ_BYTES = 1 << 16
 
 

@@ -1,23 +1,31 @@
 """One-pass, mergeable measurements of a bit stream.
 
-Everything a stream's randomness quality is judged by is derived from
-two small accumulators:
+Everything a stream's randomness quality is judged by comes from one
+packed-word lag state, ``LagAccumulator``: for a lag k it holds the bit
+count, the one-count, the lag-k product sum x[i]*x[i+k], the one-counts
+of the head window x[0 .. n-k) and tail window x[k .. n), and the first
+and last min(k, n) bits.  It is counted directly on the packed bytes
+read as little-endian 64-bit words, with ``bitwise_count`` over each word
+ANDed with the stream shifted down by k bits; only the edge bits are
+unpacked.
 
-* ``PairCounts``     -- total bits, one-bits, and the four adjacent-pair
-                        counts; enough for bias, the empirical joint
-                        distribution, mutual information, conditional
-                        entropy, and the plug-in randomness deviation.
-* ``LagAccumulator`` -- the lag-k product and window sums behind the
-                        serial autocorrelation coefficient.
+``PairCounts`` (bits, one-bits, the four adjacent-pair counts) is the
+lag-1 state's view: c11 is the lag-1 product, c10 and c01 are the head
+and tail window sums minus c11, and c00 is the rest of the n - 1 pairs.
+It is enough for bias, the empirical joint distribution, mutual
+information, conditional entropy, and the plug-in randomness deviation;
+the lag-k states give the serial autocorrelation coefficients.
 
-Both are exact integer accumulators: any partition of a stream into
-chunks, accumulated separately and merged in order, reproduces the
-serial result field for field, so parallel analysis is bit-identical
-to sequential analysis.
+Every field is an exact integer (or bit) and merges exactly: any
+partition of a stream into chunks, measured separately and merged in
+order, reproduces the serial result field for field, so ``analyze`` over
+chunks and ``analyze_parallel`` over worker threads are the same fold
+and give bit-identical reports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -92,48 +100,22 @@ class PairCounts:
         return self.c00 + self.c01 + self.c10 + self.c11
 
 
-def _cells_of_array(arr: np.ndarray) -> tuple[int, int, int, int]:
-    # one count_nonzero plus sums: c11 directly, the rest by difference
-    if arr.size < 2:
-        return 0, 0, 0, 0
-    head = arr[:-1]
-    tail = arr[1:]
-    c11 = int(np.count_nonzero(head & tail))
-    head_ones = int(np.count_nonzero(head))
-    tail_ones = int(np.count_nonzero(tail))
-    c10 = head_ones - c11
-    c01 = tail_ones - c11
-    c00 = (arr.size - 1) - c01 - c10 - c11
-    return c00, c01, c10, c11
-
-
-def _accumulate_array(counts: PairCounts, arr: np.ndarray) -> PairCounts:
-    m = int(arr.size)
-    if m == 0:
-        return counts
-    ones = int(np.count_nonzero(arr))
-    cells = list(_cells_of_array(arr))
-    first = int(arr[0])
-    last = int(arr[-1])
-    if counts.n == 0:
-        return PairCounts(m, ones, *cells, first, last)
-    cells[2 * counts.last_bit + first] += 1
+def _pair_counts(lag1: LagAccumulator) -> PairCounts:
+    if lag1.n == 0:
+        return PairCounts()
+    c11 = lag1.sum_prod
+    c10 = lag1.sum_head - c11
+    c01 = lag1.sum_tail - c11
     return PairCounts(
-        counts.n + m,
-        counts.ones + ones,
-        counts.c00 + cells[0],
-        counts.c01 + cells[1],
-        counts.c10 + cells[2],
-        counts.c11 + cells[3],
-        counts.first_bit,
-        last,
+        lag1.n, lag1.ones, lag1.n - 1 - c01 - c10 - c11, c01, c10, c11,
+        int(lag1._head[0]), int(lag1._ring[-1]),
     )
 
 
 def accumulate(counts: PairCounts, seq: BitSequence) -> PairCounts:
     """Fold a sequence into the counts, including the pair across the
     boundary between previously accumulated data and seq."""
-    return _accumulate_array(counts, seq.to_array())
+    return _merge_counts(counts, _pair_counts(_measure(seq, (1,))[0]))
 
 
 def _merge_counts(a: PairCounts, b: PairCounts) -> PairCounts:
@@ -154,7 +136,8 @@ class LagAccumulator:
     Tracks sum_prod = sum of x[i]*x[i+k], the one-counts of the head
     window x[0 .. n-k) and tail window x[k .. n), the total one-count,
     and the first/last min(k, n) bits so that accumulators over
-    consecutive stream pieces merge exactly.
+    consecutive stream pieces merge exactly.  ``add`` measures a piece
+    on its packed words and merges it in.
     """
 
     __slots__ = ("k", "n", "ones", "sum_prod", "sum_head", "sum_tail",
@@ -183,26 +166,9 @@ class LagAccumulator:
         return self._head.copy()
 
     def add(self, seq: BitSequence) -> None:
-        self.add_array(seq.to_array())
-
-    def add_array(self, chunk: np.ndarray) -> None:
-        m = int(chunk.size)
-        if m == 0:
-            return
-        k = self.k
-        ext = np.concatenate((self._ring, chunk)) if self._ring.size else chunk
-        if ext.size > k:
-            # every lag-k pair inside ext has its tail in the new chunk
-            self.sum_prod += int(np.count_nonzero(ext[:-k] & ext[k:]))
-            self.sum_head += int(np.count_nonzero(ext[: ext.size - k]))
-            self.sum_tail += int(np.count_nonzero(ext[k:]))
-        self.ones += int(np.count_nonzero(chunk))
-        n_new = self.n + m
-        if self._head.size < k:
-            need = min(k, n_new) - self._head.size
-            self._head = np.concatenate((self._head, chunk[:need]))
-        self._ring = ext[ext.size - min(k, n_new):].copy()
-        self.n = n_new
+        merged = _merge_lags(self, _measure(seq, (self.k,))[0])
+        for name in self.__slots__:
+            setattr(self, name, getattr(merged, name))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LagAccumulator):
@@ -248,6 +214,42 @@ def _merge_lags(a: LagAccumulator, b: LagAccumulator) -> LagAccumulator:
     return out
 
 
+def _measure(seq: BitSequence, lags) -> list[LagAccumulator]:
+    """One LagAccumulator per lag for a single piece, counted on its
+    packed little-endian 64-bit words; only the first and last
+    min(max(lags), n) bits are ever unpacked."""
+    n = seq.nbits
+    data = np.frombuffer(seq.data, dtype=np.uint8)
+    nw = -(-data.size // 8)
+    words = np.zeros(nw + 1, dtype="<u8")  # spare zero word for the carry
+    words.view(np.uint8)[:data.size] = data
+    ones = int(np.bitwise_count(words).sum())
+    edge = min(max(lags), n)
+    head = np.unpackbits(data[:-(-edge // 8)], count=edge, bitorder="little")
+    cut = n - edge
+    ring = np.unpackbits(data[cut // 8:], bitorder="little")[cut % 8:][:edge]
+    out = []
+    for k in lags:
+        acc = LagAccumulator(k)
+        q, r = divmod(k, 64)
+        m = max(nw - q, 0)
+        # word j of x shifted down by k bits, ANDed with word j; pad bits
+        # are zero, so a pair whose second bit lies past the end adds nothing
+        prod = words[q:q + m] >> r
+        if r:
+            prod |= words[q + 1:q + 1 + m] << (64 - r)
+        prod &= words[:m]
+        acc.sum_prod = int(np.bitwise_count(prod).sum())
+        acc.n = n
+        acc.ones = ones
+        acc._head = head[:min(k, n)]
+        acc._ring = ring[edge - min(k, n):]
+        acc.sum_head = ones - int(np.count_nonzero(acc._ring))
+        acc.sum_tail = ones - int(np.count_nonzero(acc._head))
+        out.append(acc)
+    return out
+
+
 def merge(a, b):
     """Combine two accumulators over consecutive stream pieces.
 
@@ -270,54 +272,38 @@ def bias_estimate(counts: PairCounts) -> tuple[float, float]:
     return 2.0 * counts.ones / counts.n - 1.0, 1.0 / math.sqrt(counts.n)
 
 
-def _acf_from_sums(sum_prod: int, sum_head: int, sum_tail: int,
-                   ones: int, n: int, k: int) -> tuple[float, float]:
-    if n < k + 2:
-        raise InsufficientDataError(
-            f"lag-{k} autocorrelation needs at least {k + 2} bits, got {n}"
-        )
-    mean = ones / n
-    terms = n - k
-    num = sum_prod - mean * (sum_head + sum_tail) + terms * mean * mean
-    den = sum_head * (1.0 - 2.0 * mean) + terms * mean * mean
-    if den == 0.0:
-        raise DegenerateSequenceError(
-            "constant sequence: autocorrelation is undefined"
-        )
-    return num / den, 1.0 / math.sqrt(n)
-
-
 def autocorr(data, k: int | None = None) -> tuple[float, float]:
     """Lag-k serial autocorrelation coefficient and its 1/sqrt(n) sigma.
 
     ``data`` is a BitSequence (k defaults to 1) or a LagAccumulator
     (k defaults to the accumulator's lag).  The numerator and
     denominator sums use the full-sequence mean and run over the first
-    n - k positions; the streaming path reconstructs the identical
-    value from the accumulator's integer fields.
+    n - k positions; a BitSequence is measured into a LagAccumulator
+    first, so both forms give the identical value.
     """
-    if isinstance(data, LagAccumulator):
-        if k is not None and k != data.k:
-            raise EstimatorError(
-                f"requested lag {k} but accumulator holds lag {data.k}"
-            )
-        return _acf_from_sums(data.sum_prod, data.sum_head, data.sum_tail,
-                              data.ones, data.n, data.k)
-    if k is None:
-        k = 1
-    if k < 1:
-        raise EstimatorError(f"lag k={k} must be at least 1")
-    n = data.nbits
+    if not isinstance(data, LagAccumulator):
+        acc = LagAccumulator(1 if k is None else k)
+        acc.add(data)
+        return autocorr(acc)
+    if k is not None and k != data.k:
+        raise EstimatorError(
+            f"requested lag {k} but accumulator holds lag {data.k}"
+        )
+    n, k = data.n, data.k
     if n < k + 2:
         raise InsufficientDataError(
             f"lag-{k} autocorrelation needs at least {k + 2} bits, got {n}"
         )
-    arr = data.to_array()
-    ones = int(np.count_nonzero(arr))
-    sum_prod = int(np.count_nonzero(arr[:-k] & arr[k:]))
-    sum_head = ones - int(np.count_nonzero(arr[n - k:]))
-    sum_tail = ones - int(np.count_nonzero(arr[:k]))
-    return _acf_from_sums(sum_prod, sum_head, sum_tail, ones, n, k)
+    mean = data.ones / n
+    terms = n - k
+    num = (data.sum_prod - mean * (data.sum_head + data.sum_tail)
+           + terms * mean * mean)
+    den = data.sum_head * (1.0 - 2.0 * mean) + terms * mean * mean
+    if den == 0.0:
+        raise DegenerateSequenceError(
+            "constant sequence: autocorrelation is undefined"
+        )
+    return num / den, 1.0 / math.sqrt(n)
 
 
 def _require_pairs(counts: PairCounts) -> int:
@@ -429,12 +415,21 @@ class AnalysisReport:
         }
 
 
-def _assemble_report(counts: PairCounts,
-                     accs: list[LagAccumulator]) -> AnalysisReport:
+def _report(parts, max_lag: int) -> AnalysisReport:
+    """Fold per-piece lag states (lags 1..max_lag, in stream order) and
+    assemble the report; the pair counts are the lag-1 state's view."""
+    accs = None
+    for part in parts:
+        accs = part if accs is None else list(map(_merge_lags, accs, part))
+    n = 0 if accs is None else accs[0].n
+    if n < max_lag + 2:
+        raise InsufficientDataError(
+            f"analysis up to lag {max_lag} needs at least {max_lag + 2} "
+            f"bits, got {n}"
+        )
+    counts = _pair_counts(accs[0])
     bias_hat, bias_sigma = bias_estimate(counts)
-    lags = tuple(
-        LagEstimate(acc.k, *autocorr(acc)) for acc in accs
-    )
+    lags = tuple(LagEstimate(acc.k, *autocorr(acc)) for acc in accs)
     dev = deviation_plugin(counts)
     return AnalysisReport(
         n_bits=counts.n,
@@ -460,69 +455,37 @@ def analyze(data, max_lag: int = 8) -> AnalysisReport:
     if max_lag < 1:
         raise EstimatorError(f"max_lag={max_lag} must be at least 1")
     chunks = [data] if isinstance(data, BitSequence) else data
-    counts = PairCounts()
-    accs = [LagAccumulator(k) for k in range(1, max_lag + 1)]
-    for seq in chunks:
-        arr = seq.to_array()
-        counts = _accumulate_array(counts, arr)
-        for acc in accs:
-            acc.add_array(arr)
-    if counts.n < max_lag + 2:
-        raise InsufficientDataError(
-            f"analysis up to lag {max_lag} needs at least {max_lag + 2} "
-            f"bits, got {counts.n}"
-        )
-    return _assemble_report(counts, accs)
+    measure = functools.partial(_measure, lags=range(1, max_lag + 1))
+    return _report(map(measure, chunks), max_lag)
 
 
 def _byte_aligned_chunks(seq: BitSequence, n_chunks: int) -> list[BitSequence]:
     data = seq.data
-    nbits = seq.nbits
-    n_chunks = max(1, min(n_chunks, max(1, len(data))))
-    step = -(-len(data) // n_chunks)
-    out = []
-    for start in range(0, len(data), step):
-        piece = data[start:start + step]
-        bits = min(nbits - 8 * start, 8 * len(piece))
-        out.append(BitSequence(piece, bits))
-    return out
+    step = max(1, -(-len(data) // n_chunks))
+    return [
+        BitSequence(data[i:i + step], min(seq.nbits - 8 * i, 8 * step))
+        for i in range(0, len(data), step)
+    ]
 
 
 def analyze_parallel(seq: BitSequence, max_lag: int = 8,
                      workers: int | None = None) -> AnalysisReport:
     """analyze() over worker threads via the merge contract.
 
-    The stream is split on byte boundaries, each piece is accumulated
-    independently, and the ordered merge reproduces the serial integer
-    state exactly, so the report equals the sequential one field for
-    field.
+    The stream is split on byte boundaries, each piece is measured
+    independently, and the same ordered fold as analyze() reproduces the
+    serial integer state exactly, so the report equals the sequential
+    one field for field.
     """
     if max_lag < 1:
         raise EstimatorError(f"max_lag={max_lag} must be at least 1")
     if workers is None:
         workers = os.cpu_count() or 1
+    if workers < 1:
+        raise EstimatorError(f"workers={workers} must be at least 1")
     pieces = _byte_aligned_chunks(seq, workers)
-
-    def measure(piece: BitSequence):
-        arr = piece.to_array()
-        counts = _accumulate_array(PairCounts(), arr)
-        accs = [LagAccumulator(k) for k in range(1, max_lag + 1)]
-        for acc in accs:
-            acc.add_array(arr)
-        return counts, accs
-
-    if len(pieces) == 1:
-        parts = [measure(pieces[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(measure, pieces))
-    counts, accs = parts[0]
-    for more_counts, more_accs in parts[1:]:
-        counts = _merge_counts(counts, more_counts)
-        accs = [_merge_lags(a, b) for a, b in zip(accs, more_accs)]
-    if counts.n < max_lag + 2:
-        raise InsufficientDataError(
-            f"analysis up to lag {max_lag} needs at least {max_lag + 2} "
-            f"bits, got {counts.n}"
-        )
-    return _assemble_report(counts, accs)
+    measure = functools.partial(_measure, lags=range(1, max_lag + 1))
+    if len(pieces) < 2:
+        return _report(map(measure, pieces), max_lag)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _report(pool.map(measure, pieces), max_lag)

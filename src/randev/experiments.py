@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from randev.bitstream import BitSequence, concat
 from randev.estimators import (
     AnalysisReport,
@@ -209,7 +207,7 @@ def concat_property(config: SourceConfig, lengths, seed: int | None = None) -> b
     whole = generate(config, sum(lengths))
     if stitched != whole:
         return False
-    ones = int(np.count_nonzero(whole.to_array()))
+    ones = accumulate(PairCounts(), whole).ones
     if whole.nbits >= 16 and 0 < ones < whole.nbits:
         max_lag = min(8, whole.nbits - 2)
         if analyze(pieces, max_lag=max_lag) != analyze(whole, max_lag=max_lag):

@@ -201,8 +201,8 @@ def n_max(deviation: float) -> float:
     2 / (ln 2 * deviation); returns math.inf when the deviation is
     exactly zero (no detectable imperfection at any length).
     """
-    if deviation < 0.0:
-        raise ParameterError(f"deviation={deviation} must be non-negative")
+    if not deviation >= 0.0:
+        raise ParameterError(f"deviation={deviation} must be a non-negative number")
     if deviation == 0.0:
         return math.inf
     return 2.0 / (_LN2 * deviation)

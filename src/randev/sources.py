@@ -23,6 +23,7 @@ identically-configured source asked for n1 + n2 bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -217,10 +218,14 @@ class SourceConfig:
                 raise ParameterError("markov requires both b and a1")
             markov_transition_matrix(self.b, self.a1)
         elif self.kind == "deadtime":
-            if self.tau is None or self.tau <= 0:
-                raise ParameterError(f"deadtime requires tau > 0, got tau={self.tau}")
-            if self.tau_d is None or self.tau_d < 0:
-                raise ParameterError(f"deadtime requires tau_d >= 0, got tau_d={self.tau_d}")
+            if self.tau is None or not 0 < self.tau < math.inf:
+                raise ParameterError(
+                    f"deadtime requires finite tau > 0, got tau={self.tau}"
+                )
+            if self.tau_d is None or not 0 <= self.tau_d < math.inf:
+                raise ParameterError(
+                    f"deadtime requires finite tau_d >= 0, got tau_d={self.tau_d}"
+                )
             if self.deadtime_mode not in DEADTIME_MODES:
                 raise ParameterError(
                     f"deadtime mode {self.deadtime_mode!r} not one of {DEADTIME_MODES}"

@@ -170,16 +170,16 @@ class TestLagAccumulator:
     def test_streaming_merge_and_direct_agree(self):
         rng = random.Random(2024)
         for _ in range(250):
-            n = rng.randrange(0, 220)
+            n = rng.randrange(0, 300)
             bits = random_bits(rng, n)
-            k = rng.choice([1, 2, 3, 5, 8])
+            k = rng.choice([1, 2, 3, 5, 8, 63, 64, 65, 130])
             whole = LagAccumulator(k)
             whole.add(S(bits))
 
             chunked = LagAccumulator(k)
             i = 0
             while i < n:
-                j = min(n, i + rng.randrange(0, 40))
+                j = min(n, i + rng.randrange(0, 100))
                 chunked.add(S(bits[i:j]))
                 i = j
             assert chunked == whole
@@ -194,6 +194,8 @@ class TestLagAccumulator:
 
             assert whole.ones == whole.sum_head + int(whole.ring.sum())
             assert whole.ones == whole.sum_tail + int(whole.head.sum())
+            arr = np.array([int(b) for b in bits], dtype=np.uint8)
+            assert whole.sum_prod == int(np.count_nonzero(arr[:-k] & arr[k:]))
             ones = bits.count("1")
             if n >= k + 2 and ones not in (0, n):
                 assert autocorr(whole) == autocorr(S(bits), k)
@@ -385,6 +387,20 @@ class TestAnalyze:
         report = analyze(seq, max_lag=1)
         g = 2.0 * (report.n_bits - 1) * LN2 * report.mi_lag1_hat
         assert g <= 10.83
+
+    def test_serial_and_parallel_fail_alike(self):
+        for seq, max_lag in ((BitSequence(b"", 0), 8), (S("0101"), 8),
+                             (S("0110"), 0)):
+            with pytest.raises(EstimatorError) as serial:
+                analyze(seq, max_lag=max_lag)
+            for workers in (1, 2):
+                with pytest.raises(EstimatorError) as parallel:
+                    analyze_parallel(seq, max_lag=max_lag, workers=workers)
+                assert parallel.type is serial.type
+                assert str(parallel.value) == str(serial.value)
+        for workers in (0, -1):
+            with pytest.raises(EstimatorError):
+                analyze_parallel(S("01101001" * 4), workers=workers)
 
     def test_report_is_frozen_value(self):
         report = analyze(S("00110"), max_lag=1)

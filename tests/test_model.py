@@ -341,6 +341,8 @@ class TestNMax:
     def test_domain(self):
         with pytest.raises(ParameterError):
             n_max(-0.5)
+        with pytest.raises(ParameterError):
+            n_max(math.nan)
 
 
 def test_prediction_is_plain_value():

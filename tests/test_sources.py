@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -166,6 +167,10 @@ def test_config_validation_errors():
         SourceConfig.markov(0.5, -0.9),
         SourceConfig.deadtime(0.0, 1.0),
         SourceConfig.deadtime(10.0, -1.0),
+        SourceConfig.deadtime(math.nan, 1.0),
+        SourceConfig.deadtime(math.inf, 1.0),
+        SourceConfig.deadtime(1.0, math.nan),
+        SourceConfig.deadtime(1.0, math.inf),
         SourceConfig.deadtime(10.0, 1.0, mode="bounce"),
         SourceConfig.xorshift64(0),
         SourceConfig(kind="ideal", seed=-1),
