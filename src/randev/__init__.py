@@ -63,8 +63,6 @@ from randev.sources import (
     TransitionMatrix,
     generate,
     markov_transition_matrix,
-    simulate_deadtime,
-    xorshift64_bits,
 )
 
 __version__ = "0.1.0"
@@ -117,8 +115,6 @@ __all__ = [
     "predict_source",
     "prng_demo",
     "read_file",
-    "simulate_deadtime",
     "validate_approx",
     "write_file",
-    "xorshift64_bits",
 ]

@@ -195,12 +195,11 @@ def cmd_nmax(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_window(index: int, bits: np.ndarray, config: MonitorConfig,
+def _emit_window(index: int, window: BitSequence, config: MonitorConfig,
                  full: bool) -> bool:
-    if bits.size >= 2:
-        counts = accumulate(PairCounts(), BitSequence.from_bits(bits))
-        d_hat = deviation_plugin(counts)
-        sigma = deviation_sigma(d_hat, bits.size)
+    if window.nbits >= 2:
+        d_hat = deviation_plugin(accumulate(PairCounts(), window))
+        sigma = deviation_sigma(d_hat, window.nbits)
     else:
         d_hat = math.nan
         sigma = math.nan
@@ -216,33 +215,37 @@ def _emit_window(index: int, bits: np.ndarray, config: MonitorConfig,
     return alarm
 
 
+def _cut_window(buf: bytearray, shift: int, nbits: int) -> BitSequence:
+    """The nbits packed bits of buf that start at bit `shift` of buf[0]."""
+    nbytes = (shift + nbits + 7) // 8
+    if shift == 0:
+        return from_raw_bytes(buf[:nbytes], nbits)
+    b = np.frombuffer(buf[:nbytes] + b"\0", dtype=np.uint8)
+    return from_raw_bytes(((b[:-1] >> shift) | (b[1:] << (8 - shift))).tobytes(), nbits)
+
+
 def _monitor_stream(fh, config: MonitorConfig) -> int:
     """Sequential window scan; stream order is semantic, so no parallelism."""
     config.validate()
     w = config.window_bits
-    pending: list[np.ndarray] = []
-    held = 0
+    buf = bytearray()  # unread bytes; the next bit is bit `shift` of buf[0]
+    shift = 0
     index = 0
     alarmed = False
     while True:
         chunk = fh.read(_READ_BYTES)
         if not chunk:
             break
-        bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8),
-                             bitorder="little")
-        pending.append(bits)
-        held += bits.size
-        while held >= w:
-            buffer = np.concatenate(pending) if len(pending) > 1 else pending[0]
-            window, rest = buffer[:w], buffer[w:]
-            pending = [rest] if rest.size else []
-            held = rest.size
-            if _emit_window(index, window, config, full=True):
+        buf += chunk
+        while 8 * len(buf) - shift >= w:
+            if _emit_window(index, _cut_window(buf, shift, w), config, full=True):
                 alarmed = True
             index += 1
+            drop, shift = divmod(shift + w, 8)
+            del buf[:drop]
+    held = 8 * len(buf) - shift
     if held:
-        buffer = np.concatenate(pending) if len(pending) > 1 else pending[0]
-        _emit_window(index, buffer, config, full=False)
+        _emit_window(index, _cut_window(buf, shift, held), config, full=False)
     return 2 if alarmed else 0
 
 

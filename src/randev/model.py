@@ -188,10 +188,10 @@ def deviation_sigma(deviation: float, n_bits: float) -> float:
     from the 1/sqrt(N) uncertainties of the bias and autocorrelation
     estimates through the quadratic deviation formula.
     """
-    if deviation < 0.0:
-        raise ParameterError(f"deviation={deviation} must be non-negative")
-    if n_bits < 1:
-        raise ParameterError(f"n_bits={n_bits} must be at least 1")
+    if not deviation >= 0.0:
+        raise ParameterError(f"deviation={deviation} must be a non-negative number")
+    if not n_bits >= 1:
+        raise ParameterError(f"n_bits={n_bits} must be a number of at least 1")
     return math.sqrt(2.0 * deviation / (n_bits * _LN2))
 
 

@@ -39,8 +39,6 @@ __all__ = [
     "splitmix_next",
     "markov_transition_matrix",
     "generate",
-    "simulate_deadtime",
-    "xorshift64_bits",
     "SOURCE_KINDS",
     "DEADTIME_MODES",
 ]
@@ -58,7 +56,12 @@ DEADTIME_MODES = ("reroute", "loss")
 # where generate() calls cut the stream
 _PHOTON_BLOCK = 1 << 15
 
-_GEN_CHUNK = 1 << 22  # bits per internal chunk for the vectorized paths
+# bits per internal chunk; each chunk is packed as soon as it is made, so
+# its 8-byte-per-bit temporaries stay small and in cache
+_GEN_CHUNK = 1 << 16
+
+# the dead-time simulator spends about tau_d/(2 tau) photons per emitted bit
+_MAX_DEAD_RATIO = 1e4
 
 
 class ParameterError(ValueError):
@@ -189,11 +192,26 @@ class SourceConfig:
     @classmethod
     def deadtime(cls, tau: float, tau_d: float, seed: int = 0,
                  mode: str = "reroute") -> "SourceConfig":
+        """Event-driven two-detector pair with dead time.
+
+        Photon arrivals advance by dt = -tau*ln(1-u); each photon is routed
+        to detector 0 or 1 with probability 1/2.  In ``reroute`` mode
+        (default) a photon whose routed detector is dead is detected by the
+        other detector when that one is live, and lost only when both are
+        dead.  In ``loss`` mode it is simply lost.  A detection emits the
+        detector's label and sets that detector dead until arrival + tau_d.
+        """
         return cls(kind="deadtime", tau=tau, tau_d=tau_d, seed=seed,
                    deadtime_mode=mode)
 
     @classmethod
     def xorshift64(cls, seed: int) -> "SourceConfig":
+        """The xorshift64 state stream (s ^= s<<13; s ^= s>>7; s ^= s<<17).
+
+        Each state update emits its 64 bits least-significant-first; the
+        stream is fully determined by the 64-bit seed, so its total
+        information content is bounded by 64 bits no matter how long it runs.
+        """
         return cls(kind="xorshift64", seed=seed)
 
     def with_seed(self, seed: int) -> "SourceConfig":
@@ -225,6 +243,12 @@ class SourceConfig:
             if self.tau_d is None or not 0 <= self.tau_d < math.inf:
                 raise ParameterError(
                     f"deadtime requires finite tau_d >= 0, got tau_d={self.tau_d}"
+                )
+            if self.tau_d > _MAX_DEAD_RATIO * self.tau:
+                raise ParameterError(
+                    f"deadtime requires tau_d/tau <= {_MAX_DEAD_RATIO:g} (about "
+                    f"tau_d/(2 tau) photons are spent per bit), got "
+                    f"tau_d/tau={self.tau_d / self.tau:.6g}"
                 )
             if self.deadtime_mode not in DEADTIME_MODES:
                 raise ParameterError(
@@ -265,22 +289,26 @@ class Source:
         """Emit the next n bits of this source's stream."""
         if n < 0:
             raise ParameterError(f"bit count must be non-negative, got {n}")
-        if n == 0:
-            return BitSequence(b"", 0)
-        kind = self.config.kind
-        if kind == "ideal":
-            bits = self._iid_bits(n, 0.5)
-        elif kind == "bernoulli":
-            bits = self._iid_bits(n, self.config.p)
-        elif kind == "splitter":
-            bits = self._iid_bits(n, (1.0 + self.config.b) / 2.0)
-        elif kind == "markov":
-            bits = self._markov_bits(n)
-        elif kind == "deadtime":
-            bits = self._deadtime_bits(n)
-        else:
-            bits = self._xorshift_bits(n)
-        return BitSequence.from_bits(bits)
+        cfg = self.config
+        if cfg.kind == "markov":
+            chunk = self._markov_chunk
+        elif cfg.kind == "deadtime":
+            chunk = self._deadtime_bits
+        elif cfg.kind == "xorshift64":
+            chunk = self._xorshift_bits
+        else:  # independent bits: ideal, bernoulli, splitter
+            p = (0.5 if cfg.kind == "ideal" else
+                 cfg.p if cfg.kind == "bernoulli" else (1.0 + cfg.b) / 2.0)
+
+            def chunk(m):
+                return self._uniforms(m) < p
+        # every chunk but the last is whole bytes, so the packed parts join
+        # exactly
+        parts = [
+            np.packbits(chunk(min(_GEN_CHUNK, n - start)), bitorder="little").tobytes()
+            for start in range(0, n, _GEN_CHUNK)
+        ]
+        return BitSequence(b"".join(parts), n)
 
     # ---- base generator ----
 
@@ -289,27 +317,7 @@ class Source:
         self._draws += count
         return u
 
-    # ---- independent-bit kinds ----
-
-    def _iid_bits(self, n: int, p: float) -> np.ndarray:
-        parts = []
-        left = n
-        while left:
-            m = min(left, _GEN_CHUNK)
-            parts.append((self._uniforms(m) < p).astype(np.uint8))
-            left -= m
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
     # ---- markov ----
-
-    def _markov_bits(self, n: int) -> np.ndarray:
-        parts = []
-        left = n
-        while left:
-            m = min(left, _GEN_CHUNK)
-            parts.append(self._markov_chunk(m))
-            left -= m
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _markov_chunk(self, m: int) -> np.ndarray:
         # Renewal scan, bit-identical to the sequential definition
@@ -342,7 +350,7 @@ class Source:
             flips = (idx - last) & np.int64(1)
             bits = base ^ flips.astype(bool)
         self._prev = int(bits[-1])
-        return bits.astype(np.uint8)
+        return bits
 
     # ---- dead-time detector pair ----
 
@@ -430,27 +438,3 @@ class Source:
 def generate(config: SourceConfig, n: int) -> BitSequence:
     """Generate n bits from a fresh source with the given configuration."""
     return Source(config).generate(n)
-
-
-def simulate_deadtime(tau: float, tau_d: float, n: int, seed: int = 0,
-                      mode: str = "reroute") -> BitSequence:
-    """Event-driven two-detector simulation; see the deadtime source kind.
-
-    Photon arrivals advance by dt = -tau*ln(1-u); each photon is routed to
-    detector 0 or 1 with probability 1/2.  In ``reroute`` mode (default) a
-    photon whose routed detector is dead is detected by the other detector
-    when that one is live, and lost only when both are dead.  In ``loss``
-    mode it is simply lost.  A detection emits the detector's label and
-    sets that detector dead until arrival + tau_d.
-    """
-    return generate(SourceConfig.deadtime(tau, tau_d, seed=seed, mode=mode), n)
-
-
-def xorshift64_bits(seed: int, n: int) -> BitSequence:
-    """n bits of the xorshift64 state stream (s ^= s<<13; s ^= s>>7; s ^= s<<17).
-
-    Each state update emits its 64 bits least-significant-first; the
-    stream is fully determined by the 64-bit seed, so its total
-    information content is bounded by 64 bits no matter how long it runs.
-    """
-    return generate(SourceConfig.xorshift64(seed), n)

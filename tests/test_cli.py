@@ -65,6 +65,16 @@ class TestGenerate:
         assert code == 1
         assert "-0.333333" in err and "1]" in err
 
+    def test_huge_dead_time_ratio_exits_1(self, capsys, tmp_path):
+        # about tau_d/(2 tau) photons per bit: 5e11 here, which never finishes
+        code, _, err = run(capsys, "generate", "--source", "deadtime",
+                           "--tau", "1", "--dead-time", "1e12",
+                           "--dead-mode", "loss", "--nbits", "10",
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert "error:" in err and "tau_d/tau" in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_source_param(self, capsys, tmp_path):
         code, _, err = run(capsys, "generate", "--source", "bernoulli",
                            "--nbits", "10", "--out", str(tmp_path / "x"))
@@ -334,24 +344,32 @@ class TestMonitor:
         assert from_stdin == from_file
 
     def test_window_values_match_library(self, capsys, tmp_path):
-        seq = generate(SourceConfig.markov(0.05, 0.05, seed=12), 3 * self.W + 100)
-        path = tmp_path / "w.bits"
-        path.write_bytes(seq.data)
-        code, out, _ = run(capsys, "monitor", str(path),
-                           "--window-bits", str(self.W))
-        assert code == 2
-        bits = seq.to_array()
-        lines = out.splitlines()
-        assert len(lines) == 4
-        for idx in range(3):
-            window = bits[idx * self.W:(idx + 1) * self.W]
-            counts = accumulate(PairCounts(), BitSequence.from_bits(window))
-            d_hat = deviation_plugin(counts)
-            sigma = deviation_sigma(d_hat, self.W)
-            fields = lines[idx].split(",")
-            assert fields[0] == str(idx)
-            assert float(fields[1]) == pytest.approx(d_hat, rel=1e-5)
-            assert float(fields[2]) == pytest.approx(sigma, rel=1e-5)
+        # byte-aligned windows, windows off byte boundaries, and windows
+        # that span several 64 KiB reads
+        for w, code_want in ((self.W, 2), (1027, 0), (3 * 2**19 + 5, 2)):
+            seq = generate(SourceConfig.markov(0.05, 0.05, seed=12), 3 * w + 100)
+            path = tmp_path / "w.bits"
+            path.write_bytes(seq.data)
+            code, out, _ = run(capsys, "monitor", str(path),
+                               "--window-bits", str(w))
+            assert code == code_want
+            bits = read_file(path).to_array()  # with the zero pads monitor reads
+            lines = out.splitlines()
+            assert len(lines) == 4
+            for idx in range(4):
+                window = bits[idx * w:(idx + 1) * w]
+                counts = accumulate(PairCounts(), BitSequence.from_bits(window))
+                d_hat = deviation_plugin(counts)
+                sigma = deviation_sigma(d_hat, window.size)
+                fields = lines[idx].split(",")
+                assert fields[0] == str(idx)
+                assert float(fields[1]) == pytest.approx(d_hat, rel=1e-5)
+                assert float(fields[2]) == pytest.approx(sigma, rel=1e-5)
+                if idx == 3:
+                    assert 100 <= window.size < 108
+                    assert fields[3] == "incomplete"
+                else:
+                    assert fields[3] == ("ALARM" if d_hat > 3.0 * sigma else "ok")
 
     def test_bad_window_exits_1(self, capsys, tmp_path):
         path = tmp_path / "x.bits"

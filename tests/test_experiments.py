@@ -17,7 +17,7 @@ from randev.experiments import (
     write_csv,
 )
 from randev.model import mi_exact_unbiased, mi_parabolic
-from randev.sources import ParameterError, SourceConfig, xorshift64_bits
+from randev.sources import ParameterError, SourceConfig, generate
 
 LN2 = math.log(2.0)
 
@@ -188,7 +188,9 @@ class TestPrngDemo:
             assert abs(entry.value) / entry.sigma <= 4.0
 
     def test_different_seeds_diverge_quickly(self):
-        assert xorshift64_bits(1, 128) != xorshift64_bits(2, 128)
+        a = generate(SourceConfig.xorshift64(1), 128)
+        b = generate(SourceConfig.xorshift64(2), 128)
+        assert a != b
 
     def test_domain(self):
         with pytest.raises(ParameterError):

@@ -321,6 +321,10 @@ class TestDeviationSigma:
             deviation_sigma(-1e-9, 10)
         with pytest.raises(ParameterError):
             deviation_sigma(0.1, 0)
+        with pytest.raises(ParameterError):
+            deviation_sigma(math.nan, 10)
+        with pytest.raises(ParameterError):
+            deviation_sigma(0.1, math.nan)
 
 
 class TestNMax:

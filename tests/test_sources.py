@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -12,10 +13,8 @@ from randev.sources import (
     SourceConfig,
     generate,
     markov_transition_matrix,
-    simulate_deadtime,
     splitmix_next,
     uniform_from_output,
-    xorshift64_bits,
 )
 
 # golden values computed by direct evaluation of the stated recurrence
@@ -171,6 +170,8 @@ def test_config_validation_errors():
         SourceConfig.deadtime(math.inf, 1.0),
         SourceConfig.deadtime(1.0, math.nan),
         SourceConfig.deadtime(1.0, math.inf),
+        SourceConfig.deadtime(1.0, 1e12),
+        SourceConfig.deadtime(1.0, 1e12, mode="loss"),
         SourceConfig.deadtime(10.0, 1.0, mode="bounce"),
         SourceConfig.xorshift64(0),
         SourceConfig(kind="ideal", seed=-1),
@@ -198,6 +199,43 @@ def test_generate_zero_bits_every_kind():
 
 
 # ------------------------------------------------------------- determinism
+
+
+# SHA-256 of generate(cfg, 2**20 + 13).data for one fixed seed of every kind
+# and mode; a change to how bits are generated must not move any of them
+GOLDEN_STREAMS = [
+    (SourceConfig.ideal(seed=101),
+     "f7f601f05d47cf1f7ab30528d9fa6190f21fea7f57e20c87065b036a89058268"),
+    (SourceConfig.bernoulli(0.3, seed=102),
+     "c23cfb8684cdb6c33005784b1d5213b9ea1ebac47412334f0664815e41b5585e"),
+    (SourceConfig.splitter(-0.2, seed=103),
+     "055f6d87934fc56cbd5b9f69940d544f39994faacfa32a6463a5fac5e216741d"),
+    (SourceConfig.markov(0.1, 0.3, seed=104),
+     "084e29128d21460218a7890b78dd3b1ece89c894d109fe501d12616390161277"),
+    (SourceConfig.markov(-0.05, -0.4, seed=105),
+     "02f4ed71e186b2d31240b9614651a660cfd43e47fbd301ccd98d45126ea8d843"),
+    (SourceConfig.deadtime(1000.0, 40.0, seed=106),
+     "c249e0b1bf18a7377233968be094ff9e1222c64041cf9ae2d7960d010b1d6f88"),
+    (SourceConfig.deadtime(1000.0, 40.0, seed=107, mode="loss"),
+     "aab95de87fea378035c8a8d8a7025105e5dfebcd2564699aa06163aea63cac32"),
+    (SourceConfig.xorshift64(seed=108),
+     "fa638a593230f08b646cd7d31b968d6e1a54ed6390b46f5c22d7884f31a845cc"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,digest", GOLDEN_STREAMS,
+    ids=["ideal", "bernoulli", "splitter", "markov_carry", "markov_flip",
+         "deadtime_reroute", "deadtime_loss", "xorshift64"],
+)
+def test_golden_stream(cfg, digest):
+    n = 2**20 + 13
+    assert hashlib.sha256(generate(cfg, n).data).hexdigest() == digest
+    # a live source cut inside a chunk, off a byte boundary, then resumed
+    src = Source(cfg)
+    head = src.generate(2**16 - 3)
+    tail = src.generate(n - head.nbits)
+    assert hashlib.sha256(concat(head, tail).data).hexdigest() == digest
 
 
 def test_generate_deterministic_in_config():
@@ -295,7 +333,7 @@ def test_deadtime_zero_deadtime_is_ideal_like():
 
 def test_deadtime_autocorr_matches_exponential_formula():
     n = 10**6
-    seq = simulate_deadtime(1000.0, 40.0, n, seed=3)
+    seq = generate(SourceConfig.deadtime(1000.0, 40.0, seed=3), n)
     b, (a1,) = bias_a_k(seq, 1)
     assert a1 == pytest.approx(np.expm1(-0.04), abs=0.004)
     assert abs(b) <= 3 / np.sqrt(n)
@@ -305,7 +343,7 @@ def test_deadtime_loss_mode_halves_the_exponent():
     # With lost (not re-routed) photons, renewal analysis gives
     # P(same) = exp(-tau_d/(2 tau))/2, hence a1 = exp(-tau_d/(2 tau)) - 1.
     n = 10**6
-    seq = simulate_deadtime(1000.0, 40.0, n, seed=3, mode="loss")
+    seq = generate(SourceConfig.deadtime(1000.0, 40.0, seed=3, mode="loss"), n)
     _, (a1,) = bias_a_k(seq, 1)
     assert a1 == pytest.approx(np.expm1(-0.02), abs=0.004)
 
@@ -314,7 +352,8 @@ def test_deadtime_large_deadtime_forces_alternation():
     # frozen simulation oracle: at tau_d = 5 tau the both-dead window is
     # long and the asymptotic formula (-0.993) badly overestimates the
     # alternation; the simulated value sits near -0.83
-    _, (a1,) = bias_a_k(simulate_deadtime(1000.0, 5000.0, 10**6, seed=6), 1)
+    seq = generate(SourceConfig.deadtime(1000.0, 5000.0, seed=6), 10**6)
+    _, (a1,) = bias_a_k(seq, 1)
     assert -0.86 < a1 < -0.80
 
 
@@ -328,19 +367,20 @@ def test_xorshift_first_word_emission():
     x ^= x >> 7
     x ^= (x << 17) & m
     want = [(x >> i) & 1 for i in range(64)]
-    assert list(xorshift64_bits(42, 64).to_array()) == want
+    assert list(generate(SourceConfig.xorshift64(42), 64).to_array()) == want
 
 
 def test_xorshift_truncation():
-    full = xorshift64_bits(7, 130)
-    part = xorshift64_bits(7, 70)
+    full = generate(SourceConfig.xorshift64(7), 130)
+    part = generate(SourceConfig.xorshift64(7), 70)
     assert list(part.to_array()) == list(full.to_array()[:70])
 
 
 def test_xorshift_deterministic_and_seed_sensitive():
-    assert xorshift64_bits(9, 1000) == xorshift64_bits(9, 1000)
-    a = xorshift64_bits(1, 128).to_array()
-    b = xorshift64_bits(2, 128).to_array()
+    cfg = SourceConfig.xorshift64(9)
+    assert generate(cfg, 1000) == generate(cfg, 1000)
+    a = generate(SourceConfig.xorshift64(1), 128).to_array()
+    b = generate(SourceConfig.xorshift64(2), 128).to_array()
     assert (a != b).any()
 
 
