@@ -3,7 +3,9 @@
 A BitSequence stores bits packed 8 per byte, least-significant position
 first: bit i lives in byte i // 8 at position i % 8.  Pad bits in the
 final byte are always zero, so equal sequences are equal as (data, nbits)
-pairs and raw dumps are directly comparable.
+pairs and raw dumps are directly comparable.  Step-1 slices and
+``concat`` cut and join the packed bytes at any bit offset; no other
+module does bit-offset arithmetic on packed bytes.
 
 Two file formats are supported:
 
@@ -81,7 +83,16 @@ class BitSequence:
     def __len__(self) -> int:
         return self._nbits
 
-    def __getitem__(self, i: int) -> int:
+    def __getitem__(self, i):
+        """Bit i, or for a step-1 slice the packed sequence of those bits."""
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self._nbits)
+            if step != 1:
+                raise ValueError(f"slice step {step} unsupported: only step 1")
+            n = max(stop - start, 0)
+            part = BitSequence.__new__(BitSequence)  # _bits zeroes the pads
+            part._data, part._nbits = _bits(self._data, start, n), n
+            return part
         if not 0 <= i < self._nbits:
             raise IndexError(f"bit index {i} out of range for {self._nbits} bits")
         return (self._data[i >> 3] >> (i & 7)) & 1
@@ -97,19 +108,39 @@ class BitSequence:
     def __repr__(self) -> str:
         if self._nbits <= 32:
             return f"BitSequence({self.to_string()!r})"
-        head = BitSequence(self._data[:4] + b"\x00" * 0, 32).to_string()
+        head = self[:32].to_string()
         return f"BitSequence({head!r}..., nbits={self._nbits})"
 
 
 def concat(a: BitSequence, b: BitSequence) -> BitSequence:
     """Concatenate two sequences at bit granularity.
 
-    Result bit i is a's bit i for i < a.nbits, then b's bits.  Works for
-    non-byte-aligned ``a``; the byte-aligned case is a plain byte join.
+    Result bit i is a's bit i for i < a.nbits, then b's bits.  When a
+    ends inside a byte, b's first bits fill a's pad bits and the rest of
+    b follows shifted, without unpacking either sequence.
     """
-    if a.nbits % 8 == 0:
+    r = a.nbits % 8
+    if r == 0 or b.nbits == 0:
         return BitSequence(a.data + b.data, a.nbits + b.nbits)
-    return BitSequence.from_bits(np.concatenate([a.to_array(), b.to_array()]))
+    joint = (a.data[-1] | b.data[0] << r) & 0xFF
+    rest = b[8 - r:].data
+    joined = b"".join((memoryview(a.data)[:-1], bytes((joint,)), rest))
+    return BitSequence(joined, a.nbits + b.nbits)
+
+
+def _bits(data: bytes, start: int, n: int) -> bytes:
+    """Packed bits [start, start + n) of packed ``data`` with zero pads: a
+    byte slice when start is byte-aligned, else one little-endian int shift."""
+    q, s = divmod(start, 8)
+    end = q + (n + 7) // 8
+    pad = -n % 8
+    if s == 0:
+        if not pad:
+            return data[q:end]
+        last = data[end - 1] & 0xFF >> pad
+        return b"".join((memoryview(data)[q:end - 1], bytes((last,))))
+    v = int.from_bytes(data[q:end + 1], "little") >> s
+    return (v & ~(-1 << n)).to_bytes(end - q, "little")
 
 
 def write_file(seq: BitSequence, path, format: str = "raw") -> None:
@@ -141,14 +172,7 @@ def read_file(path, format: str = "raw", nbits_override: int | None = None) -> B
         payload = fh.read()
     if format == "raw":
         return from_raw_bytes(payload, nbits_override)
-    seq = _from_ascii_bytes(payload)
-    if nbits_override is not None:
-        if nbits_override > seq.nbits:
-            raise ValueError(
-                f"nbits_override={nbits_override} exceeds {seq.nbits} bits in file"
-            )
-        seq = BitSequence.from_bits(seq.to_array()[:nbits_override])
-    return seq
+    return _first_bits(_from_ascii_bytes(payload), nbits_override)
 
 
 def from_raw_bytes(payload: bytes, nbits_override: int | None = None) -> BitSequence:
@@ -158,19 +182,15 @@ def from_raw_bytes(payload: bytes, nbits_override: int | None = None) -> BitSequ
     payload must be at least as long as the override requires and any bits
     past the requested count are dropped.
     """
-    nbits = 8 * len(payload)
+    return _first_bits(BitSequence(payload, 8 * len(payload)), nbits_override)
+
+
+def _first_bits(seq: BitSequence, nbits_override: int | None) -> BitSequence:
     if nbits_override is None:
-        return BitSequence(payload, nbits)
-    if nbits_override > nbits:
-        raise ValueError(
-            f"nbits_override={nbits_override} exceeds {nbits} bits available"
-        )
-    nbits = nbits_override
-    nbytes = (nbits + 7) // 8
-    trimmed = bytearray(payload[:nbytes])
-    if nbits % 8:
-        trimmed[-1] &= (1 << (nbits % 8)) - 1  # zero the pads
-    return BitSequence(bytes(trimmed), nbits)
+        return seq
+    if not 0 <= nbits_override <= seq.nbits:
+        raise ValueError(f"nbits_override={nbits_override} outside [0, {seq.nbits}]")
+    return seq[:nbits_override]
 
 
 def _from_ascii_bytes(payload: bytes) -> BitSequence:

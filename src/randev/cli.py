@@ -24,8 +24,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from randev.bitstream import (
     _FORMATS,
     BitSequence,
@@ -48,6 +46,8 @@ from randev.sources import DEADTIME_MODES, SOURCE_KINDS, ParameterError, SourceC
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
 
 _READ_BYTES = 1 << 16
+# monitor reads at least one window at a time, so a window must fit one read
+_MAX_WINDOW_BITS = 1 << 32
 
 
 class _UsageError(ValueError):
@@ -69,13 +69,13 @@ class MonitorConfig:
     deviation_threshold: float | None = None
 
     def validate(self) -> None:
-        if self.window_bits < 1024:
+        if not 1024 <= self.window_bits <= _MAX_WINDOW_BITS:
             raise ParameterError(
-                f"window_bits={self.window_bits} must be at least 1024"
+                f"window_bits={self.window_bits} must be in [1024, {_MAX_WINDOW_BITS}]"
             )
         if not self.sigma_k > 0.0:
             raise ParameterError(f"sigma_k={self.sigma_k} must be positive")
-        if self.deviation_threshold is not None and self.deviation_threshold < 0.0:
+        if self.deviation_threshold is not None and not self.deviation_threshold >= 0.0:
             raise ParameterError(
                 f"deviation_threshold={self.deviation_threshold} must be non-negative"
             )
@@ -215,37 +215,23 @@ def _emit_window(index: int, window: BitSequence, config: MonitorConfig,
     return alarm
 
 
-def _cut_window(buf: bytearray, shift: int, nbits: int) -> BitSequence:
-    """The nbits packed bits of buf that start at bit `shift` of buf[0]."""
-    nbytes = (shift + nbits + 7) // 8
-    if shift == 0:
-        return from_raw_bytes(buf[:nbytes], nbits)
-    b = np.frombuffer(buf[:nbytes] + b"\0", dtype=np.uint8)
-    return from_raw_bytes(((b[:-1] >> shift) | (b[1:] << (8 - shift))).tobytes(), nbits)
-
-
 def _monitor_stream(fh, config: MonitorConfig) -> int:
-    """Sequential window scan; stream order is semantic, so no parallelism."""
+    """Sequential window scan; stream order is semantic, so no parallelism.
+    Reads of at least one window keep the unread tail below one window."""
     config.validate()
     w = config.window_bits
-    buf = bytearray()  # unread bytes; the next bit is bit `shift` of buf[0]
-    shift = 0
+    tail = BitSequence(b"", 0)
     index = 0
     alarmed = False
-    while True:
-        chunk = fh.read(_READ_BYTES)
-        if not chunk:
-            break
-        buf += chunk
-        while 8 * len(buf) - shift >= w:
-            if _emit_window(index, _cut_window(buf, shift, w), config, full=True):
-                alarmed = True
+    while chunk := fh.read(max(_READ_BYTES, w // 8)):
+        buf = concat(tail, BitSequence(chunk, 8 * len(chunk)))
+        starts = range(0, buf.nbits - w + 1, w)
+        for start in starts:
+            alarmed |= _emit_window(index, buf[start:start + w], config, full=True)
             index += 1
-            drop, shift = divmod(shift + w, 8)
-            del buf[:drop]
-    held = 8 * len(buf) - shift
-    if held:
-        _emit_window(index, _cut_window(buf, shift, held), config, full=False)
+        tail = buf[len(starts) * w:]
+    if tail.nbits:
+        _emit_window(index, tail, config, full=False)
     return 2 if alarmed else 0
 
 

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_NO_BITS = np.zeros(0, dtype=np.uint8)  # edge bits of an empty state; never written
 
 
 class EstimatorError(ValueError):
@@ -152,8 +153,7 @@ class LagAccumulator:
         self.sum_prod = 0
         self.sum_head = 0
         self.sum_tail = 0
-        self._head = np.zeros(0, dtype=np.uint8)
-        self._ring = np.zeros(0, dtype=np.uint8)
+        self._head = self._ring = _NO_BITS
 
     @property
     def ring(self) -> np.ndarray:
@@ -225,9 +225,8 @@ def _measure(seq: BitSequence, lags) -> list[LagAccumulator]:
     words.view(np.uint8)[:data.size] = data
     ones = int(np.bitwise_count(words).sum())
     edge = min(max(lags), n)
-    head = np.unpackbits(data[:-(-edge // 8)], count=edge, bitorder="little")
-    cut = n - edge
-    ring = np.unpackbits(data[cut // 8:], bitorder="little")[cut % 8:][:edge]
+    head = seq[:edge].to_array()
+    ring = seq[n - edge:].to_array()
     out = []
     for k in lags:
         acc = LagAccumulator(k)
@@ -459,15 +458,6 @@ def analyze(data, max_lag: int = 8) -> AnalysisReport:
     return _report(map(measure, chunks), max_lag)
 
 
-def _byte_aligned_chunks(seq: BitSequence, n_chunks: int) -> list[BitSequence]:
-    data = seq.data
-    step = max(1, -(-len(data) // n_chunks))
-    return [
-        BitSequence(data[i:i + step], min(seq.nbits - 8 * i, 8 * step))
-        for i in range(0, len(data), step)
-    ]
-
-
 def analyze_parallel(seq: BitSequence, max_lag: int = 8,
                      workers: int | None = None) -> AnalysisReport:
     """analyze() over worker threads via the merge contract.
@@ -483,7 +473,8 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
         workers = os.cpu_count() or 1
     if workers < 1:
         raise EstimatorError(f"workers={workers} must be at least 1")
-    pieces = _byte_aligned_chunks(seq, workers)
+    step = 8 * max(1, -(-len(seq.data) // workers))
+    pieces = [seq[i:i + step] for i in range(0, seq.nbits, step)]
     measure = functools.partial(_measure, lags=range(1, max_lag + 1))
     if len(pieces) < 2:
         return _report(map(measure, pieces), max_lag)

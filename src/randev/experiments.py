@@ -18,6 +18,7 @@ All outputs are deterministic functions of their arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,8 @@ __all__ = [
     "fig2_csv_lines",
     "write_csv",
 ]
+
+_MAX_ROWS = 10**6  # largest grid or curve built, checked before the loop
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,11 @@ class PrngDemo:
     reproducible: bool
 
 
+def _check_rows(rows: float, what: str) -> None:
+    if rows > _MAX_ROWS:
+        raise ParameterError(f"{what} gives about {rows:.7g} rows, more than {_MAX_ROWS}")
+
+
 def validate_approx(grid_step: float, n_bits: int | None = None,
                     seed: int = 0) -> GridResult:
     """Sweep |b| <= 0.1, |a1| <= 0.1 in steps of grid_step and compare
@@ -116,6 +124,8 @@ def validate_approx(grid_step: float, n_bits: int | None = None,
         )
     if n_bits is not None and n_bits < 2:
         raise ParameterError(f"n_bits={n_bits} must be at least 2")
+    side = 0.2 / grid_step + 1
+    _check_rows(side * side - 1, f"grid_step={grid_step}")
     span = math.floor(0.1 / grid_step + 1e-9)
     rows = []
     worst = 0.0
@@ -164,12 +174,13 @@ def fig2_curve(a1_min: float, a1_max: float,
     Grid points are i*step, so a range straddling zero contains the
     exact (0, 0, 0) row.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ParameterError(f"step={step} must be positive")
     if not -1.0 <= a1_min < a1_max <= 1.0:
         raise ParameterError(
             f"range [{a1_min}, {a1_max}] invalid: need -1 <= min < max <= 1"
         )
+    _check_rows((a1_max - a1_min) / step + 1, f"step={step}")
     lo = math.ceil(a1_min / step - 1e-9)
     hi = math.floor(a1_max / step + 1e-9)
     if lo > hi:
@@ -201,9 +212,7 @@ def concat_property(config: SourceConfig, lengths, seed: int | None = None) -> b
         config = config.with_seed(seed)
     live = Source(config)
     pieces = [live.generate(n) for n in lengths]
-    stitched = pieces[0] if pieces else BitSequence(b"", 0)
-    for piece in pieces[1:]:
-        stitched = concat(stitched, piece)
+    stitched = functools.reduce(concat, pieces, BitSequence(b"", 0))
     whole = generate(config, sum(lengths))
     if stitched != whole:
         return False

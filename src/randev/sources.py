@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from randev.bitstream import BitSequence
+from randev.bitstream import BitSequence, concat
 
 __all__ = [
     "ParameterError",
@@ -283,7 +283,7 @@ class Source:
             self._block = (-1, None, None)
         elif kind == "xorshift64":
             self._x = config.seed
-            self._pending = np.empty(0, dtype=np.uint8)
+            self._pending = BitSequence(b"", 0)
 
     def generate(self, n: int) -> BitSequence:
         """Emit the next n bits of this source's stream."""
@@ -413,26 +413,19 @@ class Source:
     # ---- xorshift64 demo ----
 
     def _xorshift_bits(self, n: int) -> np.ndarray:
-        take = min(n, self._pending.size)
-        head = self._pending[:take]
-        self._pending = self._pending[take:].copy()
-        left = n - take
-        if left == 0:
-            return head.copy()
-        nwords = (left + 63) // 64
+        # state words are packed bits; those past n wait for the next call
         x = self._x
         words = []
-        for _ in range(nwords):
+        for _ in range((n - self._pending.nbits + 63) // 64):
             x ^= (x << 13) & _MASK64
             x ^= x >> 7
             x ^= (x << 17) & _MASK64
             words.append(x)
         self._x = x
-        bits = np.unpackbits(
-            np.array(words, dtype="<u8").view(np.uint8), bitorder="little"
-        )
-        self._pending = bits[left:].copy()
-        return np.concatenate([head, bits[:left]]) if take else bits[:left].copy()
+        fresh = np.array(words, dtype="<u8").tobytes()
+        bits = concat(self._pending, BitSequence(fresh, 8 * len(fresh)))
+        self._pending = bits[n:]
+        return bits.to_array()[:n]
 
 
 def generate(config: SourceConfig, n: int) -> BitSequence:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from randev.bitstream import BitSequence, concat, read_file, write_file
+from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, write_file
 
 
 EMPTY = BitSequence(b"", 0)
@@ -119,6 +119,15 @@ def test_raw_override_too_large(tmp_path):
     p.write_bytes(b"\x00")
     with pytest.raises(ValueError):
         read_file(p, "raw", nbits_override=9)
+    # negative counts too, with one message for raw, ascii and raw bytes
+    text = tmp_path / "one.txt"
+    text.write_text("00000000\n")
+    for nbits in (9, -1, -5, -8):
+        for read in (lambda: read_file(p, "raw", nbits_override=nbits),
+                     lambda: read_file(text, "ascii", nbits_override=nbits),
+                     lambda: from_raw_bytes(b"\x00", nbits)):
+            with pytest.raises(ValueError, match=rf"^nbits_override={nbits} outside \[0, 8\]$"):
+                read()
 
 
 def test_ascii_roundtrip(tmp_path):

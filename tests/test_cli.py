@@ -164,6 +164,18 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["n_bits"] == 4096
 
+    def test_negative_nbits_exits_1(self, capsys, monkeypatch, tmp_path):
+        raw = tmp_path / "r.bits"
+        raw.write_bytes(b"\x5a" * 16)
+        text = tmp_path / "a.txt"
+        text.write_text("01" * 64 + "\n")
+        for nbits in ("-1", "-5"):
+            feed_stdin(monkeypatch, b"\x5a" * 16)
+            for argv in ((str(raw),), (str(text), "--format", "ascii"), ("-",)):
+                code, out, err = run(capsys, "analyze", *argv, "--nbits", nbits)
+                assert code == 1 and out == ""
+                assert err == f"error: nbits_override={nbits} outside [0, 128]\n"
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "nope.bits"))
         assert code == 3
@@ -262,9 +274,14 @@ class TestMonitorConfig:
         with pytest.raises(ParameterError):
             MonitorConfig(window_bits=512).validate()
         with pytest.raises(ParameterError):
+            MonitorConfig(window_bits=2**32 + 1).validate()
+        MonitorConfig(window_bits=2**32).validate()
+        with pytest.raises(ParameterError):
             MonitorConfig(sigma_k=0.0).validate()
         with pytest.raises(ParameterError):
             MonitorConfig(deviation_threshold=-0.1).validate()
+        with pytest.raises(ParameterError):
+            MonitorConfig(deviation_threshold=math.nan).validate()
 
 
 class TestMonitor:
@@ -409,6 +426,10 @@ class TestValidateApprox:
     def test_bad_step_exits_1(self, capsys):
         code, _, err = run(capsys, "validate-approx", "--grid-step", "0.3")
         assert code == 1 and "error:" in err
+        for step in ("1e-7", "5e-324"):  # row counts past the cap
+            code, out, err = run(capsys, "validate-approx", "--grid-step", step)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and "rows, more than 1000000" in err
 
 
 class TestFig2:
@@ -436,6 +457,13 @@ class TestFig2:
         code, _, err = run(capsys, "fig2", "--min", "0.001", "--max", "0.009",
                            "--step", "0.01")
         assert code == 1 and "error:" in err
+
+    def test_too_many_rows_exits_1(self, capsys):
+        for step in ("1e-300", "5e-324"):
+            code, out, err = run(capsys, "fig2", "--min", "-0.5", "--max", "0.5",
+                                 "--step", step)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and "rows, more than 1000000" in err
 
 
 class TestConcat:

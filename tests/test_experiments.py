@@ -1,6 +1,7 @@
 """Experiment checks: grid sweep, curve table, concatenation, demo."""
 
 import math
+import re
 
 import pytest
 
@@ -93,6 +94,14 @@ class TestValidateApprox:
         with pytest.raises(ParameterError):
             validate_approx(0.02, n_bits=1)
 
+    @pytest.mark.parametrize("step, rows", [
+        (1e-4, "4004000"), (1e-7, "4.000004e+12"), (1e-201, "inf"), (5e-324, "inf"),
+    ])
+    def test_row_cap(self, step, rows):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"about {rows} rows, more than 1000000")):
+            validate_approx(step)
+
 
 class TestFig2Curve:
     def test_standard_range(self):
@@ -131,9 +140,19 @@ class TestFig2Curve:
         (0.001, 0.009, 0.01),
         (0.0, 1.0, -0.1),
         (0.0, 1.0, 0.0),
+        (0.0, 1.0, math.nan),
     ])
     def test_bad_ranges(self, args):
         with pytest.raises(ParameterError):
+            fig2_curve(*args)
+
+    @pytest.mark.parametrize("args, rows", [
+        ((-0.5, 0.5, 1e-6), "1000001"), ((-0.5, 0.5, 1e-300), "1e+300"),
+        ((-0.5, 0.5, 5e-324), "inf"), ((-1.0, 1.0, 1e-9), "2e+09"),
+    ])
+    def test_row_cap(self, args, rows):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"about {rows} rows, more than 1000000")):
             fig2_curve(*args)
 
 
