@@ -1,26 +1,25 @@
 """One-pass, mergeable measurements of a bit stream.
 
-Everything a stream's randomness quality is judged by comes from one
-packed-word lag state, ``LagAccumulator``: for a lag k it holds the bit
-count, the one-count, the lag-k product sum x[i]*x[i+k], the one-counts
-of the head window x[0 .. n-k) and tail window x[k .. n), and the first
-and last min(k, n) bits.  It is counted directly on the packed bytes
-read as little-endian 64-bit words, with ``bitwise_count`` over each word
-ANDed with the stream shifted down by k bits; only the edge bits are
-unpacked.
+Everything a stream's quality is judged by comes from one lag state per
+stream piece: for lags k = 1..K, the bit count, the one-count, the lag-k
+products sum x[i]*x[i+k], and the first and last min(K, n) bits as
+little-endian ints.  The one-counts of the head window x[0 .. n-k) and
+tail window x[k .. n) are the one-count minus the ones among the last or
+first k edge bits.  A piece is counted on its packed bytes read as
+little-endian 64-bit words (``bitwise_count`` of each word ANDed with the
+stream shifted down by k bits) and nothing is unpacked.  States of
+consecutive pieces merge in integer arithmetic on their edge bits.
 
-``PairCounts`` (bits, one-bits, the four adjacent-pair counts) is the
-lag-1 state's view: c11 is the lag-1 product, c10 and c01 are the head
-and tail window sums minus c11, and c00 is the rest of the n - 1 pairs.
-It is enough for bias, the empirical joint distribution, mutual
-information, conditional entropy, and the plug-in randomness deviation;
-the lag-k states give the serial autocorrelation coefficients.
+``LagAccumulator(k)`` is the one-lag state.  ``PairCounts`` (bits,
+one-bits, the four adjacent-pair counts) is the lag-1 view: c11 is the
+lag-1 product, c10 and c01 the head and tail window sums minus c11, and
+c00 the rest of the n - 1 pairs; it gives bias, mutual information,
+conditional entropy and the plug-in deviation.
 
-Every field is an exact integer (or bit) and merges exactly: any
-partition of a stream into chunks, measured separately and merged in
-order, reproduces the serial result field for field, so ``analyze`` over
-chunks and ``analyze_parallel`` over worker threads are the same fold
-and give bit-identical reports.
+Every field is an exact integer, so any partition of a stream measured
+piece by piece and merged in order reproduces the serial state field for
+field: ``analyze`` over chunks and ``analyze_parallel`` over worker
+threads are the same fold and give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_NO_BITS = np.zeros(0, dtype=np.uint8)  # edge bits of an empty state; never written
 
 
 class EstimatorError(ValueError):
@@ -101,22 +100,24 @@ class PairCounts:
         return self.c00 + self.c01 + self.c10 + self.c11
 
 
-def _pair_counts(lag1: LagAccumulator) -> PairCounts:
-    if lag1.n == 0:
+def _pair_counts(s: _LagState) -> PairCounts:
+    """The adjacent-pair view of a state whose first lag is 1."""
+    if s.n == 0:
         return PairCounts()
-    c11 = lag1.sum_prod
-    c10 = lag1.sum_head - c11
-    c01 = lag1.sum_tail - c11
+    head_ones, tail_ones = _window_ones(s, 1)
+    c11 = s.prods[0]
+    c10 = head_ones - c11
+    c01 = tail_ones - c11
     return PairCounts(
-        lag1.n, lag1.ones, lag1.n - 1 - c01 - c10 - c11, c01, c10, c11,
-        int(lag1._head[0]), int(lag1._ring[-1]),
+        s.n, s.ones, s.n - 1 - c01 - c10 - c11, c01, c10, c11,
+        s.ones - tail_ones, s.ones - head_ones,
     )
 
 
 def accumulate(counts: PairCounts, seq: BitSequence) -> PairCounts:
     """Fold a sequence into the counts, including the pair across the
     boundary between previously accumulated data and seq."""
-    return _merge_counts(counts, _pair_counts(_measure(seq, (1,))[0]))
+    return _merge_counts(counts, _pair_counts(_measure(seq, (1,))))
 
 
 def _merge_counts(a: PairCounts, b: PairCounts) -> PairCounts:
@@ -131,105 +132,31 @@ def _merge_counts(a: PairCounts, b: PairCounts) -> PairCounts:
     )
 
 
-class LagAccumulator:
-    """Streaming sums behind the lag-k serial autocorrelation.
-
-    Tracks sum_prod = sum of x[i]*x[i+k], the one-counts of the head
-    window x[0 .. n-k) and tail window x[k .. n), the total one-count,
-    and the first/last min(k, n) bits so that accumulators over
-    consecutive stream pieces merge exactly.  ``add`` measures a piece
-    on its packed words and merges it in.
-    """
-
-    __slots__ = ("k", "n", "ones", "sum_prod", "sum_head", "sum_tail",
-                 "_head", "_ring")
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise EstimatorError(f"lag k={k} must be at least 1")
-        self.k = k
-        self.n = 0
-        self.ones = 0
-        self.sum_prod = 0
-        self.sum_head = 0
-        self.sum_tail = 0
-        self._head = self._ring = _NO_BITS
-
-    @property
-    def ring(self) -> np.ndarray:
-        """Last min(k, n) bits seen."""
-        return self._ring.copy()
-
-    @property
-    def head(self) -> np.ndarray:
-        """First min(k, n) bits seen."""
-        return self._head.copy()
-
-    def add(self, seq: BitSequence) -> None:
-        merged = _merge_lags(self, _measure(seq, (self.k,))[0])
-        for name in self.__slots__:
-            setattr(self, name, getattr(merged, name))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LagAccumulator):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and self.n == other.n
-            and self.ones == other.ones
-            and self.sum_prod == other.sum_prod
-            and self.sum_head == other.sum_head
-            and self.sum_tail == other.sum_tail
-            and np.array_equal(self._head, other._head)
-            and np.array_equal(self._ring, other._ring)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"LagAccumulator(k={self.k}, n={self.n}, ones={self.ones}, "
-            f"sum_prod={self.sum_prod}, sum_head={self.sum_head}, "
-            f"sum_tail={self.sum_tail})"
-        )
+# The sums of one stream piece for ascending lags: prods[i] is the sum of
+# x[j]*x[j+lags[i]]; head and tail are the first and last min(lags[-1], n)
+# bits as ints whose bit j is bit j of that edge.
+_LagState = namedtuple("_LagState", "lags n ones prods head tail")
 
 
-def _merge_lags(a: LagAccumulator, b: LagAccumulator) -> LagAccumulator:
-    if a.k != b.k:
-        raise EstimatorError(f"lag mismatch: {a.k} vs {b.k}")
-    k = a.k
-    out = LagAccumulator(k)
-    out.n = a.n + b.n
-    out.ones = a.ones + b.ones
-    # pairs whose head is in a and tail in b
-    ext = np.concatenate((a._ring, b._head))
-    lim = min(a._ring.size, max(0, ext.size - k))
-    cross = int(np.count_nonzero(ext[:lim] & ext[k:k + lim])) if lim else 0
-    out.sum_prod = a.sum_prod + b.sum_prod + cross
-    head = np.concatenate((a._head, b._head))[: min(k, out.n)].copy()
-    ring = np.concatenate((a._ring, b._ring))[-min(k, out.n):].copy() \
-        if out.n else np.zeros(0, dtype=np.uint8)
-    out._head = head
-    out._ring = ring
-    out.sum_head = out.ones - int(np.count_nonzero(ring))
-    out.sum_tail = out.ones - int(np.count_nonzero(head))
-    return out
+def _empty(lags: tuple[int, ...]) -> _LagState:
+    return _LagState(lags, 0, 0, (0,) * len(lags), 0, 0)
 
 
-def _measure(seq: BitSequence, lags) -> list[LagAccumulator]:
-    """One LagAccumulator per lag for a single piece, counted on its
-    packed little-endian 64-bit words; only the first and last
-    min(max(lags), n) bits are ever unpacked."""
+def _window_ones(s: _LagState, k: int) -> tuple[int, int]:
+    """One-counts of the head window x[0 .. n-k) and tail window x[k .. n)."""
+    k = min(k, s.n)
+    return (s.ones - (s.tail >> (min(s.lags[-1], s.n) - k)).bit_count(),
+            s.ones - (s.head & ~(-1 << k)).bit_count())
+
+
+def _measure(seq: BitSequence, lags: tuple[int, ...]) -> _LagState:
+    """The state of one piece, counted on its packed 64-bit words."""
     n = seq.nbits
-    data = np.frombuffer(seq.data, dtype=np.uint8)
-    nw = -(-data.size // 8)
-    words = np.zeros(nw + 1, dtype="<u8")  # spare zero word for the carry
-    words.view(np.uint8)[:data.size] = data
-    ones = int(np.bitwise_count(words).sum())
-    edge = min(max(lags), n)
-    head = seq[:edge].to_array()
-    ring = seq[n - edge:].to_array()
-    out = []
+    nw = -(-len(seq.data) // 8)
+    # one spare zero word for the carry
+    words = np.frombuffer(seq.data.ljust(8 * nw + 8, b"\0"), dtype="<u8")
+    prods = []
     for k in lags:
-        acc = LagAccumulator(k)
         q, r = divmod(k, 64)
         m = max(nw - q, 0)
         # word j of x shifted down by k bits, ANDed with word j; pad bits
@@ -238,15 +165,74 @@ def _measure(seq: BitSequence, lags) -> list[LagAccumulator]:
         if r:
             prod |= words[q + 1:q + 1 + m] << (64 - r)
         prod &= words[:m]
-        acc.sum_prod = int(np.bitwise_count(prod).sum())
-        acc.n = n
-        acc.ones = ones
-        acc._head = head[:min(k, n)]
-        acc._ring = ring[edge - min(k, n):]
-        acc.sum_head = ones - int(np.count_nonzero(acc._ring))
-        acc.sum_tail = ones - int(np.count_nonzero(acc._head))
-        out.append(acc)
-    return out
+        prods.append(int(np.bitwise_count(prod).sum()))
+    edge = min(lags[-1], n)
+    return _LagState(
+        lags, n, int(np.bitwise_count(words).sum()), tuple(prods),
+        int.from_bytes(seq[:edge].data, "little"),
+        int.from_bytes(seq[n - edge:].data, "little"),
+    )
+
+
+def _merge_states(a: _LagState, b: _LagState) -> _LagState:
+    """The state of piece a followed by piece b."""
+    if a.n == 0:
+        return b
+    top = a.lags[-1]
+    ea, eb = min(top, a.n), min(top, b.n)
+    edge = min(top, a.n + b.n)
+    # a lag-k pair across the cut joins bit p of a's tail to bit
+    # p + k - ea of b's head, and every such pair lies in those edges
+    prods = tuple(
+        pa + pb + ((a.tail << k >> ea) & b.head).bit_count()
+        for k, pa, pb in zip(a.lags, a.prods, b.prods)
+    )
+    return _LagState(
+        a.lags, a.n + b.n, a.ones + b.ones, prods,
+        (a.head | b.head << ea) & ~(-1 << edge),
+        (a.tail | b.tail << ea) >> (ea + eb - edge),
+    )
+
+
+class LagAccumulator:
+    """Streaming sums behind the lag-k serial autocorrelation: the
+    one-lag state.  ``add`` measures a piece and merges it in; ``merge``
+    joins the states of consecutive pieces exactly."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise EstimatorError(f"lag k={k} must be at least 1")
+        self._state = _empty((k,))
+
+    k = property(lambda self: self._state.lags[0])
+    n = property(lambda self: self._state.n)
+    ones = property(lambda self: self._state.ones)
+    sum_prod = property(lambda self: self._state.prods[0])
+    sum_head = property(lambda self: _window_ones(self._state, self.k)[0])
+    sum_tail = property(lambda self: _window_ones(self._state, self.k)[1])
+    ring = property(lambda self: self._edge(self._state.tail),
+                    doc="Last min(k, n) bits seen.")
+    head = property(lambda self: self._edge(self._state.head),
+                    doc="First min(k, n) bits seen.")
+
+    def _edge(self, bits: int) -> np.ndarray:
+        e = min(self.k, self.n)
+        return BitSequence(bits.to_bytes(-(-e // 8), "little"), e).to_array()
+
+    def add(self, seq: BitSequence) -> None:
+        self._state = _merge_states(self._state, _measure(seq, self._state.lags))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LagAccumulator):
+            return NotImplemented
+        return self._state == other._state
+
+    def __repr__(self) -> str:
+        return (f"LagAccumulator(k={self.k}, n={self.n}, ones={self.ones}, "
+                f"sum_prod={self.sum_prod}, sum_head={self.sum_head}, "
+                f"sum_tail={self.sum_tail})")
 
 
 def merge(a, b):
@@ -258,7 +244,11 @@ def merge(a, b):
     if isinstance(a, PairCounts) and isinstance(b, PairCounts):
         return _merge_counts(a, b)
     if isinstance(a, LagAccumulator) and isinstance(b, LagAccumulator):
-        return _merge_lags(a, b)
+        if a.k != b.k:
+            raise EstimatorError(f"lag mismatch: {a.k} vs {b.k}")
+        out = LagAccumulator(a.k)
+        out._state = _merge_states(a._state, b._state)
+        return out
     raise TypeError(
         f"cannot merge {type(a).__name__} with {type(b).__name__}"
     )
@@ -288,16 +278,21 @@ def autocorr(data, k: int | None = None) -> tuple[float, float]:
         raise EstimatorError(
             f"requested lag {k} but accumulator holds lag {data.k}"
         )
-    n, k = data.n, data.k
+    return _autocorr(data._state, 0)
+
+
+def _autocorr(s: _LagState, i: int) -> tuple[float, float]:
+    """Autocorrelation and sigma at a state's i-th lag."""
+    n, k = s.n, s.lags[i]
     if n < k + 2:
         raise InsufficientDataError(
             f"lag-{k} autocorrelation needs at least {k + 2} bits, got {n}"
         )
-    mean = data.ones / n
+    sum_head, sum_tail = _window_ones(s, k)
+    mean = s.ones / n
     terms = n - k
-    num = (data.sum_prod - mean * (data.sum_head + data.sum_tail)
-           + terms * mean * mean)
-    den = data.sum_head * (1.0 - 2.0 * mean) + terms * mean * mean
+    num = s.prods[i] - mean * (sum_head + sum_tail) + terms * mean * mean
+    den = sum_head * (1.0 - 2.0 * mean) + terms * mean * mean
     if den == 0.0:
         raise DegenerateSequenceError(
             "constant sequence: autocorrelation is undefined"
@@ -414,31 +409,38 @@ class AnalysisReport:
         }
 
 
-def _report(parts, max_lag: int) -> AnalysisReport:
-    """Fold per-piece lag states (lags 1..max_lag, in stream order) and
-    assemble the report; the pair counts are the lag-1 state's view."""
-    accs = None
-    for part in parts:
-        accs = part if accs is None else list(map(_merge_lags, accs, part))
-    n = 0 if accs is None else accs[0].n
-    if n < max_lag + 2:
+def _check_lags(max_lag: int, n: int | None) -> None:
+    """Reject a max_lag below 1, or one too long for n bits if n is known."""
+    if max_lag < 1:
+        raise EstimatorError(f"max_lag={max_lag} must be at least 1")
+    if n is not None and n < max_lag + 2:
         raise InsufficientDataError(
             f"analysis up to lag {max_lag} needs at least {max_lag + 2} "
             f"bits, got {n}"
         )
-    counts = _pair_counts(accs[0])
+
+
+def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
+    """Fold the lag states of the chunks, measured through ``mapper``."""
+    lags = tuple(range(1, max_lag + 1))
+    parts = mapper(functools.partial(_measure, lags=lags), chunks)
+    state = functools.reduce(_merge_states, parts, _empty(lags))
+    _check_lags(max_lag, state.n)
+    counts = _pair_counts(state)
     bias_hat, bias_sigma = bias_estimate(counts)
-    lags = tuple(LagEstimate(acc.k, *autocorr(acc)) for acc in accs)
+    estimates = tuple(
+        LagEstimate(k, *_autocorr(state, i)) for i, k in enumerate(lags)
+    )
     dev = deviation_plugin(counts)
     return AnalysisReport(
         n_bits=counts.n,
         bias_hat=bias_hat,
         bias_sigma=bias_sigma,
-        autocorr=lags,
+        autocorr=estimates,
         mi_lag1_hat=mutual_information_lag1(counts),
         cond_entropy_hat=cond_entropy_lag1(counts),
         deviation_plugin=dev,
-        deviation_markov=deviation_quadratic(bias_hat, lags[0].value),
+        deviation_markov=deviation_quadratic(bias_hat, estimates[0].value),
         deviation_sigma=deviation_sigma(dev, counts.n),
         n_max=n_max(dev),
     )
@@ -451,11 +453,9 @@ def analyze(data, max_lag: int = 8) -> AnalysisReport:
     ``data`` is one BitSequence or an iterable of BitSequence chunks in
     stream order; chunked input produces the identical report.
     """
-    if max_lag < 1:
-        raise EstimatorError(f"max_lag={max_lag} must be at least 1")
+    _check_lags(max_lag, getattr(data, "nbits", None))
     chunks = [data] if isinstance(data, BitSequence) else data
-    measure = functools.partial(_measure, lags=range(1, max_lag + 1))
-    return _report(map(measure, chunks), max_lag)
+    return _report(chunks, max_lag, map)
 
 
 def analyze_parallel(seq: BitSequence, max_lag: int = 8,
@@ -467,16 +467,14 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
     serial integer state exactly, so the report equals the sequential
     one field for field.
     """
-    if max_lag < 1:
-        raise EstimatorError(f"max_lag={max_lag} must be at least 1")
+    _check_lags(max_lag, seq.nbits)
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise EstimatorError(f"workers={workers} must be at least 1")
     step = 8 * max(1, -(-len(seq.data) // workers))
     pieces = [seq[i:i + step] for i in range(0, seq.nbits, step)]
-    measure = functools.partial(_measure, lags=range(1, max_lag + 1))
     if len(pieces) < 2:
-        return _report(map(measure, pieces), max_lag)
+        return _report(pieces, max_lag, map)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _report(pool.map(measure, pieces), max_lag)
+        return _report(pieces, max_lag, pool.map)

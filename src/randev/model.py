@@ -58,10 +58,10 @@ def deadtime_a1(tau: float, tau_d: float, deadtime_mode: str = "reroute") -> flo
     a1 = exp(-tau_d/(2*tau)) - 1.  Both are exact only for
     tau_d << tau; the simulator is the reference beyond that regime.
     """
-    if tau <= 0.0:
-        raise ParameterError(f"tau={tau} must be positive")
-    if tau_d < 0.0:
-        raise ParameterError(f"tau_d={tau_d} must be non-negative")
+    if not 0.0 < tau < math.inf:
+        raise ParameterError(f"tau={tau} must be finite and positive")
+    if not 0.0 <= tau_d < math.inf:
+        raise ParameterError(f"tau_d={tau_d} must be finite and non-negative")
     if deadtime_mode not in DEADTIME_MODES:
         raise ParameterError(
             f"deadtime_mode={deadtime_mode!r} not in {DEADTIME_MODES}"

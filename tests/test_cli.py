@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import time
 import types
 
 import numpy as np
@@ -175,6 +176,19 @@ class TestAnalyze:
                 code, out, err = run(capsys, "analyze", *argv, "--nbits", nbits)
                 assert code == 1 and out == ""
                 assert err == f"error: nbits_override={nbits} outside [0, 128]\n"
+
+    def test_max_lag_beyond_length_exits_1(self, capsys, tmp_path):
+        # the length check comes before any lag is measured, so a huge
+        # max_lag fails at once and in the same form as a small one
+        path = tmp_path / "k.bits"
+        path.write_bytes(b"\x5a" * 125)
+        for max_lag in (1000, 3_000_000):
+            start = time.monotonic()
+            code, out, err = run(capsys, "analyze", str(path), "--max-lag", str(max_lag))
+            assert time.monotonic() - start < 5.0
+            assert code == 1 and out == ""
+            assert err == (f"error: analysis up to lag {max_lag} needs at least "
+                           f"{max_lag + 2} bits, got 1000\n")
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "nope.bits"))

@@ -390,7 +390,7 @@ class TestAnalyze:
 
     def test_serial_and_parallel_fail_alike(self):
         for seq, max_lag in ((BitSequence(b"", 0), 8), (S("0101"), 8),
-                             (S("0110"), 0)):
+                             (S("0110"), 0), (S("0110" * 250), 3_000_000)):
             with pytest.raises(EstimatorError) as serial:
                 analyze(seq, max_lag=max_lag)
             for workers in (1, 2):

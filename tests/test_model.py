@@ -98,6 +98,10 @@ class TestDeadtimeA1:
             deadtime_a1(1.0, -0.5)
         with pytest.raises(ParameterError):
             deadtime_a1(1.0, 1.0, "bounce")
+        for tau, tau_d in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                           (1.0, math.inf), (-math.inf, 1.0), (math.nan, math.nan)):
+            with pytest.raises(ParameterError):
+                deadtime_a1(tau, tau_d)
 
 
 class TestMutualInfoCurves:

@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randev.bitstream import BitSequence, concat
-from randev.estimators import EstimatorError, LagAccumulator, analyze, merge
+from randev.estimators import (EstimatorError, LagAccumulator, analyze, analyze_parallel,
+                               merge)
 
 FEW = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def bits_and_cuts(draw, max_bits=300, max_cuts=5):
+def bits_and_cuts(draw, max_bits=300, max_cuts=5, min_bits=0):
     """A random bit array and sorted cut positions inside it."""
-    bits = np.array(draw(st.lists(st.integers(0, 1), max_size=max_bits)), dtype=np.uint8)
+    bits = np.array(draw(st.lists(st.integers(0, 1), min_size=min_bits, max_size=max_bits)),
+                    dtype=np.uint8)
     cuts = draw(st.lists(st.integers(0, bits.size), max_size=max_cuts))
     return bits, sorted(cuts)
 
@@ -78,12 +80,17 @@ def outcome(f):
 
 
 @FEW
-@given(bits_and_cuts(max_bits=400, max_cuts=6), st.integers(1, 12))
-def test_analyze_pieces_equals_whole(case, max_lag):
-    bits, cuts = case
+@given(st.integers(1, 130), st.data())
+def test_analyze_pieces_equals_whole(max_lag, data):
+    # lags past 64 give edges wider than one word, and most pieces are
+    # shorter than max_lag; streams start at max_lag - 12 bits so that
+    # both reports and too-short errors are drawn for every max_lag
+    bits, cuts = data.draw(
+        bits_and_cuts(max_bits=400, max_cuts=6, min_bits=max(0, max_lag - 12)))
     seq = BitSequence.from_bits(bits)
     whole = outcome(lambda: analyze(seq, max_lag=max_lag))
     assert outcome(lambda: analyze(pieces(seq, cuts), max_lag=max_lag)) == whole
+    assert outcome(lambda: analyze_parallel(seq, max_lag, workers=3)) == whole
 
 
 @FEW
