@@ -124,6 +124,34 @@ class TestAnalyze:
         assert labels == ["n_bits", "bias", "autocorr[1]", "autocorr[2]",
                           "mi_lag1", "cond_entropy", "deviation_plugin",
                           "deviation_markov", "deviation_sigma", "n_max"]
+        assert out == (
+            "n_bits            20000\n"
+            "bias              0.0023 +/- 0.00707107\n"
+            "autocorr[1]       0.0029451 +/- 0.00707107\n"
+            "autocorr[2]       -0.000305323 +/- 0.00707107\n"
+            "mi_lag1           6.2567e-06\n"
+            "cond_entropy      0.99999\n"
+            "deviation_plugin  9.90889e-06\n"
+            "deviation_markov  1.00726e-05\n"
+            "deviation_sigma   3.78094e-05\n"
+            "n_max             291192\n"
+        )
+        path = tmp_path / "short.txt"
+        path.write_text("00110\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "ascii",
+                           "--max-lag", "1")
+        assert code == 0
+        assert out == (
+            "n_bits            5\n"
+            "bias              -0.2 +/- 0.447214\n"
+            "autocorr[1]       0.0384615 +/- 0.447214\n"
+            "mi_lag1           0\n"
+            "cond_entropy      1\n"
+            "deviation_plugin  0\n"
+            "deviation_markov  0.029921\n"
+            "deviation_sigma   0\n"
+            "n_max             unbounded\n"
+        )
 
     def test_alternating_ascii(self, capsys, tmp_path):
         path = tmp_path / "alt.txt"
