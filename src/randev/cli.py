@@ -32,7 +32,7 @@ from randev.bitstream import (
     read_file,
     write_file,
 )
-from randev.estimators import AnalysisReport, PairCounts, accumulate, analyze, deviation_plugin
+from randev.estimators import PairCounts, accumulate, analyze, deviation_plugin
 from randev.experiments import (
     fig2_csv_lines,
     fig2_curve,
@@ -140,36 +140,29 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_value(x: float) -> str:
-    return "unbounded" if math.isinf(x) else f"{x:.6g}"
+def _format_value(x) -> str:
+    if isinstance(x, dict):
+        return f"{x['value']:.6g} +/- {x['sigma']:.6g}"
+    if isinstance(x, float):
+        return "unbounded" if math.isinf(x) else f"{x:.6g}"
+    return str(x)
 
 
-def _report_lines(report: AnalysisReport) -> list[str]:
-    lines = [f"{'n_bits':<18}{report.n_bits}"]
-    lines.append(
-        f"{'bias':<18}{report.bias_hat:.6g} +/- {report.bias_sigma:.6g}"
-    )
-    for est in report.autocorr:
-        lines.append(
-            f"{f'autocorr[{est.lag}]':<18}{est.value:.6g} +/- {est.sigma:.6g}"
-        )
-    lines.append(f"{'mi_lag1':<18}{report.mi_lag1_hat:.6g}")
-    lines.append(f"{'cond_entropy':<18}{report.cond_entropy_hat:.6g}")
-    lines.append(f"{'deviation_plugin':<18}{report.deviation_plugin:.6g}")
-    lines.append(f"{'deviation_markov':<18}{report.deviation_markov:.6g}")
-    lines.append(f"{'deviation_sigma':<18}{report.deviation_sigma:.6g}")
-    lines.append(f"{'n_max':<18}{_format_value(report.n_max)}")
+def _report_lines(doc: dict) -> list[str]:
+    """The table view of a JSON report: one row per key in its order, and
+    one row per element of a list, labelled by the element's lag."""
+    lines = []
+    for key, value in doc.items():
+        rows = ([(f"{key}[{e['lag']}]", e) for e in value]
+                if isinstance(value, list) else [(key, value)])
+        lines += [f"{label:<18}{_format_value(v)}" for label, v in rows]
     return lines
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     seq = _load_bits(args.file, args.format, args.nbits)
-    report = analyze(seq, max_lag=args.max_lag)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        for line in _report_lines(report):
-            print(line)
+    doc = analyze(seq, max_lag=args.max_lag).to_json_dict()
+    print(json.dumps(doc, indent=2) if args.json else "\n".join(_report_lines(doc)))
     return 0
 
 

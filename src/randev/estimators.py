@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from randev.bitstream import BitSequence
-from randev.model import binary_entropy, deviation_sigma, n_max
+from randev.model import binary_entropy, deviation_quadratic, deviation_sigma, n_max
 
 __all__ = [
     "EstimatorError",
@@ -57,8 +57,6 @@ __all__ = [
     "analyze",
     "analyze_parallel",
 ]
-
-_LN2 = math.log(2.0)
 
 
 class EstimatorError(ValueError):
@@ -157,6 +155,10 @@ def _measure(seq: BitSequence, lags: tuple[int, ...]) -> _LagState:
     words = np.frombuffer(seq.data.ljust(8 * nw + 8, b"\0"), dtype="<u8")
     prods = []
     for k in lags:
+        if k >= n:
+            # no lag-k pair fits in n bits
+            prods.append(0)
+            continue
         q, r = divmod(k, 64)
         m = max(nw - q, 0)
         # word j of x shifted down by k bits, ANDed with word j; pad bits
@@ -182,9 +184,11 @@ def _merge_states(a: _LagState, b: _LagState) -> _LagState:
     ea, eb = min(top, a.n), min(top, b.n)
     edge = min(top, a.n + b.n)
     # a lag-k pair across the cut joins bit p of a's tail to bit
-    # p + k - ea of b's head, and every such pair lies in those edges
+    # p + k - ea of b's head, and every such pair lies in those edges;
+    # a lag of ea + eb or more has no pair there
     prods = tuple(
-        pa + pb + ((a.tail << k >> ea) & b.head).bit_count()
+        pa + pb
+        + (((a.tail << k >> ea) & b.head).bit_count() if k < ea + eb else 0)
         for k, pa, pb in zip(a.lags, a.prods, b.prods)
     )
     return _LagState(
@@ -356,12 +360,6 @@ def deviation_plugin(counts: PairCounts) -> float:
     if d < 0.0:
         return 0.0
     return 1.0 if d > 1.0 else d
-
-
-def deviation_quadratic(bias: float, a1: float) -> float:
-    """Quadratic deviation form (a1**2 + bias**2) / (2 ln 2) applied to
-    measured values."""
-    return (a1 * a1 + bias * bias) / (2.0 * _LN2)
 
 
 @dataclass(frozen=True)

@@ -142,21 +142,21 @@ def validate_approx(grid_step: float, n_bits: int | None = None,
                 / pred.deviation_exact
             )
             worst = max(worst, rel)
-            if n_bits is None:
-                rows.append(GridRow(
-                    b, a1, pred.deviation_exact, pred.deviation_approx, rel,
-                ))
-            else:
+            empirical = {}
+            if n_bits is not None:
                 config = SourceConfig.markov(b, a1, seed=seed + index)
                 stream = generate(config, n_bits)
                 d_hat = deviation_plugin(accumulate(PairCounts(), stream))
                 sigma = deviation_sigma(pred.deviation_exact, n_bits)
-                rows.append(GridRow(
-                    b, a1, pred.deviation_exact, pred.deviation_approx, rel,
+                empirical = dict(
                     n_bits=n_bits,
                     deviation_plugin=d_hat,
                     z_score=(d_hat - pred.deviation_exact) / sigma,
-                ))
+                )
+            rows.append(GridRow(
+                b, a1, pred.deviation_exact, pred.deviation_approx, rel,
+                **empirical,
+            ))
             index += 1
     return GridResult(
         step=grid_step,
@@ -252,21 +252,18 @@ def _fmt(x: float) -> str:
 def grid_csv_lines(result: GridResult) -> list[str]:
     """CSV rows for a grid sweep; empirical columns appear only when the
     sweep generated streams."""
+    header = "b,a1,d_exact,d_approx,rel_err"
     if result.empirical:
-        lines = ["b,a1,d_exact,d_approx,rel_err,n_bits,d_plugin,z"]
-        for r in result.rows:
-            lines.append(",".join([
-                _fmt(r.b), _fmt(r.a1), _fmt(r.deviation_exact),
-                _fmt(r.deviation_approx), _fmt(r.relative_error),
-                str(r.n_bits), _fmt(r.deviation_plugin), _fmt(r.z_score),
-            ]))
-        return lines
-    lines = ["b,a1,d_exact,d_approx,rel_err"]
+        header += ",n_bits,d_plugin,z"
+    lines = [header]
     for r in result.rows:
-        lines.append(",".join([
+        cells = [
             _fmt(r.b), _fmt(r.a1), _fmt(r.deviation_exact),
             _fmt(r.deviation_approx), _fmt(r.relative_error),
-        ]))
+        ]
+        if result.empirical:
+            cells += [str(r.n_bits), _fmt(r.deviation_plugin), _fmt(r.z_score)]
+        lines.append(",".join(cells))
     return lines
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "deadtime_a1",
     "mi_exact_unbiased",
     "mi_parabolic",
+    "deviation_quadratic",
     "markov_prediction",
     "predict_source",
     "deviation_sigma",
@@ -88,23 +89,30 @@ def mi_exact_unbiased(a1: float) -> float:
     return total
 
 
+def deviation_quadratic(bias: float, a1: float) -> float:
+    """Quadratic deviation form (a1**2 + bias**2) / (2 ln 2), the
+    small-bias, small-correlation limit of 1 - cond_entropy."""
+    return (a1 * a1 + bias * bias) / (2.0 * _LN2)
+
+
 def mi_parabolic(a1: float) -> float:
-    """Small-correlation approximation a1**2 / (2 ln 2) of mi_exact_unbiased.
+    """Small-correlation approximation deviation_quadratic(0, a1) of
+    mi_exact_unbiased.
 
     Accepts the closed interval [-1, 1]; the quality of the
     approximation degrades as |a1| grows (see mi_exact_unbiased).
     """
     if not -1.0 <= a1 <= 1.0:
         raise ParameterError(f"a1={a1} outside [-1, 1]")
-    return a1 * a1 / (2.0 * _LN2)
+    return deviation_quadratic(0.0, a1)
 
 
 @dataclass(frozen=True)
 class ModelPrediction:
     """Expected values of every measured quantity for one source setup.
 
-    ``deviation_exact`` is 1 - cond_entropy; ``deviation_approx`` is the
-    quadratic shortcut (a1**2 + bias**2) / (2 ln 2).
+    ``deviation_exact`` is 1 - cond_entropy; ``deviation_approx`` is
+    deviation_quadratic(bias, a1).
     """
 
     bias: float
@@ -138,7 +146,7 @@ def markov_prediction(b: float, a1: float) -> ModelPrediction:
         mutual_info=mi,
         cond_entropy=ce,
         deviation_exact=1.0 - ce,
-        deviation_approx=(a1 * a1 + b * b) / (2.0 * _LN2),
+        deviation_approx=deviation_quadratic(b, a1),
     )
 
 
@@ -152,7 +160,7 @@ def _marginal_only_prediction(b: float) -> ModelPrediction:
             mutual_info=0.0,
             cond_entropy=0.0,
             deviation_exact=1.0,
-            deviation_approx=b * b / (2.0 * _LN2),
+            deviation_approx=deviation_quadratic(b, 0.0),
         )
     return markov_prediction(b, 0.0)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -393,6 +394,14 @@ class TestAnalyze:
                              (S("0110"), 0), (S("0110" * 250), 3_000_000)):
             with pytest.raises(EstimatorError) as serial:
                 analyze(seq, max_lag=max_lag)
+            # chunks have no length up front; lags past the end must still
+            # be cheap to measure, merge and reject
+            start = time.perf_counter()
+            with pytest.raises(EstimatorError) as chunked:
+                analyze(iter([seq[:8], seq[8:]]), max_lag=max_lag)
+            assert time.perf_counter() - start < 5.0
+            assert chunked.type is serial.type
+            assert str(chunked.value) == str(serial.value)
             for workers in (1, 2):
                 with pytest.raises(EstimatorError) as parallel:
                     analyze_parallel(seq, max_lag=max_lag, workers=workers)
