@@ -90,6 +90,8 @@ class BitSequence:
             if step != 1:
                 raise ValueError(f"slice step {step} unsupported: only step 1")
             n = max(stop - start, 0)
+            if n == self._nbits:
+                return self  # immutable: the whole needs no copy
             part = BitSequence.__new__(BitSequence)  # _bits zeroes the pads
             part._data, part._nbits = _bits(self._data, start, n), n
             return part

@@ -18,13 +18,12 @@ conditional entropy and the plug-in deviation.
 
 Every field is an exact integer, so any partition of a stream measured
 piece by piece and merged in order reproduces the serial state field for
-field: ``analyze`` over chunks and ``analyze_parallel`` over worker
-threads are the same fold and give bit-identical reports.
+field.  One fold cuts every input into pieces of at most 2**22 bits, which
+bounds temporaries, so serial, chunked and parallel runs are bit-identical.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections import namedtuple
@@ -79,9 +78,8 @@ class DegenerateSequenceError(EstimatorError):
 class PairCounts:
     """Counts of bits, one-bits, and adjacent (previous, next) pairs.
 
-    ``first_bit`` and ``last_bit`` carry the stream boundary so that two
-    PairCounts from consecutive stream pieces merge exactly: the pair
-    that straddles the cut is reconstructed from them.
+    ``first_bit`` and ``last_bit`` are the lag-1 state's edge bits, so
+    counts of consecutive stream pieces merge exactly as lag-1 states.
     """
 
     n: int = 0
@@ -115,19 +113,12 @@ def _pair_counts(s: _LagState) -> PairCounts:
 def accumulate(counts: PairCounts, seq: BitSequence) -> PairCounts:
     """Fold a sequence into the counts, including the pair across the
     boundary between previously accumulated data and seq."""
-    return _merge_counts(counts, _pair_counts(_measure(seq, (1,))))
+    return _pair_counts(_fold(_lag1(counts), [seq]))
 
 
-def _merge_counts(a: PairCounts, b: PairCounts) -> PairCounts:
-    if a.n == 0:
-        return b
-    if b.n == 0:
-        return a
-    cells = [a.c00 + b.c00, a.c01 + b.c01, a.c10 + b.c10, a.c11 + b.c11]
-    cells[2 * a.last_bit + b.first_bit] += 1
-    return PairCounts(
-        a.n + b.n, a.ones + b.ones, *cells, a.first_bit, b.last_bit
-    )
+def _lag1(c: PairCounts) -> _LagState:
+    """The lag-1 state behind counts made by ``accumulate``."""
+    return _LagState((1,), c.n, c.ones, (c.c11,), c.first_bit or 0, c.last_bit or 0)
 
 
 # The sums of one stream piece for ascending lags: prods[i] is the sum of
@@ -198,9 +189,22 @@ def _merge_states(a: _LagState, b: _LagState) -> _LagState:
     )
 
 
+# The longest piece measured at once: it bounds a measure's numpy temporaries.
+_PIECE_BITS = 2**22
+
+
+def _fold(state: _LagState, chunks, mapper=map) -> _LagState:
+    """``state`` followed by the chunks, measured piece by piece through ``mapper``."""
+    lags = state.lags
+    pieces = (c[i:i + _PIECE_BITS] for c in chunks for i in range(0, c.nbits, _PIECE_BITS))
+    for part in mapper(lambda piece: _measure(piece, lags), pieces):
+        state = _merge_states(state, part)
+    return state
+
+
 class LagAccumulator:
     """Streaming sums behind the lag-k serial autocorrelation: the
-    one-lag state.  ``add`` measures a piece and merges it in; ``merge``
+    one-lag state.  ``add`` folds a chunk in, piece by piece; ``merge``
     joins the states of consecutive pieces exactly."""
 
     __slots__ = ("_state",)
@@ -226,7 +230,7 @@ class LagAccumulator:
         return BitSequence(bits.to_bytes(-(-e // 8), "little"), e).to_array()
 
     def add(self, seq: BitSequence) -> None:
-        self._state = _merge_states(self._state, _measure(seq, self._state.lags))
+        self._state = _fold(self._state, [seq])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LagAccumulator):
@@ -242,11 +246,12 @@ class LagAccumulator:
 def merge(a, b):
     """Combine two accumulators over consecutive stream pieces.
 
-    Accepts two PairCounts or two LagAccumulators; the result is field
+    Accepts two PairCounts made by ``accumulate`` or two
+    LagAccumulators; both merge as lag states, so the result is field
     for field what serial accumulation over the joined stream produces.
     """
     if isinstance(a, PairCounts) and isinstance(b, PairCounts):
-        return _merge_counts(a, b)
+        return _pair_counts(_merge_states(_lag1(a), _lag1(b)))
     if isinstance(a, LagAccumulator) and isinstance(b, LagAccumulator):
         if a.k != b.k:
             raise EstimatorError(f"lag mismatch: {a.k} vs {b.k}")
@@ -419,15 +424,13 @@ def _check_lags(max_lag: int, n: int | None) -> None:
 
 
 def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
-    """Fold the lag states of the chunks, measured through ``mapper``."""
-    lags = tuple(range(1, max_lag + 1))
-    parts = mapper(functools.partial(_measure, lags=lags), chunks)
-    state = functools.reduce(_merge_states, parts, _empty(lags))
+    """The report of the chunks' lag state, measured through ``mapper``."""
+    state = _fold(_empty(tuple(range(1, max_lag + 1))), chunks, mapper)
     _check_lags(max_lag, state.n)
     counts = _pair_counts(state)
     bias_hat, bias_sigma = bias_estimate(counts)
     estimates = tuple(
-        LagEstimate(k, *_autocorr(state, i)) for i, k in enumerate(lags)
+        LagEstimate(k, *_autocorr(state, i)) for i, k in enumerate(state.lags)
     )
     dev = deviation_plugin(counts)
     return AnalysisReport(
@@ -458,21 +461,16 @@ def analyze(data, max_lag: int = 8) -> AnalysisReport:
 
 def analyze_parallel(seq: BitSequence, max_lag: int = 8,
                      workers: int | None = None) -> AnalysisReport:
-    """analyze() over worker threads via the merge contract.
+    """analyze() with its pieces measured on up to ``workers`` threads.
 
-    The stream is split on byte boundaries, each piece is measured
-    independently, and the same ordered fold as analyze() reproduces the
-    serial integer state exactly, so the report equals the sequential
-    one field for field.
+    The pieces are analyze()'s own, at most 2**22 bits each, and no more
+    threads start than there are pieces; the same ordered fold merges
+    them, so the report equals analyze()'s field for field.
     """
     _check_lags(max_lag, seq.nbits)
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise EstimatorError(f"workers={workers} must be at least 1")
-    step = 8 * max(1, -(-len(seq.data) // workers))
-    pieces = [seq[i:i + step] for i in range(0, seq.nbits, step)]
-    if len(pieces) < 2:
-        return _report(pieces, max_lag, map)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _report(pieces, max_lag, pool.map)
+    with ThreadPoolExecutor(min(workers, -(-seq.nbits // _PIECE_BITS))) as pool:
+        return _report([seq], max_lag, pool.map)

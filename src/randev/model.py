@@ -190,27 +190,27 @@ def predict_source(config: SourceConfig) -> ModelPrediction:
 
 
 def deviation_sigma(deviation: float, n_bits: float) -> float:
-    """Statistical uncertainty of a deviation measured on n_bits bits.
+    """Statistical uncertainty of a deviation in [0, 1] measured on n_bits bits.
 
     sqrt(2 * deviation / (n_bits * ln 2)); equals the error propagated
     from the 1/sqrt(N) uncertainties of the bias and autocorrelation
     estimates through the quadratic deviation formula.
     """
-    if not deviation >= 0.0:
-        raise ParameterError(f"deviation={deviation} must be a non-negative number")
+    if not 0.0 <= deviation <= 1.0:
+        raise ParameterError(f"deviation={deviation} must be non-negative and at most 1")
     if not n_bits >= 1:
         raise ParameterError(f"n_bits={n_bits} must be a number of at least 1")
     return math.sqrt(2.0 * deviation / (n_bits * _LN2))
 
 
 def n_max(deviation: float) -> float:
-    """Longest usable sequence for a source with the given deviation.
+    """Longest usable sequence for a source with the given deviation in [0, 1].
 
     2 / (ln 2 * deviation); returns math.inf when the deviation is
     exactly zero (no detectable imperfection at any length).
     """
-    if not deviation >= 0.0:
-        raise ParameterError(f"deviation={deviation} must be a non-negative number")
+    if not 0.0 <= deviation <= 1.0:
+        raise ParameterError(f"deviation={deviation} must be non-negative and at most 1")
     if deviation == 0.0:
         return math.inf
     return 2.0 / (_LN2 * deviation)

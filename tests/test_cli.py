@@ -303,6 +303,13 @@ class TestNmax:
         code, _, err = run(capsys, "nmax", "--deviation=-1e-3")
         assert code == 1 and "non-negative" in err
 
+    def test_deviation_above_one_rejected(self, capsys):
+        # the quadratic form of a1 = 1, bias = 0.9 is 1.31, outside its range
+        for argv in (["--deviation", "inf"], ["--deviation", "5"],
+                     ["--a1", "1", "--bias", "0.9"]):
+            code, out, err = run(capsys, "nmax", *argv)
+            assert code == 1 and out == "" and "error:" in err
+
 
 class TestMonitorConfig:
     def test_defaults(self):

@@ -3,10 +3,13 @@
 import math
 import random
 import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from randev import estimators
 from randev.bitstream import BitSequence
 from randev.estimators import (
     AnalysisReport,
@@ -311,12 +314,43 @@ class TestAnalyze:
             BitSequence(seq.data[cut:], seq.nbits - cut * 8),
         ]
         assert analyze(chunks) == analyze(seq)
+        # longer than one measured piece, and cut by the caller off a byte
+        # boundary, so the caller's cut and the piece cut differ
+        seq = generate(SourceConfig.markov(0.0, 0.1, seed=11), 2**22 + 37)
+        cut = 2**21 + 3
+        whole = analyze(seq)
+        assert analyze([seq[:cut], seq[cut:]]) == whole
+        assert analyze_parallel(seq, workers=2) == whole
 
-    def test_parallel_is_identical(self):
+    def test_parallel_is_identical(self, monkeypatch):
         seq = generate(SourceConfig.markov(0.05, -0.2, seed=3), 300_000)
         serial = analyze(seq)
         assert analyze_parallel(seq, workers=4) == serial
         assert analyze_parallel(seq, workers=1) == serial
+        # one piece needs one thread, however many workers are offered
+        seen = []
+
+        def spy(max_workers):
+            seen.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", spy)
+        assert analyze_parallel(seq, workers=64) == serial
+        assert seen == [1]
+
+    def test_temporaries_stay_below_the_input(self):
+        # pieces bound what a measure allocates: below the 4 MiB packed
+        # input, where measuring it whole takes about three times that
+        data = np.random.default_rng(7).integers(0, 256, 2**22, dtype=np.uint8)
+        seq = BitSequence(data.tobytes(), 2**25)
+        for measure in (lambda: analyze(seq), lambda: accumulate(PairCounts(), seq)):
+            tracemalloc.start()
+            try:
+                measure()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
 
     def test_report_fields_are_consistent(self):
         seq = generate(SourceConfig.markov(0.0, 0.1, seed=11), 200_000)

@@ -327,6 +327,9 @@ class TestDeviationSigma:
             deviation_sigma(0.1, 0)
         with pytest.raises(ParameterError):
             deviation_sigma(math.nan, 10)
+        for deviation in (1.5, math.inf):
+            with pytest.raises(ParameterError):
+                deviation_sigma(deviation, 10)
         with pytest.raises(ParameterError):
             deviation_sigma(0.1, math.nan)
 
@@ -351,6 +354,9 @@ class TestNMax:
             n_max(-0.5)
         with pytest.raises(ParameterError):
             n_max(math.nan)
+        for deviation in (1.5, math.inf):
+            with pytest.raises(ParameterError):
+                n_max(deviation)
 
 
 def test_prediction_is_plain_value():

@@ -1,11 +1,14 @@
 """Property tests: packed slicing and joining, and merge exactness under
 arbitrary partitions of a stream."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randev import estimators
 from randev.bitstream import BitSequence, concat
 from randev.estimators import (EstimatorError, LagAccumulator, analyze, analyze_parallel,
                                merge)
@@ -80,35 +83,41 @@ def outcome(f):
 
 
 @FEW
-@given(st.integers(1, 130), st.data())
-def test_analyze_pieces_equals_whole(max_lag, data):
+@given(st.integers(1, 130), st.integers(1, 70), st.data())
+def test_analyze_pieces_equals_whole(max_lag, piece_bits, data):
     # lags past 64 give edges wider than one word, and most pieces are
     # shorter than max_lag; streams start at max_lag - 12 bits so that
-    # both reports and too-short errors are drawn for every max_lag
+    # both reports and too-short errors are drawn for every max_lag.
+    # The whole is measured in one piece, the rest with a short piece
+    # size, so the fold's own cut runs too
     bits, cuts = data.draw(
         bits_and_cuts(max_bits=400, max_cuts=6, min_bits=max(0, max_lag - 12)))
     seq = BitSequence.from_bits(bits)
     whole = outcome(lambda: analyze(seq, max_lag=max_lag))
-    assert outcome(lambda: analyze(pieces(seq, cuts), max_lag=max_lag)) == whole
-    assert outcome(lambda: analyze_parallel(seq, max_lag, workers=3)) == whole
+    with mock.patch.object(estimators, "_PIECE_BITS", piece_bits):
+        assert outcome(lambda: analyze(seq, max_lag=max_lag)) == whole
+        assert outcome(lambda: analyze(pieces(seq, cuts), max_lag=max_lag)) == whole
+        assert outcome(lambda: analyze_parallel(seq, max_lag, workers=3)) == whole
 
 
 @FEW
-@given(bits_and_cuts(max_bits=200, max_cuts=8), st.integers(1, 130))
-def test_lag_state_streamed_and_merged_equals_whole(case, k):
+@given(bits_and_cuts(max_bits=200, max_cuts=8), st.integers(1, 130), st.integers(1, 70))
+def test_lag_state_streamed_and_merged_equals_whole(case, k, piece_bits):
     # lags up to 130 are longer than most pieces, so the edge bits of
-    # several pieces combine in one merge
+    # several pieces combine in one merge; the streamed and merged states
+    # are measured with a short piece size, so the fold's own cut runs too
     bits, cuts = case
     seq = BitSequence.from_bits(bits)
     whole = LagAccumulator(k)
     whole.add(seq)
     streamed = LagAccumulator(k)
     merged = LagAccumulator(k)
-    for piece in pieces(seq, cuts):
-        streamed.add(piece)
-        one = LagAccumulator(k)
-        one.add(piece)
-        merged = merge(merged, one)
+    with mock.patch.object(estimators, "_PIECE_BITS", piece_bits):
+        for piece in pieces(seq, cuts):
+            streamed.add(piece)
+            one = LagAccumulator(k)
+            one.add(piece)
+            merged = merge(merged, one)
     assert streamed == whole
     assert merged == whole
     assert whole.sum_prod == int(np.count_nonzero(bits[:-k] & bits[k:]))
