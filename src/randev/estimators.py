@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
+from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -464,13 +464,32 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
     """analyze() with its pieces measured on up to ``workers`` threads.
 
     The pieces are analyze()'s own, at most 2**22 bits each, and no more
-    threads start than there are pieces; the same ordered fold merges
-    them, so the report equals analyze()'s field for field.
+    threads start than there are pieces; at most two pieces per thread
+    are cut and in flight at once.  The same ordered fold merges them, so
+    the report equals analyze()'s field for field.
     """
     _check_lags(max_lag, seq.nbits)
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise EstimatorError(f"workers={workers} must be at least 1")
-    with ThreadPoolExecutor(min(workers, -(-seq.nbits // _PIECE_BITS))) as pool:
-        return _report([seq], max_lag, pool.map)
+    threads = min(workers, -(-seq.nbits // _PIECE_BITS))
+    with ThreadPoolExecutor(threads) as pool:
+        return _report([seq], max_lag,
+                       lambda fn, pieces: _map_ahead(pool, 2 * threads, fn, pieces))
+
+
+def _map_ahead(pool, ahead: int, fn, items):
+    """``pool.map(fn, items)`` that submits at most ``ahead`` items before
+    their results are read, so only that many pieces are cut at once."""
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()

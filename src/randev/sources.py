@@ -56,9 +56,12 @@ DEADTIME_MODES = ("reroute", "loss")
 # where generate() calls cut the stream
 _PHOTON_BLOCK = 1 << 15
 
-# bits per internal chunk; each chunk is packed as soon as it is made, so
-# its 8-byte-per-bit temporaries stay small and in cache
+# bits per internal chunk; each chunk is packed as soon as it is made, and
+# its temporaries live in buffers allocated once per generate() call
 _GEN_CHUNK = 1 << 16
+
+# the dead-time value of a lost photon, beside the bits 0 and 1
+_LOST = 2
 
 # the dead-time simulator spends about tau_d/(2 tau) photons per emitted bit
 _MAX_DEAD_RATIO = 1e4
@@ -101,23 +104,40 @@ def uniform_from_output(value: int) -> float:
     return (value >> 11) * 2.0**-53
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # vectorized SplitMix64 output mix; uint64 arithmetic wraps mod 2**64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _threshold(p: float) -> int:
+    """The integer T with ``(z >> 11) < T`` exactly when ``uniform_from_output(z) < p``.
+
+    ``(z >> 11) * 2**-53`` and ``p * 2**53`` are exact floats, and an
+    integer is below a real exactly when it is below that real's ceiling.
+    """
+    return max(0, math.ceil(p * 2.0**53))
 
 
-def _uniforms_at(seed: int, first_draw: int, count: int) -> np.ndarray:
-    """Uniforms for draw indices first_draw .. first_draw+count-1 (1-based).
+def _drawer(seed: int, size: int):
+    """A function ``(first, m) -> (z >> 11)`` for the SplitMix64 outputs z
+    of draws first .. first+m-1 (1-based), m <= size.
 
     SplitMix64's state after d draws is seed + d*GAMMA mod 2**64, so any
-    range of draws can be produced without stepping through predecessors.
+    range of draws is a base plus fixed steps.  Every call writes into the
+    same buffers, allocated here once, and returns a view of them.
     """
-    idx = np.arange(first_draw, first_draw + count, dtype=np.uint64)
-    states = np.uint64(seed) + np.uint64(_GAMMA) * idx
-    mixed = _mix64(states)
-    return (mixed >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    steps = np.arange(size, dtype=np.uint64)
+    np.multiply(steps, np.uint64(_GAMMA), out=steps)
+    out = np.empty(size, dtype=np.uint64)
+    tmp = np.empty(size, dtype=np.uint64)
+
+    def draw(first: int, m: int) -> np.ndarray:
+        z, t = out[:m], tmp[:m]
+        np.add(steps[:m], np.uint64((seed + first * _GAMMA) & _MASK64), out=z)
+        # the output mix; uint64 arithmetic wraps mod 2**64
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=t), out=z)
+        np.multiply(z, np.uint64(_MIX1), out=z)
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=t), out=z)
+        np.multiply(z, np.uint64(_MIX2), out=z)
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
+        return np.right_shift(z, np.uint64(11), out=z)
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -280,7 +300,9 @@ class Source:
             self._photon = 0          # next photon ordinal
             self._t = 0.0             # current arrival clock
             self._dead = [0.0, 0.0]   # per-detector dead-until times
-            self._block = (-1, None, None)
+            self._block = -1          # photon block held in _dts, _routes
+            self._dts = np.empty(_PHOTON_BLOCK)
+            self._routes = np.empty(_PHOTON_BLOCK, dtype=bool)
         elif kind == "xorshift64":
             self._x = config.seed
             self._pending = BitSequence(b"", 0)
@@ -289,37 +311,50 @@ class Source:
         """Emit the next n bits of this source's stream."""
         if n < 0:
             raise ParameterError(f"bit count must be non-negative, got {n}")
-        cfg = self.config
-        if cfg.kind == "markov":
-            chunk = self._markov_chunk
-        elif cfg.kind == "deadtime":
-            chunk = self._deadtime_bits
-        elif cfg.kind == "xorshift64":
-            chunk = self._xorshift_bits
-        else:  # independent bits: ideal, bernoulli, splitter
-            p = (0.5 if cfg.kind == "ideal" else
-                 cfg.p if cfg.kind == "bernoulli" else (1.0 + cfg.b) / 2.0)
-
-            def chunk(m):
-                return self._uniforms(m) < p
+        chunk = self._chunks(min(n, _GEN_CHUNK))
         # every chunk but the last is whole bytes, so the packed parts join
         # exactly
-        parts = [
-            np.packbits(chunk(min(_GEN_CHUNK, n - start)), bitorder="little").tobytes()
-            for start in range(0, n, _GEN_CHUNK)
-        ]
+        parts = [chunk(min(_GEN_CHUNK, n - start)) for start in range(0, n, _GEN_CHUNK)]
         return BitSequence(b"".join(parts), n)
+
+    def _chunks(self, size: int):
+        """A function m -> the next m <= size bits, packed.  Its buffers are
+        allocated once here, so a chunk allocates nothing large (dead time's
+        lists of clustered photons aside)."""
+        cfg = self.config
+        if cfg.kind == "markov":
+            return self._markov_chunks(size)
+        if cfg.kind == "deadtime":
+            return self._deadtime_chunks(size)
+        if cfg.kind == "xorshift64":
+            return self._xorshift_chunk
+        # independent bits: ideal, bernoulli, splitter
+        p = (0.5 if cfg.kind == "ideal" else
+             cfg.p if cfg.kind == "bernoulli" else (1.0 + cfg.b) / 2.0)
+        threshold = _threshold(p)
+        draw = self._stream_drawer(size)
+        below = np.empty(size, dtype=bool)
+
+        def chunk(m):
+            ones = np.less(draw(m), threshold, out=below[:m])
+            return np.packbits(ones, bitorder="little").tobytes()
+        return chunk
 
     # ---- base generator ----
 
-    def _uniforms(self, count: int) -> np.ndarray:
-        u = _uniforms_at(self.config.seed, self._draws + 1, count)
-        self._draws += count
-        return u
+    def _stream_drawer(self, size: int):
+        """A function m -> (z >> 11) for this source's next m <= size draws."""
+        draw = _drawer(self.config.seed, size)
+
+        def next_draws(m):
+            z = draw(self._draws + 1, m)
+            self._draws += m
+            return z
+        return next_draws
 
     # ---- markov ----
 
-    def _markov_chunk(self, m: int) -> np.ndarray:
+    def _markov_chunks(self, size: int):
         # Renewal scan, bit-identical to the sequential definition
         # x_{i+1} ~ Bernoulli(p1_given_{x_i}) with one uniform per bit:
         # each uniform u either fixes the next bit outright (u decides the
@@ -328,91 +363,173 @@ class Source:
         # or a flip (a1 < 0), so the chunk resolves with one segmented
         # maximum instead of a Python loop.
         tm = self._tm
-        u = self._uniforms(m)
-        from_zero = u < tm.p1_given_0
-        from_one = u < tm.p1_given_1
-        reset = from_zero == from_one
-        value = from_zero.copy()
-        if self._prev is None:
-            # very first bit of the stream draws from the stationary law
-            reset[0] = True
-            value[0] = u[0] < tm.pi1
-            prev = 0  # never consulted
-        else:
-            prev = self._prev
-        idx = np.arange(m, dtype=np.int64)
-        last = np.maximum.accumulate(np.where(reset, idx, np.int64(-1)))
-        base = np.where(last >= 0, value[np.maximum(last, 0)], bool(prev))
-        if self.config.a1 >= 0:
-            bits = base
-        else:
-            # every non-reset step flips; parity of the gap decides
-            flips = (idx - last) & np.int64(1)
-            bits = base ^ flips.astype(bool)
-        self._prev = int(bits[-1])
-        return bits
+        from_zero, from_one, stationary = (
+            _threshold(p) for p in (tm.p1_given_0, tm.p1_given_1, tm.pi1))
+        draw = self._stream_drawer(size)
+        one = np.empty(size, dtype=bool)
+        reset = np.empty(size, dtype=bool)
+        # value[0] is the bit before the chunk, value[i + 1] bit i's value
+        # if it is a reset
+        value = np.zeros(size + 1, dtype=np.uint8)
+        pos = np.arange(1, size + 1, dtype=np.int64)
+        last = np.empty(size, dtype=np.int64)
+        bits = np.empty(size, dtype=np.uint8)
+        # a flip chain's bit i is value[last] ^ ((i + 1 - last) & 1); the
+        # parity of each position, (i + 1) & 1, is xored in before and
+        # after the gather
+        parity = None
+        if self.config.a1 < 0:
+            parity = np.zeros(size, dtype=np.uint8)
+            parity[::2] = 1
+
+        def chunk(m):
+            z = draw(m)
+            v = value[1:m + 1]
+            np.less(z, from_zero, out=v)
+            np.less(z, from_one, out=one[:m])
+            np.equal(v, one[:m], out=reset[:m])
+            if self._prev is None:
+                # very first bit of the stream draws from the stationary law
+                reset[0] = True
+                v[0] = z[0] < stationary
+            else:
+                value[0] = self._prev
+            # last[i]: 1 + the index of the last reset at or before bit i,
+            # or 0 (the previous bit) if there is none
+            lst = np.multiply(pos[:m], reset[:m], out=last[:m])
+            np.maximum.accumulate(lst, out=lst)
+            if parity is not None:
+                np.bitwise_xor(v, parity[:m], out=v)
+            out = np.take(value, lst, out=bits[:m], mode="clip")
+            if parity is not None:
+                np.bitwise_xor(out, parity[:m], out=out)
+            self._prev = int(out[-1])
+            return np.packbits(out, bitorder="little").tobytes()
+        return chunk
 
     # ---- dead-time detector pair ----
 
-    def _photon_uniform_block(self, g: int):
-        # photon j consumes draws 2j+1 (inter-arrival) and 2j+2 (routing);
-        # blocks are regenerated from absolute ordinals, so the floats are
-        # identical regardless of call-boundary placement
-        if self._block[0] == g:
-            return self._block[1], self._block[2]
-        first = 2 * g * _PHOTON_BLOCK + 1
-        u = _uniforms_at(self.config.seed, first, 2 * _PHOTON_BLOCK)
-        dts = (-self.config.tau) * np.log1p(-u[0::2])
-        routes = u[1::2] < 0.5
-        block = (g, dts.tolist(), routes.tolist())
-        self._block = block
-        return block[1], block[2]
+    def _deadtime_chunks(self, size: int):
+        # A photon with t_i >= t_{i-1} + tau_d is a renewal point: every
+        # dead-until time is some earlier t + tau_d <= t_{i-1} + tau_d
+        # (float addition is monotone), so both detectors are live and it
+        # emits its route bit.  Only the other photons run the sequential
+        # rule.  Each cluster of them starts from the state its preceding
+        # renewal fixes: that renewal's detector dead until its t + tau_d,
+        # the other live; a cluster at the start of a segment starts from
+        # the carried dead-until times.
+        tau_d = self.config.tau_d
+        times = np.empty(_PHOTON_BLOCK + 1)   # the clock before and at each photon
+        until = np.empty(_PHOTON_BLOCK + 1)   # times + tau_d
+        renew = np.empty(_PHOTON_BLOCK, dtype=bool)
+        value = np.empty(_PHOTON_BLOCK, dtype=np.uint8)  # bit emitted, or _LOST
+        hit = np.empty(_PHOTON_BLOCK, dtype=bool)
+        emitted = np.empty(_PHOTON_BLOCK, dtype=np.int64)
+        bits = np.empty(size, dtype=np.uint8)
+        draw = None
 
-    def _deadtime_bits(self, n: int) -> np.ndarray:
+        def block(g):
+            # photon j consumes draws 2j+1 (inter-arrival) and 2j+2
+            # (routing); a block is always made whole from absolute
+            # ordinals, so its floats do not depend on where calls cut
+            nonlocal draw
+            if self._block != g:
+                if draw is None:
+                    draw = _drawer(self.config.seed, 2 * _PHOTON_BLOCK)
+                z = draw(2 * g * _PHOTON_BLOCK + 1, 2 * _PHOTON_BLOCK)
+                dts = self._dts
+                np.multiply(z[0::2], 2.0**-53, out=dts)
+                np.negative(dts, out=dts)
+                np.log1p(dts, out=dts)
+                np.multiply(dts, -self.config.tau, out=dts)
+                np.less(z[1::2], _threshold(0.5), out=self._routes)
+                self._block = g
+            return self._dts, self._routes
+
+        def chunk(m):
+            done = 0
+            # photons taken per bit still owed: a photon emits at most one
+            # bit, so this starts at 1 and doubles while it falls short
+            grow = 1
+            while done < m:
+                owed = m - done
+                g, off = divmod(self._photon, _PHOTON_BLOCK)
+                dts, routes = block(g)
+                c = min(_PHOTON_BLOCK - off, owed * grow)
+                t = times[:c + 1]
+                t[0] = self._t
+                t[1:] = dts[off:off + c]
+                np.add.accumulate(t, out=t)
+                u = np.add(t, tau_d, out=until[:c + 1])
+                r = np.greater_equal(t[1:], u[:-1], out=renew[:c])
+                v = value[:c]
+                np.copyto(v, routes[off:off + c])
+                self._clusters(t, u, r, v)
+                det = np.not_equal(v, _LOST, out=hit[:c])
+                e = int(np.count_nonzero(det))
+                if e >= owed:
+                    # consume photons up to the one that emits the last
+                    # owed bit, and none past it
+                    c = int(np.searchsorted(np.cumsum(det, out=emitted[:c]), owed)) + 1
+                    det, v, e = det[:c], v[:c], owed
+                elif c < _PHOTON_BLOCK - off:
+                    grow *= 2
+                np.compress(det, v, out=bits[done:done + e])
+                # the carried state: each detector's last detection time
+                # plus tau_d
+                for k in (0, 1):
+                    np.equal(v, k, out=det)
+                    j = c - 1 - int(np.argmax(det[::-1]))
+                    if det[j]:
+                        self._dead[k] = float(u[j + 1])
+                self._t = float(t[c])
+                self._photon += c
+                done += e
+            return np.packbits(bits[:m], bitorder="little").tobytes()
+        return chunk
+
+    def _clusters(self, t, until, renew, value):
+        # the sequential rule, run for the photons that are not renewals;
+        # value holds every photon's route and gets their emitted bits
+        late = ~renew
+        if not late.any():
+            return
         tau_d = self.config.tau_d
         reroute = self.config.deadtime_mode == "reroute"
-        out: list[int] = []
-        append = out.append
-        emitted = 0
-        t = self._t
+        # after[i]: 1 + the route of photon i-1 if that is a renewal, else 0
+        after = np.zeros(late.size, dtype=np.uint8)
+        np.multiply(renew[:-1], value[:-1] + 1, out=after[1:])
         d0, d1 = self._dead
-        j = self._photon
-        while emitted < n:
-            g, off = divmod(j, _PHOTON_BLOCK)
-            dts, routes = self._photon_uniform_block(g)
-            consumed = _PHOTON_BLOCK
-            for i in range(off, _PHOTON_BLOCK):
-                t += dts[i]
-                if routes[i]:
-                    if t >= d1:
-                        append(1)
-                        d1 = t + tau_d
-                        emitted += 1
-                    elif reroute and t >= d0:
-                        append(0)
-                        d0 = t + tau_d
-                        emitted += 1
+        out = []
+        append = out.append
+        for ti, r, a, u in zip(t[1:][late].tolist(), value[late].tolist(),
+                               after[late].tolist(), until[:-1][late].tolist()):
+            if a:
+                # photon i-1 was a renewal: its detector is dead until u
+                # and the other one is live
+                d0, d1 = (u, -math.inf) if a == 1 else (-math.inf, u)
+            if r:
+                if ti >= d1:
+                    d1 = ti + tau_d
+                    append(1)
+                elif reroute and ti >= d0:
+                    d0 = ti + tau_d
+                    append(0)
                 else:
-                    if t >= d0:
-                        append(0)
-                        d0 = t + tau_d
-                        emitted += 1
-                    elif reroute and t >= d1:
-                        append(1)
-                        d1 = t + tau_d
-                        emitted += 1
-                if emitted == n:
-                    consumed = i + 1
-                    break
-            j = g * _PHOTON_BLOCK + consumed
-        self._t = t
-        self._dead = [d0, d1]
-        self._photon = j
-        return np.array(out, dtype=np.uint8)
+                    append(_LOST)
+            elif ti >= d0:
+                d0 = ti + tau_d
+                append(0)
+            elif reroute and ti >= d1:
+                d1 = ti + tau_d
+                append(1)
+            else:
+                append(_LOST)
+        value[late] = out
 
     # ---- xorshift64 demo ----
 
-    def _xorshift_bits(self, n: int) -> np.ndarray:
+    def _xorshift_chunk(self, n: int) -> bytes:
         # state words are packed bits; those past n wait for the next call
         x = self._x
         words = []
@@ -425,7 +542,7 @@ class Source:
         fresh = np.array(words, dtype="<u8").tobytes()
         bits = concat(self._pending, BitSequence(fresh, 8 * len(fresh)))
         self._pending = bits[n:]
-        return bits.to_array()[:n]
+        return bits[:n].data
 
 
 def generate(config: SourceConfig, n: int) -> BitSequence:

@@ -351,6 +351,17 @@ class TestAnalyze:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2**20
+        # analyze_parallel keeps two pieces per thread in flight, so its
+        # peak does not grow with the input either
+        data = np.random.default_rng(8).integers(0, 256, 2**23, dtype=np.uint8)
+        seq = BitSequence(data.tobytes(), 2**26)
+        tracemalloc.start()
+        try:
+            analyze_parallel(seq, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_report_fields_are_consistent(self):
         seq = generate(SourceConfig.markov(0.0, 0.1, seed=11), 200_000)

@@ -1,17 +1,21 @@
-"""Property tests: packed slicing and joining, and merge exactness under
-arbitrary partitions of a stream."""
+"""Property tests: packed slicing and joining, merge exactness under
+arbitrary partitions of a stream, and generated bits against scalar
+references."""
 
+import functools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randev import estimators
 from randev.bitstream import BitSequence, concat
 from randev.estimators import (EstimatorError, LagAccumulator, analyze, analyze_parallel,
                                merge)
+from randev.sources import (RngState, Source, SourceConfig, _threshold, generate,
+                            markov_transition_matrix, splitmix_next, uniform_from_output)
 
 FEW = settings(max_examples=60, deadline=None)
 
@@ -121,3 +125,142 @@ def test_lag_state_streamed_and_merged_equals_whole(case, k, piece_bits):
     assert streamed == whole
     assert merged == whole
     assert whole.sum_prod == int(np.count_nonzero(bits[:-k] & bits[k:]))
+
+
+# ------------------------------------------------ integer thresholds
+
+
+@functools.cache
+def float_uniforms(seed, n):
+    """uniform_from_output of SplitMix64 draws 1..n, one at a time."""
+    state, out = RngState(seed), []
+    for _ in range(n):
+        state, z = splitmix_next(state)
+        out.append(uniform_from_output(z))
+    return np.array(out)
+
+
+def assert_threshold_exact(p):
+    # every integer near the threshold decides as its float uniform does
+    t = _threshold(p)
+    for k in range(max(0, t - 3), min(2**53, t + 3)):
+        assert (k < t) == (k * 2.0**-53 < p)
+
+
+UNIFORM_BITS = 3001
+
+
+@FEW
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(2.0**-53)
+@example(0.5)
+@example(float(np.nextafter(0.5, 1.0)))
+@example(1.0 - 2.0**-53)
+@example(1.0)
+def test_bernoulli_threshold_is_the_float_comparison(p):
+    assert_threshold_exact(p)
+    want = np.packbits(float_uniforms(3, UNIFORM_BITS) < p, bitorder="little").tobytes()
+    assert generate(SourceConfig.bernoulli(p, seed=3), UNIFORM_BITS).data == want
+
+
+@st.composite
+def admissible_markov(draw):
+    b = draw(st.floats(-0.99, 0.99))
+    lo = -(1.0 - abs(b)) / (1.0 + abs(b))
+    return b, draw(st.one_of(st.sampled_from([lo, 0.0, 1.0]), st.floats(lo, 1.0)))
+
+
+@FEW
+@given(admissible_markov())
+def test_markov_thresholds_are_the_float_comparisons(case):
+    b, a1 = case
+    tm = markov_transition_matrix(b, a1)
+    for p in (tm.p1_given_0, tm.p1_given_1, tm.pi1):
+        assert_threshold_exact(p)
+    bits, x = [], None
+    for u in float_uniforms(4, UNIFORM_BITS):
+        x = u < (tm.pi1 if x is None else tm.p1_given_1 if x else tm.p1_given_0)
+        bits.append(x)
+    want = np.packbits(bits, bitorder="little").tobytes()
+    assert generate(SourceConfig.markov(b, a1, seed=4), UNIFORM_BITS).data == want
+
+
+# ----------------------------------------------- dead time, photon by photon
+
+
+def block_uniforms(seed, first_draw, count):
+    """Float uniforms of draws first_draw .. first_draw+count-1, in numpy."""
+    idx = np.arange(first_draw, first_draw + count, dtype=np.uint64)
+    z = np.uint64(seed) + np.uint64(0x9E3779B97F4A7C15) * idx
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+class ScalarDeadtime:
+    """The dead-time detector pair, one photon at a time in Python: the
+    reference for the generator that resolves renewal points in vector
+    form."""
+
+    BLOCK = 1 << 15
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.photon, self.t, self.dead = 0, 0.0, [0.0, 0.0]
+        self._block = (-1, None, None)
+
+    def photon_block(self, g):
+        if self._block[0] != g:
+            u = block_uniforms(self.cfg.seed, 2 * g * self.BLOCK + 1, 2 * self.BLOCK)
+            dts = (-self.cfg.tau) * np.log1p(-u[0::2])
+            self._block = (g, dts.tolist(), (u[1::2] < 0.5).tolist())
+        return self._block[1], self._block[2]
+
+    def generate(self, n):
+        tau_d = self.cfg.tau_d
+        reroute = self.cfg.deadtime_mode == "reroute"
+        out = []
+        t, (d0, d1), j = self.t, self.dead, self.photon
+        while len(out) < n:
+            g, off = divmod(j, self.BLOCK)
+            dts, routes = self.photon_block(g)
+            consumed = self.BLOCK
+            for i in range(off, self.BLOCK):
+                t += dts[i]
+                if routes[i]:
+                    if t >= d1:
+                        out.append(1)
+                        d1 = t + tau_d
+                    elif reroute and t >= d0:
+                        out.append(0)
+                        d0 = t + tau_d
+                elif t >= d0:
+                    out.append(0)
+                    d0 = t + tau_d
+                elif reroute and t >= d1:
+                    out.append(1)
+                    d1 = t + tau_d
+                if len(out) == n:
+                    consumed = i + 1
+                    break
+            j = g * self.BLOCK + consumed
+        self.t, self.dead, self.photon = t, [d0, d1], j
+        return BitSequence.from_bits(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.0, 0.04, 1.0, 30.0]), st.sampled_from(["reroute", "loss"]),
+       st.integers(0, 2**64 - 1), st.integers(0, 40_000), st.data())
+def test_deadtime_matches_scalar_rule(ratio, mode, seed, n, data):
+    # at tau_d/tau = 30 nearly every photon is in a long cluster; the
+    # cuts put call boundaries inside clusters and photon blocks
+    if ratio >= 1.0:
+        n //= 10
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    cfg = SourceConfig.deadtime(1000.0, 1000.0 * ratio, seed=seed, mode=mode)
+    src, oracle = Source(cfg), ScalarDeadtime(cfg)
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        assert src.generate(b - a) == oracle.generate(b - a)
+        assert (src._t, src._dead, src._photon) == (oracle.t, oracle.dead, oracle.photon)

@@ -1,10 +1,16 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randev
 from randev.bitstream import BitSequence, concat
 from randev.sources import (
     ParameterError,
@@ -423,8 +429,45 @@ def test_live_source_concatenability(cfg):
         assert acc == whole
 
 
+def test_deadtime_few_bits_at_the_largest_ratio():
+    # at tau_d/tau = 10**4 a bit costs about 5000 photons; a call owing a
+    # few bits must still take photons in large steps, not a few at a time
+    cfg = SourceConfig.deadtime(1.0, 1e4, seed=32, mode="loss")
+    start = time.process_time()
+    seq = generate(cfg, 10)
+    assert time.process_time() - start < 0.15
+    assert seq.nbits == 10
+
+
 def test_deadtime_state_carries_across_cut():
     cfg = SourceConfig.deadtime(1000.0, 40.0, seed=31)
     src = Source(cfg)
     two = concat(src.generate(10**4), src.generate(10**4))
     assert two == generate(cfg, 2 * 10**4)
+
+
+# ------------------------------------------------------------ page faults
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the minor page faults Linux reports")
+@pytest.mark.parametrize("cfg", ["SourceConfig.ideal(seed=1)",
+                                 "SourceConfig.markov(0.0, 0.1, seed=1)"])
+def test_generate_reuses_its_chunk_buffers(cfg):
+    # a fresh interpreter serves every array of 128 KiB or more with a new
+    # mmap, whose pages fault in on first touch; 2**23 bits are 128
+    # chunks, so per-chunk temporaries of that size would fault about
+    # 70 000 times, where buffers reused by every chunk fault about 1000
+    code = (
+        "import resource\n"
+        "from randev.sources import SourceConfig, generate\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"generate({cfg}, 2**23)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(randev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert int(done.stdout) < 8192
