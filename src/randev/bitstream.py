@@ -114,20 +114,24 @@ class BitSequence:
         return f"BitSequence({head!r}..., nbits={self._nbits})"
 
 
-def concat(a: BitSequence, b: BitSequence) -> BitSequence:
-    """Concatenate two sequences at bit granularity.
+def concat(*seqs: BitSequence) -> BitSequence:
+    """Concatenate sequences at bit granularity, in time linear in the total.
 
-    Result bit i is a's bit i for i < a.nbits, then b's bits.  When a
-    ends inside a byte, b's first bits fill a's pad bits and the rest of
-    b follows shifted, without unpacking either sequence.
+    The result holds each sequence's bits in turn.  When the bits so far
+    end inside a byte, the next sequence's first bits fill its pad bits and
+    the rest follows shifted, without unpacking any sequence.
     """
-    r = a.nbits % 8
-    if r == 0 or b.nbits == 0:
-        return BitSequence(a.data + b.data, a.nbits + b.nbits)
-    joint = (a.data[-1] | b.data[0] << r) & 0xFF
-    rest = b[8 - r:].data
-    joined = b"".join((memoryview(a.data)[:-1], bytes((joint,)), rest))
-    return BitSequence(joined, a.nbits + b.nbits)
+    parts, nbits = [], 0
+    for s in seqs:
+        data, r = s.data, nbits % 8
+        if r and data:
+            joint = (parts[-1][-1] | data[0] << r) & 0xFF
+            parts[-1:] = memoryview(parts[-1])[:-1], bytes((joint,))
+            data = s[8 - r:].data
+        if data:
+            parts.append(data)
+        nbits += s.nbits
+    return BitSequence(b"".join(parts), nbits)
 
 
 def _bits(data: bytes, start: int, n: int) -> bytes:

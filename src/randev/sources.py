@@ -51,9 +51,8 @@ _MIX2 = 0x94D049BB133111EB
 SOURCE_KINDS = ("ideal", "bernoulli", "splitter", "markov", "deadtime", "xorshift64")
 DEADTIME_MODES = ("reroute", "loss")
 
-# photons per pre-drawn block; blocks are aligned to absolute photon
-# ordinals so regenerating a block yields identical floats no matter
-# where generate() calls cut the stream
+# photons per dead-time chunk; a chunk always simulates a whole block,
+# so the detector state changes only at block ends
 _PHOTON_BLOCK = 1 << 15
 
 # bits per internal chunk; each chunk is packed as soon as it is made, and
@@ -284,48 +283,56 @@ class Source:
 
     Single-threaded mutable state: generate(n1) then generate(n2) emits
     exactly the bits a fresh source with the same config emits for
-    n1 + n2 (bit-exact, including dead-time detector state across the
-    call boundary).
+    n1 + n2.  Each kind makes its bits in whole units (dead time a whole
+    photon block, xorshift64 whole state words), and the bits a call makes
+    past its request wait in the source for the next call, so every way
+    of cutting the stream into calls makes the same units.
     """
 
     def __init__(self, config: SourceConfig):
         config.validate()
         self.config = config
         self._draws = 0  # uniforms consumed (ideal/bernoulli/splitter/markov)
+        self._pending = BitSequence(b"", 0)  # made, not yet emitted
         kind = config.kind
         if kind == "markov":
             self._tm = markov_transition_matrix(config.b, config.a1)
             self._prev: int | None = None
         elif kind == "deadtime":
-            self._photon = 0          # next photon ordinal
-            self._t = 0.0             # current arrival clock
+            # the state at the end of the last photon block
+            self._t = 0.0             # arrival clock
             self._dead = [0.0, 0.0]   # per-detector dead-until times
-            self._block = -1          # photon block held in _dts, _routes
-            self._dts = np.empty(_PHOTON_BLOCK)
-            self._routes = np.empty(_PHOTON_BLOCK, dtype=bool)
+            self._block = 0           # photon blocks simulated
         elif kind == "xorshift64":
             self._x = config.seed
-            self._pending = BitSequence(b"", 0)
 
     def generate(self, n: int) -> BitSequence:
         """Emit the next n bits of this source's stream."""
         if n < 0:
             raise ParameterError(f"bit count must be non-negative, got {n}")
-        chunk = self._chunks(min(n, _GEN_CHUNK))
-        # every chunk but the last is whole bytes, so the packed parts join
-        # exactly
-        parts = [chunk(min(_GEN_CHUNK, n - start)) for start in range(0, n, _GEN_CHUNK)]
-        return BitSequence(b"".join(parts), n)
+        part, parts, owed = self._pending, [], n
+        if part.nbits < n:
+            chunk = self._chunks(min(n - part.nbits, _GEN_CHUNK))
+        while part.nbits < owed:
+            parts.append(part)
+            owed -= part.nbits
+            part = chunk(min(_GEN_CHUNK, owed))
+        parts.append(part[:owed])
+        self._pending = part[owed:]
+        return concat(*parts)
 
     def _chunks(self, size: int):
-        """A function m -> the next m <= size bits, packed.  Its buffers are
-        allocated once here, so a chunk allocates nothing large (dead time's
-        lists of clustered photons aside)."""
+        """A function m -> this source's next bits, packed, for m <= size:
+        exactly m bits for ideal, bernoulli, splitter and markov, whole
+        64-bit state words for xorshift64, and one whole photon block,
+        however many bits it emits, for dead time.  Its buffers are
+        allocated once here, so a chunk allocates nothing large (dead
+        time's lists of clustered photons aside)."""
         cfg = self.config
         if cfg.kind == "markov":
             return self._markov_chunks(size)
         if cfg.kind == "deadtime":
-            return self._deadtime_chunks(size)
+            return self._deadtime_chunks()
         if cfg.kind == "xorshift64":
             return self._xorshift_chunk
         # independent bits: ideal, bernoulli, splitter
@@ -337,7 +344,7 @@ class Source:
 
         def chunk(m):
             ones = np.less(draw(m), threshold, out=below[:m])
-            return np.packbits(ones, bitorder="little").tobytes()
+            return BitSequence(np.packbits(ones, bitorder="little").tobytes(), m)
         return chunk
 
     # ---- base generator ----
@@ -404,88 +411,54 @@ class Source:
             if parity is not None:
                 np.bitwise_xor(out, parity[:m], out=out)
             self._prev = int(out[-1])
-            return np.packbits(out, bitorder="little").tobytes()
+            return BitSequence(np.packbits(out, bitorder="little").tobytes(), m)
         return chunk
 
     # ---- dead-time detector pair ----
 
-    def _deadtime_chunks(self, size: int):
+    def _deadtime_chunks(self):
         # A photon with t_i >= t_{i-1} + tau_d is a renewal point: every
         # dead-until time is some earlier t + tau_d <= t_{i-1} + tau_d
         # (float addition is monotone), so both detectors are live and it
         # emits its route bit.  Only the other photons run the sequential
         # rule.  Each cluster of them starts from the state its preceding
         # renewal fixes: that renewal's detector dead until its t + tau_d,
-        # the other live; a cluster at the start of a segment starts from
+        # the other live; a cluster at the start of a block starts from
         # the carried dead-until times.
         tau_d = self.config.tau_d
+        draw = _drawer(self.config.seed, 2 * _PHOTON_BLOCK)
         times = np.empty(_PHOTON_BLOCK + 1)   # the clock before and at each photon
         until = np.empty(_PHOTON_BLOCK + 1)   # times + tau_d
         renew = np.empty(_PHOTON_BLOCK, dtype=bool)
         value = np.empty(_PHOTON_BLOCK, dtype=np.uint8)  # bit emitted, or _LOST
         hit = np.empty(_PHOTON_BLOCK, dtype=bool)
-        emitted = np.empty(_PHOTON_BLOCK, dtype=np.int64)
-        bits = np.empty(size, dtype=np.uint8)
-        draw = None
-
-        def block(g):
-            # photon j consumes draws 2j+1 (inter-arrival) and 2j+2
-            # (routing); a block is always made whole from absolute
-            # ordinals, so its floats do not depend on where calls cut
-            nonlocal draw
-            if self._block != g:
-                if draw is None:
-                    draw = _drawer(self.config.seed, 2 * _PHOTON_BLOCK)
-                z = draw(2 * g * _PHOTON_BLOCK + 1, 2 * _PHOTON_BLOCK)
-                dts = self._dts
-                np.multiply(z[0::2], 2.0**-53, out=dts)
-                np.negative(dts, out=dts)
-                np.log1p(dts, out=dts)
-                np.multiply(dts, -self.config.tau, out=dts)
-                np.less(z[1::2], _threshold(0.5), out=self._routes)
-                self._block = g
-            return self._dts, self._routes
 
         def chunk(m):
-            done = 0
-            # photons taken per bit still owed: a photon emits at most one
-            # bit, so this starts at 1 and doubles while it falls short
-            grow = 1
-            while done < m:
-                owed = m - done
-                g, off = divmod(self._photon, _PHOTON_BLOCK)
-                dts, routes = block(g)
-                c = min(_PHOTON_BLOCK - off, owed * grow)
-                t = times[:c + 1]
-                t[0] = self._t
-                t[1:] = dts[off:off + c]
-                np.add.accumulate(t, out=t)
-                u = np.add(t, tau_d, out=until[:c + 1])
-                r = np.greater_equal(t[1:], u[:-1], out=renew[:c])
-                v = value[:c]
-                np.copyto(v, routes[off:off + c])
-                self._clusters(t, u, r, v)
-                det = np.not_equal(v, _LOST, out=hit[:c])
-                e = int(np.count_nonzero(det))
-                if e >= owed:
-                    # consume photons up to the one that emits the last
-                    # owed bit, and none past it
-                    c = int(np.searchsorted(np.cumsum(det, out=emitted[:c]), owed)) + 1
-                    det, v, e = det[:c], v[:c], owed
-                elif c < _PHOTON_BLOCK - off:
-                    grow *= 2
-                np.compress(det, v, out=bits[done:done + e])
-                # the carried state: each detector's last detection time
-                # plus tau_d
-                for k in (0, 1):
-                    np.equal(v, k, out=det)
-                    j = c - 1 - int(np.argmax(det[::-1]))
-                    if det[j]:
-                        self._dead[k] = float(u[j + 1])
-                self._t = float(t[c])
-                self._photon += c
-                done += e
-            return np.packbits(bits[:m], bitorder="little").tobytes()
+            # one whole block, however many bits are owed: photon j of
+            # block g consumes draws 2j+1 (inter-arrival) and 2j+2 (routing)
+            z = draw(2 * self._block * _PHOTON_BLOCK + 1, 2 * _PHOTON_BLOCK)
+            dts = times[1:]
+            np.multiply(z[0::2], 2.0**-53, out=dts)
+            np.negative(dts, out=dts)
+            np.log1p(dts, out=dts)
+            np.multiply(dts, -self.config.tau, out=dts)
+            np.less(z[1::2], _threshold(0.5), out=value)
+            times[0] = self._t
+            np.add.accumulate(times, out=times)
+            np.add(times, tau_d, out=until)
+            np.greater_equal(times[1:], until[:-1], out=renew)
+            self._clusters(times, until, renew, value)
+            bits = value[np.not_equal(value, _LOST, out=hit)]
+            # the carried state: the clock, and each detector's last
+            # detection time plus tau_d
+            for k in (0, 1):
+                np.equal(value, k, out=hit)
+                j = _PHOTON_BLOCK - 1 - int(np.argmax(hit[::-1]))
+                if hit[j]:
+                    self._dead[k] = float(until[j + 1])
+            self._t = float(times[-1])
+            self._block += 1
+            return BitSequence(np.packbits(bits, bitorder="little").tobytes(), bits.size)
         return chunk
 
     def _clusters(self, t, until, renew, value):
@@ -529,20 +502,17 @@ class Source:
 
     # ---- xorshift64 demo ----
 
-    def _xorshift_chunk(self, n: int) -> bytes:
-        # state words are packed bits; those past n wait for the next call
+    def _xorshift_chunk(self, m: int) -> BitSequence:
+        # whole state words, packed
         x = self._x
         words = []
-        for _ in range((n - self._pending.nbits + 63) // 64):
+        for _ in range((m + 63) // 64):
             x ^= (x << 13) & _MASK64
             x ^= x >> 7
             x ^= (x << 17) & _MASK64
             words.append(x)
         self._x = x
-        fresh = np.array(words, dtype="<u8").tobytes()
-        bits = concat(self._pending, BitSequence(fresh, 8 * len(fresh)))
-        self._pending = bits[n:]
-        return bits[:n].data
+        return BitSequence(np.array(words, dtype="<u8").tobytes(), 64 * len(words))
 
 
 def generate(config: SourceConfig, n: int) -> BitSequence:

@@ -413,14 +413,17 @@ ALL_KIND_CONFIGS = [
 
 @pytest.mark.parametrize("cfg", ALL_KIND_CONFIGS, ids=lambda c: f"{c.kind}-{c.deadtime_mode}")
 def test_live_source_concatenability(cfg):
-    whole = generate(cfg, 3000)
+    # the total and the largest take cross 2**16-bit chunks and, for dead
+    # time at 0.04 tau, photon blocks, with bits left pending
+    total = 3 * 2**16 + 5
+    whole = generate(cfg, total)
     rng = random.Random(cfg.seed)
     for _ in range(5):
         src = Source(cfg)
         pieces = []
-        left = 3000
+        left = total
         while left:
-            take = min(left, rng.choice([0, 1, 7, 64, 333, 1024]))
+            take = min(left, rng.choice([0, 1, 7, 64, 333, 1024, 2**16 + 3]))
             pieces.append(src.generate(take))
             left -= take
         acc = BitSequence(b"", 0)
@@ -452,7 +455,9 @@ def test_deadtime_state_carries_across_cut():
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts the minor page faults Linux reports")
 @pytest.mark.parametrize("cfg", ["SourceConfig.ideal(seed=1)",
-                                 "SourceConfig.markov(0.0, 0.1, seed=1)"])
+                                 "SourceConfig.markov(0.0, 0.1, seed=1)",
+                                 "SourceConfig.deadtime(1000.0, 40.0, seed=1)",
+                                 "SourceConfig.xorshift64(seed=1)"])
 def test_generate_reuses_its_chunk_buffers(cfg):
     # a fresh interpreter serves every array of 128 KiB or more with a new
     # mmap, whose pages fault in on first touch; 2**23 bits are 128
