@@ -9,112 +9,55 @@ The package is organized as a pipeline:
 * ``estimators``  -- one-pass, mergeable measurements of real streams.
 * ``experiments`` -- reproducible sweeps and demos built on the above.
 * ``cli``         -- the ``randev`` command.
+
+Each stage loads on first use: ``import randev`` imports no stage, and
+the first access to a public name, or to a stage itself, imports the
+module it lives in, so a program that only generates bits never loads
+the estimators.
 """
 
-from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, write_file
-from randev.estimators import (
-    AnalysisReport,
-    DegenerateSequenceError,
-    EmptyInputError,
-    EstimatorError,
-    InsufficientDataError,
-    LagAccumulator,
-    LagEstimate,
-    PairCounts,
-    accumulate,
-    analyze,
-    analyze_parallel,
-    autocorr,
-    bias_estimate,
-    cond_entropy_lag1,
-    deviation_plugin,
-    deviation_quadratic,
-    marginal_entropy_lag1,
-    merge,
-    mutual_information_lag1,
-)
-from randev.experiments import (
-    CurveRow,
-    GridResult,
-    GridRow,
-    PrngDemo,
-    concat_property,
-    fig2_curve,
-    prng_demo,
-    validate_approx,
-)
-from randev.model import (
-    ModelPrediction,
-    binary_entropy,
-    deadtime_a1,
-    deviation_sigma,
-    markov_prediction,
-    mi_exact_unbiased,
-    mi_parabolic,
-    n_max,
-    predict_source,
-)
-from randev.sources import (
-    DEADTIME_MODES,
-    SOURCE_KINDS,
-    ParameterError,
-    Source,
-    SourceConfig,
-    TransitionMatrix,
-    generate,
-    markov_transition_matrix,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "BitSequence",
-    "CurveRow",
-    "DEADTIME_MODES",
-    "DegenerateSequenceError",
-    "EmptyInputError",
-    "EstimatorError",
-    "GridResult",
-    "GridRow",
-    "InsufficientDataError",
-    "LagAccumulator",
-    "LagEstimate",
-    "ModelPrediction",
-    "PairCounts",
-    "ParameterError",
-    "PrngDemo",
-    "SOURCE_KINDS",
-    "Source",
-    "SourceConfig",
-    "TransitionMatrix",
-    "accumulate",
-    "analyze",
-    "analyze_parallel",
-    "autocorr",
-    "bias_estimate",
-    "binary_entropy",
-    "concat",
-    "concat_property",
-    "cond_entropy_lag1",
-    "deadtime_a1",
-    "deviation_plugin",
-    "deviation_quadratic",
-    "deviation_sigma",
-    "fig2_curve",
-    "from_raw_bytes",
-    "generate",
-    "marginal_entropy_lag1",
-    "markov_prediction",
-    "markov_transition_matrix",
-    "merge",
-    "mi_exact_unbiased",
-    "mi_parabolic",
-    "mutual_information_lag1",
-    "n_max",
-    "predict_source",
-    "prng_demo",
-    "read_file",
-    "validate_approx",
-    "write_file",
-]
+# every public name, by the stage that defines it
+_STAGES = {
+    "bitstream": ("BitSequence", "concat", "from_raw_bytes", "read_file", "write_file"),
+    "estimators": (
+        "AnalysisReport", "DegenerateSequenceError", "EmptyInputError", "EstimatorError",
+        "InsufficientDataError", "LagAccumulator", "LagEstimate", "PairCounts",
+        "accumulate", "analyze", "analyze_parallel", "autocorr", "bias_estimate",
+        "cond_entropy_lag1", "deviation_plugin", "marginal_entropy_lag1", "merge",
+        "mutual_information_lag1",
+    ),
+    "experiments": (
+        "CurveRow", "GridResult", "GridRow", "PrngDemo", "concat_property", "fig2_curve",
+        "prng_demo", "validate_approx",
+    ),
+    "model": (
+        "ModelPrediction", "binary_entropy", "deadtime_a1", "deviation_quadratic",
+        "deviation_sigma", "markov_prediction", "mi_exact_unbiased", "mi_parabolic", "n_max",
+        "predict_source",
+    ),
+    "sources": (
+        "DEADTIME_MODES", "SOURCE_KINDS", "ParameterError", "Source", "SourceConfig",
+        "TransitionMatrix", "generate", "markov_transition_matrix",
+    ),
+}
+_HOME = {name: stage for stage, names in _STAGES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _STAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -24,6 +24,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
+# the parser needs only these two stages; each command imports the
+# others it runs, so ``generate`` never loads the estimators
 from randev.bitstream import (
     _FORMATS,
     BitSequence,
@@ -32,15 +34,6 @@ from randev.bitstream import (
     read_file,
     write_file,
 )
-from randev.estimators import PairCounts, accumulate, analyze, deviation_plugin
-from randev.experiments import (
-    fig2_csv_lines,
-    fig2_curve,
-    grid_csv_lines,
-    validate_approx,
-    write_csv,
-)
-from randev.model import deviation_sigma, markov_prediction, n_max, predict_source
 from randev.sources import DEADTIME_MODES, SOURCE_KINDS, ParameterError, SourceConfig, generate
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
@@ -160,6 +153,8 @@ def _report_lines(doc: dict) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from randev.estimators import analyze
+
     seq = _load_bits(args.file, args.format, args.nbits)
     doc = analyze(seq, max_lag=args.max_lag).to_json_dict()
     print(json.dumps(doc, indent=2) if args.json else "\n".join(_report_lines(doc)))
@@ -167,12 +162,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from randev.model import predict_source
+
     prediction = predict_source(_config_from_args(args))
     print(json.dumps(asdict(prediction), indent=2))
     return 0
 
 
 def cmd_nmax(args: argparse.Namespace) -> int:
+    from randev.model import markov_prediction, n_max
+
     if args.deviation is not None:
         if args.a1 is not None or args.bias is not None:
             raise ParameterError("--deviation excludes --a1 and --bias")
@@ -188,29 +187,30 @@ def cmd_nmax(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_window(index: int, window: BitSequence, config: MonitorConfig,
-                 full: bool) -> bool:
-    if window.nbits >= 2:
-        d_hat = deviation_plugin(accumulate(PairCounts(), window))
-        sigma = deviation_sigma(d_hat, window.nbits)
-    else:
-        d_hat = math.nan
-        sigma = math.nan
-    alarm = False
-    if full:
-        alarm = d_hat > config.sigma_k * sigma
-        if config.deviation_threshold is not None:
-            alarm = alarm and d_hat > config.deviation_threshold
-        status = "ALARM" if alarm else "ok"
-    else:
-        status = "incomplete"
-    print(f"{index},{d_hat:.6g},{sigma:.6g},{status}")
-    return alarm
-
-
 def _monitor_stream(fh, config: MonitorConfig) -> int:
     """Sequential window scan; stream order is semantic, so no parallelism.
     Reads of at least one window keep the unread tail below one window."""
+    from randev.estimators import PairCounts, accumulate, deviation_plugin
+    from randev.model import deviation_sigma
+
+    def emit(index: int, window: BitSequence, full: bool) -> bool:
+        if window.nbits >= 2:
+            d_hat = deviation_plugin(accumulate(PairCounts(), window))
+            sigma = deviation_sigma(d_hat, window.nbits)
+        else:
+            d_hat = math.nan
+            sigma = math.nan
+        alarm = False
+        if full:
+            alarm = d_hat > config.sigma_k * sigma
+            if config.deviation_threshold is not None:
+                alarm = alarm and d_hat > config.deviation_threshold
+            status = "ALARM" if alarm else "ok"
+        else:
+            status = "incomplete"
+        print(f"{index},{d_hat:.6g},{sigma:.6g},{status}")
+        return alarm
+
     config.validate()
     w = config.window_bits
     tail = BitSequence(b"", 0)
@@ -220,11 +220,11 @@ def _monitor_stream(fh, config: MonitorConfig) -> int:
         buf = concat(tail, BitSequence(chunk, 8 * len(chunk)))
         starts = range(0, buf.nbits - w + 1, w)
         for start in starts:
-            alarmed |= _emit_window(index, buf[start:start + w], config, full=True)
+            alarmed |= emit(index, buf[start:start + w], full=True)
             index += 1
         tail = buf[len(starts) * w:]
     if tail.nbits:
-        _emit_window(index, tail, config, full=False)
+        emit(index, tail, full=False)
     return 2 if alarmed else 0
 
 
@@ -238,6 +238,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_approx(args: argparse.Namespace) -> int:
+    from randev.experiments import grid_csv_lines, validate_approx, write_csv
+
     result = validate_approx(args.grid_step, n_bits=args.nbits, seed=args.seed)
     if args.out is not None:
         write_csv(grid_csv_lines(result), args.out)
@@ -248,6 +250,8 @@ def cmd_validate_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
+    from randev.experiments import fig2_csv_lines, fig2_curve, write_csv
+
     rows = fig2_curve(args.min, args.max, args.step)
     lines = fig2_csv_lines(rows)
     if args.out is not None:

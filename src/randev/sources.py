@@ -14,6 +14,14 @@ Six source kinds are provided:
 * ``xorshift64`` -- deterministic 64-bit xorshift state stream, emitted
                     64 bits per update, least-significant bit first.
 
+xorshift64 is linear over GF(2): one step is a fixed 64x64 bit matrix M,
+and word i + 2**k of the stream is M**(2**k) applied to word i.  Each
+2**16-bit chunk is made by such jumps, one table lookup per byte of each
+word, from tables of M**(2**k) for k = 0..10 (16 KiB each) built once per
+process on first use; only the first 32 words of a call are stepped one
+at a time.  That makes 1.3-1.7e9 bits/s on a 2-core Xeon VM, where a
+Python loop over the words made 1.3-1.6e8.
+
 All sources are driven by the same fully specified 64-bit base generator
 (SplitMix64) so that identical (config, n) pairs yield identical bit
 streams on any platform.  A live Source carries its state across calls:
@@ -23,6 +31,7 @@ identically-configured source asked for n1 + n2 bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -58,6 +67,10 @@ _PHOTON_BLOCK = 1 << 15
 # bits per internal chunk; each chunk is packed as soon as it is made, and
 # its temporaries live in buffers allocated once per generate() call
 _GEN_CHUNK = 1 << 16
+
+# the offset of byte b's row in a flattened (8, 256) jump table, as a
+# column; a uint8 byte plus a uint16 offset stays a uint16 index
+_BYTE_ROWS = np.arange(0, 8 * 256, 256, dtype=np.uint16)[:, None]
 
 # the dead-time value of a lost photon, beside the bits 0 and 1
 _LOST = 2
@@ -334,7 +347,7 @@ class Source:
         if cfg.kind == "deadtime":
             return self._deadtime_chunks()
         if cfg.kind == "xorshift64":
-            return self._xorshift_chunk
+            return self._xorshift_chunks(size)
         # independent bits: ideal, bernoulli, splitter
         p = (0.5 if cfg.kind == "ideal" else
              cfg.p if cfg.kind == "bernoulli" else (1.0 + cfg.b) / 2.0)
@@ -379,7 +392,6 @@ class Source:
         # if it is a reset
         value = np.zeros(size + 1, dtype=np.uint8)
         pos = np.arange(1, size + 1, dtype=np.int64)
-        last = np.empty(size, dtype=np.int64)
         bits = np.empty(size, dtype=np.uint8)
         # a flip chain's bit i is value[last] ^ ((i + 1 - last) & 1); the
         # parity of each position, (i + 1) & 1, is xored in before and
@@ -402,12 +414,13 @@ class Source:
             else:
                 value[0] = self._prev
             # last[i]: 1 + the index of the last reset at or before bit i,
-            # or 0 (the previous bit) if there is none
-            lst = np.multiply(pos[:m], reset[:m], out=last[:m])
-            np.maximum.accumulate(lst, out=lst)
+            # or 0 (the previous bit) if there is none; it takes the place
+            # of the draws, which are not read again
+            last = np.multiply(pos[:m], reset[:m], out=z.view(np.int64))
+            np.maximum.accumulate(last, out=last)
             if parity is not None:
                 np.bitwise_xor(v, parity[:m], out=v)
-            out = np.take(value, lst, out=bits[:m], mode="clip")
+            out = np.take(value, last, out=bits[:m], mode="clip")
             if parity is not None:
                 np.bitwise_xor(out, parity[:m], out=out)
             self._prev = int(out[-1])
@@ -502,17 +515,68 @@ class Source:
 
     # ---- xorshift64 demo ----
 
-    def _xorshift_chunk(self, m: int) -> BitSequence:
-        # whole state words, packed
-        x = self._x
-        words = []
-        for _ in range((m + 63) // 64):
-            x ^= (x << 13) & _MASK64
-            x ^= x >> 7
-            x ^= (x << 17) & _MASK64
-            words.append(x)
-        self._x = x
-        return BitSequence(np.array(words, dtype="<u8").tobytes(), 64 * len(words))
+    def _xorshift_chunks(self, size: int):
+        # words[i] is M**(i + 1) applied to the word before the chunk, for
+        # one xorshift step M, and word i + 2**k is M**(2**k) applied to
+        # word i.  The first chunk of a call steps 32 words on from the
+        # carried word and doubles from there; each later chunk is one
+        # jump by M**1024 from the whole chunk before it
+        tables = _xorshift_tables()
+        words = np.empty((size + 63) // 64, dtype="<u8")
+        made = 0  # words[:made] hold the chunk made last
+
+        def chunk(m):
+            nonlocal made
+            k = (m + 63) // 64
+            if made:
+                _jump(tables[-1], words[:k], words[:k])
+            else:
+                # a jump costs the numpy overhead of about 16 steps, so
+                # doubling pays from about 32 words on
+                x = self._x
+                made = min(k, 32)
+                for i in range(made):
+                    x ^= (x << 13) & _MASK64
+                    x ^= x >> 7
+                    x ^= (x << 17) & _MASK64
+                    words[i] = x
+                while made < k:
+                    step = min(made, k - made)
+                    _jump(tables[made.bit_length() - 1], words[:step],
+                          words[made:made + step])
+                    made += step
+            self._x = int(words[k - 1])
+            return BitSequence(words[:k].tobytes(), 64 * k)
+        return chunk
+
+
+@functools.cache
+def _xorshift_tables() -> np.ndarray:
+    """The (levels, 8, 256) tables of M**(2**k), k = 0 .. log2(_GEN_CHUNK/64),
+    for one xorshift step M: entry [k, b, v] is M**(2**k) applied to the
+    word v << 8*b (jump ahead by byte tables, as in Haramoto et al. 2008,
+    "Efficient jump ahead for F2-linear random number generators").
+    Built once per process; 16 KiB per level."""
+    # column j of M is M applied to the word with only bit j set
+    cols = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)).astype("<u8")
+    cols ^= cols << np.uint64(13)
+    cols ^= cols >> np.uint64(7)
+    cols ^= cols << np.uint64(17)
+    tables = np.zeros(((_GEN_CHUNK // 64).bit_length(), 8, 256), dtype=np.uint64)
+    for table in tables:
+        # entry v of byte b: the xor of columns 8b + i over the bits i of v
+        for i, col in enumerate(cols.reshape(8, 8).T):
+            table[:, 1 << i:2 << i] = table[:, :1 << i] ^ col[:, None]
+        # the columns of the square
+        _jump(table, cols, cols)
+    return tables
+
+
+def _jump(table: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:
+    """out = the linear map of ``table`` (see _xorshift_tables) applied to
+    each of ``words``, little-endian uint64 arrays of one length."""
+    idx = np.add(words.view(np.uint8).reshape(-1, 8).T, _BYTE_ROWS)
+    np.bitwise_xor.reduce(np.take(table, idx), axis=0, out=out)
 
 
 def generate(config: SourceConfig, n: int) -> BitSequence:

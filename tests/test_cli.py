@@ -3,13 +3,17 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randev
 from randev.bitstream import BitSequence, read_file
 from randev.cli import MonitorConfig, main
 from randev.estimators import PairCounts, accumulate, analyze, deviation_plugin
@@ -554,3 +558,66 @@ class TestTopLevel:
     def test_unknown_command_exits_1(self, capsys):
         code, _, err = run(capsys, "bogus")
         assert code == 1 and "invalid choice" in err
+
+
+def fresh(code: str):
+    """The JSON that ``code``, run in a fresh interpreter, prints last."""
+    src = str(Path(randev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def modules_after(argv):
+    return set(fresh("import json, sys\n"
+                     "from randev.cli import main\n"
+                     f"assert main({argv!r}) == 0\n"
+                     "print(json.dumps(sorted(sys.modules)))\n"))
+
+
+class TestImports:
+    """Each command loads only the stages it runs."""
+
+    def test_generate_loads_no_estimators(self, tmp_path):
+        loaded = modules_after(["generate", "--source", "xorshift64", "--seed", "1",
+                                "--nbits", "1000", "--out", str(tmp_path / "x.bits")])
+        assert "randev.sources" in loaded
+        assert not loaded & {"randev.estimators", "randev.experiments", "randev.model",
+                             "concurrent.futures"}
+
+    def test_analyze_loads_no_experiments(self, tmp_path):
+        path = tmp_path / "x.bits"
+        path.write_bytes(generate(SourceConfig.ideal(seed=1), 4096).data)
+        loaded = modules_after(["analyze", str(path)])
+        assert "randev.estimators" in loaded
+        assert "randev.experiments" not in loaded
+
+    def test_star_import_binds_all_from_home_modules(self):
+        # a name's home is the stage whose __all__ lists it; model's
+        # deviation_quadratic is also listed by estimators, as one object
+        bound, names, mismatched = fresh(
+            "import importlib, json, sys\n"
+            "import randev\n"
+            "bound = {}\n"
+            "exec('from randev import *', bound)\n"
+            "bound.pop('__builtins__')\n"
+            "stages = [importlib.import_module('randev.' + s) for s in\n"
+            "          ('bitstream', 'sources', 'model', 'estimators', 'experiments')]\n"
+            "mismatched = [n for n in randev.__all__\n"
+            "              if not any(n in m.__all__ for m in stages)\n"
+            "              or any(n in m.__all__ and bound[n] is not getattr(m, n)\n"
+            "                     for m in stages)]\n"
+            "print(json.dumps([sorted(bound), randev.__all__, mismatched]))\n")
+        assert bound == names
+        assert len(names) == 49
+        assert mismatched == []
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            randev.no_such_name
+
+    def test_stage_is_an_attribute_before_its_import(self):
+        assert fresh("import json, randev\n"
+                     "print(json.dumps(randev.model.__name__))\n") == "randev.model"

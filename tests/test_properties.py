@@ -3,6 +3,7 @@ arbitrary partitions of a stream, and generated bits against scalar
 references."""
 
 import functools
+import itertools
 import math
 from unittest import mock
 
@@ -279,3 +280,53 @@ def test_deadtime_matches_scalar_rule(ratio, mode, seed, n, data):
         assert src.generate(b - a) == oracle.generate(b - a)
         # the source carries its state from the end of its last photon block
         assert (src._t, src._dead) == oracle.state_after(src._block * oracle.BLOCK)
+
+
+# ------------------------------------------------- xorshift64, word by word
+
+
+class ScalarXorshift:
+    """xorshift64 one state word at a time on a Python int: the reference
+    for the generator that jumps ahead by tables."""
+
+    def __init__(self, seed):
+        self.x = seed
+        self.pending = BitSequence(b"", 0)  # made, not yet returned
+
+    def generate(self, n):
+        words = []
+        while self.pending.nbits + 64 * len(words) < n:
+            x = self.x
+            x ^= (x << 13) & (2**64 - 1)
+            x ^= x >> 7
+            x ^= (x << 17) & (2**64 - 1)
+            self.x = x
+            words.append(x)
+        made = concat(self.pending,
+                      BitSequence(np.array(words, dtype="<u8").tobytes(), 64 * len(words)))
+        self.pending = made[n:]
+        return made[:n]
+
+
+XORSHIFT_MAX_BITS = 3 * 2**16 + 70
+
+
+def near(unit):
+    """Lengths on and beside the multiples of unit."""
+    return st.builds(lambda k, d: max(0, k * unit + d), st.integers(0, 3), st.integers(-1, 1))
+
+
+@FEW
+@given(st.integers(1, 2**64 - 1), st.integers(0, XORSHIFT_MAX_BITS),
+       st.lists(st.one_of(st.integers(0, XORSHIFT_MAX_BITS), near(64), near(2**16)),
+                max_size=4))
+@example(1, XORSHIFT_MAX_BITS, [2**16, 1, 2**16 - 1, 64])
+@example(2**64 - 1, XORSHIFT_MAX_BITS, [63, 2**16 + 1, 2**16])
+def test_xorshift_matches_scalar_recurrence(seed, n, steps):
+    # each cut lies a drawn length after the one before, so calls start
+    # and end on and beside the 64-bit words and the 2^16-bit chunks
+    cuts = [min(c, n) for c in itertools.accumulate(steps)]
+    src, oracle = Source(SourceConfig.xorshift64(seed)), ScalarXorshift(seed)
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        assert src.generate(b - a) == oracle.generate(b - a)
+        assert src._x == oracle.x
