@@ -12,15 +12,29 @@ Two file formats are supported:
 * ``raw``   -- the packed bytes, no header; bit count is 8 * file size
                unless overridden.
 * ``ascii`` -- one '0' or '1' character per bit, newlines ignored.
+
+``read_stream`` and ``write_stream`` are the one reader and the one
+writer of each format.  They move a file a chunk at a time, so memory
+stays at one chunk whatever the file's length; ``read_file``,
+``from_raw_bytes`` and ``write_file`` are the same code on one whole
+sequence.
 """
 
 from __future__ import annotations
 
+import io
+import math
+
 import numpy as np
 
-__all__ = ["BitSequence", "concat", "from_raw_bytes", "read_file", "write_file"]
+__all__ = ["BitSequence", "concat", "from_raw_bytes", "read_file", "read_stream",
+           "write_file", "write_stream"]
 
 _FORMATS = ("raw", "ascii")
+
+# bytes per read: 2**22 raw bits, one piece of the estimators' fold, so a
+# raw chunk passes through the fold uncopied
+_READ_BYTES = 1 << 19
 
 
 class BitSequence:
@@ -151,18 +165,44 @@ def _bits(data: bytes, start: int, n: int) -> bytes:
 
 def write_file(seq: BitSequence, path, format: str = "raw") -> None:
     """Write a sequence to a file in raw or ascii format."""
+    write_stream([seq], path, format)
+
+
+def write_stream(chunks, target, format: str = "raw") -> int:
+    """Write BitSequence chunks in stream order; return the bits written.
+
+    Args:
+        chunks: the sequences to write, joined as by ``concat``.
+        target: a path, or a binary file object written at its position
+            and left open.
+        format: "raw" packs 8 bits per byte, the last byte zero-padded;
+            "ascii" writes one '0' or '1' per bit and a final newline.
+
+    Each chunk is written as it comes.  A raw chunk that ends inside a
+    byte holds that byte back to be joined to the next chunk's bits.
+    """
     _check_format(format)
-    if format == "raw":
-        with open(path, "wb") as fh:
-            fh.write(seq.data)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(seq.to_string())
-            fh.write("\n")
+    if not hasattr(target, "write"):
+        with open(target, "wb") as fh:
+            return write_stream(chunks, fh, format)
+    held, nbits = BitSequence(b"", 0), 0
+    for chunk in chunks:
+        nbits += chunk.nbits
+        if format == "ascii":
+            chars = chunk.to_array()
+            chars += ord("0")
+            target.write(chars)
+            continue
+        held = concat(held, chunk)
+        whole = held.nbits // 8
+        target.write(memoryview(held.data)[:whole])
+        held = held[8 * whole:]
+    target.write(b"\n" if format == "ascii" else held.data)
+    return nbits
 
 
 def read_file(path, format: str = "raw", nbits_override: int | None = None) -> BitSequence:
-    """Read a sequence from a file.
+    """Read a sequence from a file: the ``concat`` of ``read_stream``.
 
     Args:
         path: file to read.
@@ -173,12 +213,7 @@ def read_file(path, format: str = "raw", nbits_override: int | None = None) -> B
     Returns:
         The decoded BitSequence.
     """
-    _check_format(format)
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    if format == "raw":
-        return from_raw_bytes(payload, nbits_override)
-    return _first_bits(_from_ascii_bytes(payload), nbits_override)
+    return concat(*read_stream(path, format, nbits_override))
 
 
 def from_raw_bytes(payload: bytes, nbits_override: int | None = None) -> BitSequence:
@@ -186,17 +221,65 @@ def from_raw_bytes(payload: bytes, nbits_override: int | None = None) -> BitSequ
 
     Without an override every byte contributes eight bits.  With one, the
     payload must be at least as long as the override requires and any bits
-    past the requested count are dropped.
+    past the requested count are dropped.  Like ``read_file``, it is the
+    ``concat`` of ``read_stream``, here over the bytes.
     """
-    return _first_bits(BitSequence(payload, 8 * len(payload)), nbits_override)
+    return concat(*read_stream(io.BytesIO(payload), "raw", nbits_override))
 
 
-def _first_bits(seq: BitSequence, nbits_override: int | None) -> BitSequence:
+def read_stream(source, format: str = "raw", nbits_override: int | None = None):
+    """The bits of a file, as BitSequence chunks in stream order.
+
+    Args:
+        source: a path, or a binary file object read from its position
+            and left open.
+        format: "raw" (packed, 8 bits per byte) or "ascii" ('0'/'1'
+            characters, newlines ignored).
+        nbits_override: keep only the first nbits_override bits.  A raw
+            file is read only as far as they reach; an ascii file is still
+            checked to its end.
+
+    Each read of up to _READ_BYTES bytes makes one chunk.  A path is
+    opened when the first chunk is asked for.  Errors are raised as the
+    reads meet them: a bad character with its chunk, and an override
+    outside [0, bits available] once the file is read to its end, after
+    every chunk before it.
+    """
+    _check_format(format)
+    return _first_bits(_chunks(source, format, nbits_override), nbits_override)
+
+
+def _chunks(source, format: str, nbits: int | None):
+    """The chunks of ``read_stream`` before the override cuts them."""
+    if not hasattr(source, "read"):
+        with open(source, "rb") as fh:
+            yield from _chunks(fh, format, nbits)
+        return
+    if format == "ascii":
+        while block := source.read(_READ_BYTES):
+            yield _from_ascii_bytes(block)
+        return
+    # a count in range needs only its own bytes; any other needs the total
+    left = -(-nbits // 8) if nbits is not None and nbits >= 0 else math.inf
+    while left and (block := source.read(min(left, _READ_BYTES))):
+        left -= len(block)
+        yield BitSequence(block, 8 * len(block))
+
+
+def _first_bits(chunks, nbits_override: int | None):
+    """The chunks up to their first nbits_override bits, all of them read."""
     if nbits_override is None:
-        return seq
-    if not 0 <= nbits_override <= seq.nbits:
-        raise ValueError(f"nbits_override={nbits_override} outside [0, {seq.nbits}]")
-    return seq[:nbits_override]
+        yield from chunks
+        return
+    owed, total = max(nbits_override, 0), 0
+    for chunk in chunks:
+        total += chunk.nbits
+        if owed:
+            part = chunk[:owed]
+            owed -= part.nbits
+            yield part
+    if not 0 <= nbits_override <= total:
+        raise ValueError(f"nbits_override={nbits_override} outside [0, {total}]")
 
 
 def _from_ascii_bytes(payload: bytes) -> BitSequence:

@@ -11,6 +11,10 @@ Subcommands:
 * ``fig2``            -- exact and parabolic mutual-information curve as CSV.
 * ``concat``          -- join bit files.
 
+``generate``, ``analyze`` and ``concat`` move their bits a piece at a time
+(see ``bitstream.read_stream`` and ``write_stream``), so their memory does
+not grow with the stream.
+
 Exit codes: 0 success, 1 usage or parameter error, 2 monitor alarm,
 3 I/O error.
 """
@@ -18,27 +22,24 @@ Exit codes: 0 success, 1 usage or parameter error, 2 monitor alarm,
 from __future__ import annotations
 
 import argparse
-import functools
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
 # the parser needs only these two stages; each command imports the
 # others it runs, so ``generate`` never loads the estimators
-from randev.bitstream import (
-    _FORMATS,
-    BitSequence,
-    concat,
-    from_raw_bytes,
-    read_file,
-    write_file,
-)
-from randev.sources import DEADTIME_MODES, SOURCE_KINDS, ParameterError, SourceConfig, generate
+from randev.bitstream import _FORMATS, BitSequence, concat, read_stream, write_stream
+from randev.sources import DEADTIME_MODES, SOURCE_KINDS, ParameterError, Source, SourceConfig
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
 
 _READ_BYTES = 1 << 16
+# generate makes and writes this many bits at a time: a multiple of 8, so
+# each piece's bytes follow the last piece's bytes
+_GENERATE_BITS = 1 << 22
 # monitor reads at least one window at a time, so a window must fit one read
 _MAX_WINDOW_BITS = 1 << 32
 
@@ -117,19 +118,23 @@ def _config_from_args(args: argparse.Namespace) -> SourceConfig:
     return SourceConfig.xorshift64(args.seed)
 
 
-def _load_bits(path: str, format: str, nbits: int | None) -> BitSequence:
+def _input_chunks(path: str, format: str, nbits: int | None):
+    """The chunks of a bit file, or of stdin for ``-``, read as they are used."""
     if path == "-":
         if format != "raw":
             raise ParameterError("stdin input supports only the raw format")
-        return from_raw_bytes(sys.stdin.buffer.read(), nbits)
-    return read_file(path, format=format, nbits_override=nbits)
+        path = sys.stdin.buffer
+    return read_stream(path, format, nbits)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    seq = generate(config, args.nbits)
-    write_file(seq, args.out, format=args.format)
-    print(f"wrote {seq.nbits} bits ({args.format}) to {args.out}")
+    source, n = Source(_config_from_args(args)), args.nbits
+    # made before the file is opened, so a bad count leaves no file
+    first = source.generate(min(n, _GENERATE_BITS))
+    rest = (source.generate(min(_GENERATE_BITS, n - k))
+            for k in range(_GENERATE_BITS, n, _GENERATE_BITS))
+    nbits = write_stream(itertools.chain([first], rest), args.out, args.format)
+    print(f"wrote {nbits} bits ({args.format}) to {args.out}")
     return 0
 
 
@@ -155,8 +160,8 @@ def _report_lines(doc: dict) -> list[str]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from randev.estimators import analyze
 
-    seq = _load_bits(args.file, args.format, args.nbits)
-    doc = analyze(seq, max_lag=args.max_lag).to_json_dict()
+    chunks = _input_chunks(args.file, args.format, args.nbits)
+    doc = analyze(chunks, max_lag=args.max_lag).to_json_dict()
     print(json.dumps(doc, indent=2) if args.json else "\n".join(_report_lines(doc)))
     return 0
 
@@ -264,11 +269,41 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def cmd_concat(args: argparse.Namespace) -> int:
-    pieces = [read_file(p, format=args.format) for p in args.inputs]
-    combined = functools.reduce(concat, pieces)
-    write_file(combined, args.out, format=args.format)
-    print(f"wrote {combined.nbits} bits to {args.out}")
+    chunks = (c for path in args.inputs for c in read_stream(path, args.format))
+    nbits = _replace(args.out, lambda fh: write_stream(chunks, fh, args.format))
+    print(f"wrote {nbits} bits to {args.out}")
     return 0
+
+
+def _replace(path: str, write):
+    """``write(fh)`` to a new file beside ``path`` (or the file a link at
+    ``path`` names), renamed over it once complete, and return what
+    ``write`` returns.  So an input that is also the output is read
+    before it is replaced, and a failure leaves ``path`` as it was.  A
+    path that names no regular file, such as a device or a pipe, is
+    written in place: there is nothing to replace."""
+    target = os.path.realpath(path)
+    exists = os.path.exists(target)
+    if exists and not os.path.isfile(target):
+        with open(path, "wb") as fh:
+            return write(fh)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        exc.filename = path  # name the file asked for, not the temporary one
+        raise
+    try:
+        with fh:
+            result = write(fh)
+        if exists:
+            os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return result
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,21 +18,24 @@ conditional entropy and the plug-in deviation.
 
 Every field is an exact integer, so any partition of a stream measured
 piece by piece and merged in order reproduces the serial state field for
-field.  One fold cuts every input into pieces of at most 2**22 bits, which
-bounds temporaries, so serial, chunked and parallel runs are bit-identical.
+field.  One fold cuts the stream, whatever its chunks, into pieces of
+2**22 bits, the last one shorter, so serial, chunked and parallel runs
+measure the same pieces and are bit-identical.  A piece bounds a
+measure's temporaries, and a stream given as an iterable of chunks is
+read one piece at a time, so memory does not grow with its length.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import deque, namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from randev.bitstream import BitSequence
+from randev.bitstream import BitSequence, concat
 from randev.model import binary_entropy, deviation_quadratic, deviation_sigma, n_max
 
 __all__ = [
@@ -113,7 +116,7 @@ def _pair_counts(s: _LagState) -> PairCounts:
 def accumulate(counts: PairCounts, seq: BitSequence) -> PairCounts:
     """Fold a sequence into the counts, including the pair across the
     boundary between previously accumulated data and seq."""
-    return _pair_counts(_fold(_lag1(counts), [seq]))
+    return _pair_counts(_fold(_lag1(counts), _pieces([seq])))
 
 
 def _lag1(c: PairCounts) -> _LagState:
@@ -189,14 +192,38 @@ def _merge_states(a: _LagState, b: _LagState) -> _LagState:
     )
 
 
-# The longest piece measured at once: it bounds a measure's numpy temporaries.
+# The bits of one measured piece: it bounds a measure's numpy temporaries.
 _PIECE_BITS = 2**22
 
 
-def _fold(state: _LagState, chunks, mapper=map) -> _LagState:
-    """``state`` followed by the chunks, measured piece by piece through ``mapper``."""
+def _pieces(chunks):
+    """The stream of chunks cut into pieces of _PIECE_BITS bits, the last
+    one shorter.  Short chunks are joined with ``concat`` until a piece is
+    full; a chunk that is one whole piece, or a whole stream shorter than
+    one, passes through uncopied."""
+    held, n = [], 0  # the start of the next piece, n bits long
+    for chunk in chunks:
+        i = 0
+        if held:
+            i = min(_PIECE_BITS - n, chunk.nbits)
+            held.append(chunk[:i])
+            n += i
+            if n < _PIECE_BITS:
+                continue
+            yield concat(*held)
+            held = []
+        while chunk.nbits - i >= _PIECE_BITS:
+            yield chunk[i:i + _PIECE_BITS]
+            i += _PIECE_BITS
+        if i < chunk.nbits:
+            held, n = [chunk[i:]], chunk.nbits - i
+    if held:
+        yield held[0] if len(held) == 1 else concat(*held)
+
+
+def _fold(state: _LagState, pieces, mapper=map) -> _LagState:
+    """``state`` followed by the pieces, measured through ``mapper``."""
     lags = state.lags
-    pieces = (c[i:i + _PIECE_BITS] for c in chunks for i in range(0, c.nbits, _PIECE_BITS))
     for part in mapper(lambda piece: _measure(piece, lags), pieces):
         state = _merge_states(state, part)
     return state
@@ -230,7 +257,7 @@ class LagAccumulator:
         return BitSequence(bits.to_bytes(-(-e // 8), "little"), e).to_array()
 
     def add(self, seq: BitSequence) -> None:
-        self._state = _fold(self._state, [seq])
+        self._state = _fold(self._state, _pieces([seq]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LagAccumulator):
@@ -425,8 +452,20 @@ def _check_lags(max_lag: int, n: int | None) -> None:
 
 def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     """The report of the chunks' lag state, measured through ``mapper``."""
-    state = _fold(_empty(tuple(range(1, max_lag + 1))), chunks, mapper)
-    _check_lags(max_lag, state.n)
+    pieces = _pieces(chunks)
+    if max_lag < 1:
+        # no lag state exists; an error in the input is raised first
+        deque(pieces, maxlen=0)
+    # the pieces that hold the max_lag + 2 bits a report needs, or the
+    # whole stream if it is shorter: it then fails before any measure
+    ahead, seen = [], 0
+    for piece in pieces:
+        ahead.append(piece)
+        seen += piece.nbits
+        if seen >= max_lag + 2:
+            break
+    _check_lags(max_lag, None if seen >= max_lag + 2 else seen)
+    state = _fold(_empty(tuple(range(1, max_lag + 1))), itertools.chain(ahead, pieces), mapper)
     counts = _pair_counts(state)
     bias_hat, bias_sigma = bias_estimate(counts)
     estimates = tuple(
@@ -452,11 +491,14 @@ def analyze(data, max_lag: int = 8) -> AnalysisReport:
     adjacent-pair information quantities, deviation, and length bound.
 
     ``data`` is one BitSequence or an iterable of BitSequence chunks in
-    stream order; chunked input produces the identical report.
+    stream order, such as ``bitstream.read_stream`` of a file; chunked
+    input produces the identical report.  An iterable is read once, a
+    piece at a time, and a too-short one fails once its end is read.
     """
-    _check_lags(max_lag, getattr(data, "nbits", None))
-    chunks = [data] if isinstance(data, BitSequence) else data
-    return _report(chunks, max_lag, map)
+    if isinstance(data, BitSequence):
+        _check_lags(max_lag, data.nbits)
+        data = [data]
+    return _report(data, max_lag, map)
 
 
 def analyze_parallel(seq: BitSequence, max_lag: int = 8,
@@ -473,6 +515,9 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
         workers = os.cpu_count() or 1
     if workers < 1:
         raise EstimatorError(f"workers={workers} must be at least 1")
+    # imported here: its logging import would cost every other call
+    from concurrent.futures import ThreadPoolExecutor
+
     threads = min(workers, -(-seq.nbits // _PIECE_BITS))
     with ThreadPoolExecutor(threads) as pool:
         return _report([seq], max_lag,

@@ -1,9 +1,12 @@
+import io
 import random
 
 import numpy as np
 import pytest
 
-from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, write_file
+from randev import bitstream
+from randev.bitstream import (BitSequence, concat, from_raw_bytes, read_file, read_stream,
+                              write_file, write_stream)
 
 
 EMPTY = BitSequence(b"", 0)
@@ -157,6 +160,28 @@ def test_ascii_ignores_newlines(tmp_path):
     p = tmp_path / "nl.txt"
     p.write_text("01\n10\n")
     assert read_file(p, "ascii") == BitSequence.from_string("0110")
+
+
+def test_stream_reads_only_what_it_must(monkeypatch):
+    # reads of 3 bytes: a raw override stops the reads at the bytes it
+    # keeps, while an ascii file is checked to its end
+    monkeypatch.setattr(bitstream, "_READ_BYTES", 3)
+    fh = io.BytesIO(bytes(range(10)))
+    assert concat(*read_stream(fh, "raw", nbits_override=13)) == from_raw_bytes(b"\x00\x01", 13)
+    assert fh.tell() == 2 and not fh.closed
+    with pytest.raises(ValueError, match="invalid ascii bit character 'x'"):
+        list(read_stream(io.BytesIO(b"0110\n1001x"), "ascii", nbits_override=2))
+
+
+def test_write_stream_joins_chunks_at_any_bit(tmp_path):
+    seq = BitSequence.from_bits(np.arange(300) % 7 < 3)
+    cuts = [0, 5, 13, 64, 64, 299, 300]
+    chunks = [seq[a:b] for a, b in zip(cuts, cuts[1:])]
+    for format in ("raw", "ascii"):
+        path = tmp_path / format
+        assert write_stream(chunks, path, format) == 300
+        write_file(seq, tmp_path / "whole", format)
+        assert path.read_bytes() == (tmp_path / "whole").read_bytes()
 
 
 def test_unknown_format_rejected(tmp_path):

@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import types
 from pathlib import Path
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import randev
+from randev import cli
 from randev.bitstream import BitSequence, read_file
 from randev.cli import MonitorConfig, main
 from randev.estimators import PairCounts, accumulate, analyze, deviation_plugin
@@ -53,6 +56,18 @@ class TestGenerate:
         assert code == 0
         expected = generate(SourceConfig.splitter(0.2, seed=5), 999)
         assert read_file(path, nbits_override=999) == expected
+
+    def test_pieces_join_to_the_whole_stream(self, capsys, monkeypatch, tmp_path):
+        # generate writes each piece of one live source as it is made
+        path = tmp_path / "s"
+        for piece_bits in (8, 64, 4096):
+            monkeypatch.setattr(cli, "_GENERATE_BITS", piece_bits)
+            for format in ("raw", "ascii"):
+                code, _, _ = run(capsys, "generate", "--source", "xorshift64", "--seed", "3",
+                                 "--nbits", "10001", "--out", str(path), "--format", format)
+                assert code == 0
+                want = generate(SourceConfig.xorshift64(3), 10001)
+                assert read_file(path, format, 10001) == want
 
     def test_ascii_format(self, capsys, tmp_path):
         path = tmp_path / "s.txt"
@@ -549,6 +564,38 @@ class TestConcat:
                          "--out", str(tmp_path / "o"))
         assert code == 3
 
+    def test_output_may_be_an_input(self, capsys, tmp_path):
+        # the inputs stream into a new file that replaces the output only
+        # once it is complete, so an input named as the output is read
+        # whole first, and a failed join leaves the output as it was
+        a = generate(SourceConfig.bernoulli(0.6, seed=1), 8000).data
+        b = generate(SourceConfig.bernoulli(0.6, seed=2), 4000).data
+        pa, pb = tmp_path / "a.bits", tmp_path / "b.bits"
+        pa.write_bytes(a)
+        pb.write_bytes(b)
+        code, out, _ = run(capsys, "concat", str(pa), str(pb), str(pa), "--out", str(pa))
+        assert code == 0 and "wrote 20000 bits" in out
+        assert pa.read_bytes() == a + b + a
+        code, _, _ = run(capsys, "concat", str(pb), str(tmp_path / "nope"), "--out", str(pb))
+        assert code == 3
+        assert pb.read_bytes() == b
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bits", "b.bits"]
+
+    def test_output_that_is_no_file_is_written_in_place(self, capsys, tmp_path):
+        # a pipe (like a device) has nothing to replace: the bits go into it
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        a = tmp_path / "a.bits"
+        a.write_bytes(b"\x5a" * 16)
+        code, _, _ = run(capsys, "concat", str(a), str(a), "--out", str(fifo))
+        reader.join(timeout=30)
+        assert code == 0 and not reader.is_alive()
+        assert got == [b"\x5a" * 32]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
 
 class TestTopLevel:
     def test_no_command_exits_1(self, capsys):
@@ -558,6 +605,19 @@ class TestTopLevel:
     def test_unknown_command_exits_1(self, capsys):
         code, _, err = run(capsys, "bogus")
         assert code == 1 and "invalid choice" in err
+
+
+class TestMemory:
+    def test_peak_rss_does_not_grow_with_the_stream(self):
+        # forked generate and analyze children at 2^23 and 2^27 bits: the
+        # script checks each command's peaks are within 4 MiB of each other
+        script = Path(__file__).with_name("cli_peak_rss.py")
+        done = subprocess.run([sys.executable, str(script), str(2**23), str(2**27)],
+                              capture_output=True, text=True, timeout=300)
+        rows = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [(r["command"], r["nbits"]) for r in rows] == [
+            ("generate", 2**23), ("analyze", 2**23), ("generate", 2**27), ("analyze", 2**27)]
+        assert done.returncode == 0, rows
 
 
 def fresh(code: str):

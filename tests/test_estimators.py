@@ -1,5 +1,6 @@
 """Estimator checks: hand counts, merge exactness, information identities."""
 
+import concurrent.futures
 import math
 import random
 import time
@@ -334,9 +335,32 @@ class TestAnalyze:
             seen.append(max_workers)
             return ThreadPoolExecutor(max_workers=max_workers)
 
-        monkeypatch.setattr(estimators, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
         assert analyze_parallel(seq, workers=64) == serial
         assert seen == [1]
+
+    def test_short_chunks_are_measured_as_one_piece(self, monkeypatch):
+        # the fold cuts the stream, not each chunk: 100 chunks of 1000 bits
+        # are one piece, so a long max_lag costs what it costs on the whole
+        seq = generate(SourceConfig.markov(0.0, 0.1, seed=5), 100_000)
+        chunks = [seq[i:i + 1000] for i in range(0, seq.nbits, 1000)]
+        whole = analyze(seq, max_lag=5000)
+        measured = []
+
+        def spy(piece, lags):
+            measured.append(piece.nbits)
+            return measure(piece, lags)
+
+        measure = estimators._measure
+        monkeypatch.setattr(estimators, "_measure", spy)
+        assert analyze(chunks, max_lag=5000) == whole
+        assert measured == [100_000]
+        # a max_lag past the chunks' end fails on the one piece ahead of
+        # the fold, before any lag is measured
+        measured.clear()
+        with pytest.raises(InsufficientDataError, match="got 100000$"):
+            analyze(iter(chunks), max_lag=300_000)
+        assert measured == []
 
     def test_temporaries_stay_below_the_input(self):
         # pieces bound what a measure allocates: below the 4 MiB packed

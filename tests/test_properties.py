@@ -1,8 +1,9 @@
 """Property tests: packed slicing and joining, merge exactness under
-arbitrary partitions of a stream, and generated bits against scalar
-references."""
+arbitrary partitions of a stream, files read back in any chunks, and
+generated bits against scalar references."""
 
 import functools
+import io
 import itertools
 import math
 from unittest import mock
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from randev import estimators
-from randev.bitstream import BitSequence, concat
+from randev import bitstream, estimators
+from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, read_stream
 from randev.estimators import (EstimatorError, LagAccumulator, analyze, analyze_parallel,
                                merge)
 from randev.sources import (RngState, Source, SourceConfig, _threshold, generate,
@@ -81,16 +82,41 @@ def test_slice_rejects_other_steps():
         seq[::2]
 
 
-def outcome(f):
+def outcome(f, errors=EstimatorError):
     try:
         return f()
-    except EstimatorError as exc:
+    except errors as exc:
         return type(exc), str(exc)
+
+
+@st.composite
+def ascii_text(draw, seq):
+    """seq as '0'/'1' text with LF, CRLF and CR newlines anywhere, and
+    perhaps one bad character: the text's bytes and that character."""
+    chars = list(seq.to_string())
+    for _ in range(draw(st.integers(0, 6))):
+        chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    bad = draw(st.one_of(st.none(), st.sampled_from(["2", " ", "x", "\t"])))
+    if bad is not None:
+        chars.insert(draw(st.integers(0, len(chars))), bad)
+    return "".join(chars).encode("ascii"), bad
+
+
+def read_back(stream, nbits, bad):
+    """What reading ``stream``, the whole file, keeps of it or raises: a
+    bad character anywhere, then an override outside the bits there."""
+    if bad is not None:
+        return ValueError, f"invalid ascii bit character {bad!r}: expected '0' or '1'"
+    if nbits is None:
+        return stream
+    if not 0 <= nbits <= stream.nbits:
+        return ValueError, f"nbits_override={nbits} outside [0, {stream.nbits}]"
+    return stream[:nbits]
 
 
 @FEW
 @given(st.integers(1, 130), st.integers(1, 70), st.data())
-def test_analyze_pieces_equals_whole(max_lag, piece_bits, data):
+def test_analyze_pieces_equals_whole(tmp_path_factory, max_lag, piece_bits, data):
     # lags past 64 give edges wider than one word, and most pieces are
     # shorter than max_lag; streams start at max_lag - 12 bits so that
     # both reports and too-short errors are drawn for every max_lag.
@@ -104,6 +130,30 @@ def test_analyze_pieces_equals_whole(max_lag, piece_bits, data):
         assert outcome(lambda: analyze(seq, max_lag=max_lag)) == whole
         assert outcome(lambda: analyze(pieces(seq, cuts), max_lag=max_lag)) == whole
         assert outcome(lambda: analyze_parallel(seq, max_lag, workers=3)) == whole
+    # the stream as a raw file (zero pads and all) and as an ascii one,
+    # read back in reads of any size and cut at any bit, in range or not:
+    # every reader keeps the same bits or raises the same error, and the
+    # file's chunks give the report of those bits
+    read_bytes = data.draw(st.integers(1, 70))
+    nbits = data.draw(st.one_of(st.none(), st.integers(-2, seq.nbits + 10)))
+    text, bad = data.draw(ascii_text(seq))
+    folder = tmp_path_factory.mktemp("stream")
+    for format, payload, want in (
+        ("raw", seq.data, read_back(BitSequence(seq.data, 8 * len(seq.data)), nbits, None)),
+        ("ascii", text, read_back(seq, nbits, bad)),
+    ):
+        path = folder / format
+        path.write_bytes(payload)
+        report = want if isinstance(want, tuple) else outcome(lambda: analyze(want, max_lag))
+        with mock.patch.object(bitstream, "_READ_BYTES", read_bytes), \
+             mock.patch.object(estimators, "_PIECE_BITS", piece_bits):
+            streamed = read_stream(io.BytesIO(payload), format, nbits)
+            assert outcome(lambda: concat(*streamed), ValueError) == want
+            assert outcome(lambda: read_file(path, format, nbits), ValueError) == want
+            if format == "raw":
+                assert outcome(lambda: from_raw_bytes(payload, nbits), ValueError) == want
+            streamed = read_stream(path, format, nbits)
+            assert outcome(lambda: analyze(streamed, max_lag), ValueError) == report
 
 
 @FEW
