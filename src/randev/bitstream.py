@@ -5,7 +5,9 @@ first: bit i lives in byte i // 8 at position i % 8.  Pad bits in the
 final byte are always zero, so equal sequences are equal as (data, nbits)
 pairs and raw dumps are directly comparable.  Step-1 slices and
 ``concat`` cut and join the packed bytes at any bit offset; no other
-module does bit-offset arithmetic on packed bytes.
+module does bit-offset arithmetic on packed bytes.  ``_pieces`` is the
+one cutter of a chunked stream into pieces of a fixed size: the
+estimators' fold and ``monitor``'s windows both use it.
 
 Two file formats are supported:
 
@@ -17,13 +19,12 @@ Two file formats are supported:
 writer of each format.  They move a file a chunk at a time, so memory
 stays at one chunk whatever the file's length; ``read_file``,
 ``from_raw_bytes`` and ``write_file`` are the same code on one whole
-sequence.
+sequence, which a raw read takes in one read.
 """
 
 from __future__ import annotations
 
 import io
-import math
 
 import numpy as np
 
@@ -32,8 +33,8 @@ __all__ = ["BitSequence", "concat", "from_raw_bytes", "read_file", "read_stream"
 
 _FORMATS = ("raw", "ascii")
 
-# bytes per read: 2**22 raw bits, one piece of the estimators' fold, so a
-# raw chunk passes through the fold uncopied
+# most bytes per read: 2**22 raw bits, one piece of the estimators' fold,
+# so a whole raw chunk passes through the fold uncopied
 _READ_BYTES = 1 << 19
 
 
@@ -202,10 +203,11 @@ def write_stream(chunks, target, format: str = "raw") -> int:
 
 
 def read_file(path, format: str = "raw", nbits_override: int | None = None) -> BitSequence:
-    """Read a sequence from a file: the ``concat`` of ``read_stream``.
+    """Read a sequence from a file: the bits of ``read_stream``, in one
+    read for a raw file.
 
     Args:
-        path: file to read.
+        path: file to read, or a binary file object read from its position.
         format: "raw" (packed, nbits = 8 * size) or "ascii" ('0'/'1' chars).
         nbits_override: keep only the first nbits_override bits.  For raw
             files this also zeroes the pad bits of the final kept byte.
@@ -213,7 +215,9 @@ def read_file(path, format: str = "raw", nbits_override: int | None = None) -> B
     Returns:
         The decoded BitSequence.
     """
-    return concat(*read_stream(path, format, nbits_override))
+    _check_format(format)
+    return concat(*_first_bits(_chunks(path, format, nbits_override, whole=True),
+                               nbits_override))
 
 
 def from_raw_bytes(payload: bytes, nbits_override: int | None = None) -> BitSequence:
@@ -222,9 +226,10 @@ def from_raw_bytes(payload: bytes, nbits_override: int | None = None) -> BitSequ
     Without an override every byte contributes eight bits.  With one, the
     payload must be at least as long as the override requires and any bits
     past the requested count are dropped.  Like ``read_file``, it is the
-    ``concat`` of ``read_stream``, here over the bytes.
+    one raw read of ``read_stream``'s code, here over the bytes, and a
+    whole payload of ``bytes`` is kept uncopied.
     """
-    return concat(*read_stream(io.BytesIO(payload), "raw", nbits_override))
+    return read_file(io.BytesIO(payload), "raw", nbits_override)
 
 
 def read_stream(source, format: str = "raw", nbits_override: int | None = None):
@@ -239,7 +244,8 @@ def read_stream(source, format: str = "raw", nbits_override: int | None = None):
             file is read only as far as they reach; an ascii file is still
             checked to its end.
 
-    Each read of up to _READ_BYTES bytes makes one chunk.  A path is
+    Each read makes one chunk: what one read of the file returns, up to
+    _READ_BYTES bytes, so a pipe's bits come as they arrive.  A path is
     opened when the first chunk is asked for.  Errors are raised as the
     reads meet them: a bad character with its chunk, and an override
     outside [0, bits available] once the file is read to its end, after
@@ -249,21 +255,50 @@ def read_stream(source, format: str = "raw", nbits_override: int | None = None):
     return _first_bits(_chunks(source, format, nbits_override), nbits_override)
 
 
-def _chunks(source, format: str, nbits: int | None):
-    """The chunks of ``read_stream`` before the override cuts them."""
+def _chunks(source, format: str, nbits: int | None, whole: bool = False):
+    """The chunks of ``read_stream`` before the override cuts them; with
+    ``whole``, a raw file's bits as one chunk of one read."""
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
-            yield from _chunks(fh, format, nbits)
+            yield from _chunks(fh, format, nbits, whole)
         return
+    # one OS read where the file object offers it, not a buffer's fill
+    read = getattr(source, "read1", source.read)
     if format == "ascii":
-        while block := source.read(_READ_BYTES):
+        while block := read(_READ_BYTES):
             yield _from_ascii_bytes(block)
         return
-    # a count in range needs only its own bytes; any other needs the total
-    left = -(-nbits // 8) if nbits is not None and nbits >= 0 else math.inf
-    while left and (block := source.read(min(left, _READ_BYTES))):
+    # a count in range needs only its own bytes; any other, -1, needs all
+    left = -(-nbits // 8) if nbits is not None and nbits >= 0 else -1
+    read, size = (source.read, left) if whole else (read, _READ_BYTES)
+    while left and (block := read(size if left < 0 else min(left, size))):
         left -= len(block)
         yield BitSequence(block, 8 * len(block))
+
+
+def _pieces(chunks, bits: int):
+    """The stream of chunks cut into pieces of ``bits`` bits, the last one
+    shorter.  Short chunks are joined with ``concat`` until a piece is
+    full; a chunk that is one whole piece, or a whole stream shorter than
+    one, passes through uncopied."""
+    held, n = [], 0  # the start of the next piece, n bits long
+    for chunk in chunks:
+        i = 0
+        if held:
+            i = min(bits - n, chunk.nbits)
+            held.append(chunk[:i])
+            n += i
+            if n < bits:
+                continue
+            yield concat(*held)
+            held = []
+        while chunk.nbits - i >= bits:
+            yield chunk[i:i + bits]
+            i += bits
+        if i < chunk.nbits:
+            held, n = [chunk[i:]], chunk.nbits - i
+    if held:
+        yield held[0] if len(held) == 1 else concat(*held)
 
 
 def _first_bits(chunks, nbits_override: int | None):

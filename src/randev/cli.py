@@ -11,9 +11,11 @@ Subcommands:
 * ``fig2``            -- exact and parabolic mutual-information curve as CSV.
 * ``concat``          -- join bit files.
 
-``generate``, ``analyze`` and ``concat`` move their bits a piece at a time
-(see ``bitstream.read_stream`` and ``write_stream``), so their memory does
-not grow with the stream.
+``generate``, ``analyze``, ``concat`` and ``monitor`` move their bits a
+piece at a time (see ``bitstream.read_stream`` and ``write_stream``), so
+their memory does not grow with the stream.  ``monitor`` cuts its windows
+with the cutter the estimators' fold uses and prints each line as its
+window completes.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 monitor alarm,
 3 I/O error.
@@ -31,16 +33,15 @@ from dataclasses import asdict, dataclass
 
 # the parser needs only these two stages; each command imports the
 # others it runs, so ``generate`` never loads the estimators
-from randev.bitstream import _FORMATS, BitSequence, concat, read_stream, write_stream
+from randev.bitstream import _FORMATS, _pieces, read_stream, write_stream
 from randev.sources import DEADTIME_MODES, SOURCE_KINDS, ParameterError, Source, SourceConfig
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
 
-_READ_BYTES = 1 << 16
 # generate makes and writes this many bits at a time: a multiple of 8, so
 # each piece's bytes follow the last piece's bytes
 _GENERATE_BITS = 1 << 22
-# monitor reads at least one window at a time, so a window must fit one read
+# monitor holds one window whole: 2**32 bits is 512 MiB
 _MAX_WINDOW_BITS = 1 << 32
 
 
@@ -194,42 +195,27 @@ def cmd_nmax(args: argparse.Namespace) -> int:
 
 def _monitor_stream(fh, config: MonitorConfig) -> int:
     """Sequential window scan; stream order is semantic, so no parallelism.
-    Reads of at least one window keep the unread tail below one window."""
+    Each line is flushed as its window completes, so a pipe reader sees it."""
     from randev.estimators import PairCounts, accumulate, deviation_plugin
     from randev.model import deviation_sigma
 
-    def emit(index: int, window: BitSequence, full: bool) -> bool:
+    config.validate()
+    w = config.window_bits
+    alarmed = False
+    for index, window in enumerate(_pieces(read_stream(fh), w)):
+        full = window.nbits == w
+        d_hat = sigma = math.nan
         if window.nbits >= 2:
             d_hat = deviation_plugin(accumulate(PairCounts(), window))
             sigma = deviation_sigma(d_hat, window.nbits)
-        else:
-            d_hat = math.nan
-            sigma = math.nan
-        alarm = False
+        status = "incomplete"
         if full:
             alarm = d_hat > config.sigma_k * sigma
             if config.deviation_threshold is not None:
                 alarm = alarm and d_hat > config.deviation_threshold
+            alarmed |= alarm
             status = "ALARM" if alarm else "ok"
-        else:
-            status = "incomplete"
-        print(f"{index},{d_hat:.6g},{sigma:.6g},{status}")
-        return alarm
-
-    config.validate()
-    w = config.window_bits
-    tail = BitSequence(b"", 0)
-    index = 0
-    alarmed = False
-    while chunk := fh.read(max(_READ_BYTES, w // 8)):
-        buf = concat(tail, BitSequence(chunk, 8 * len(chunk)))
-        starts = range(0, buf.nbits - w + 1, w)
-        for start in starts:
-            alarmed |= emit(index, buf[start:start + w], full=True)
-            index += 1
-        tail = buf[len(starts) * w:]
-    if tail.nbits:
-        emit(index, tail, full=False)
+        print(f"{index},{d_hat:.6g},{sigma:.6g},{status}", flush=True)
     return 2 if alarmed else 0
 
 

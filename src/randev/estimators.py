@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from randev.bitstream import BitSequence, concat
+from randev.bitstream import BitSequence, _pieces
 from randev.model import binary_entropy, deviation_quadratic, deviation_sigma, n_max
 
 __all__ = [
@@ -116,7 +116,7 @@ def _pair_counts(s: _LagState) -> PairCounts:
 def accumulate(counts: PairCounts, seq: BitSequence) -> PairCounts:
     """Fold a sequence into the counts, including the pair across the
     boundary between previously accumulated data and seq."""
-    return _pair_counts(_fold(_lag1(counts), _pieces([seq])))
+    return _pair_counts(_fold(_lag1(counts), _pieces([seq], _PIECE_BITS)))
 
 
 def _lag1(c: PairCounts) -> _LagState:
@@ -196,31 +196,6 @@ def _merge_states(a: _LagState, b: _LagState) -> _LagState:
 _PIECE_BITS = 2**22
 
 
-def _pieces(chunks):
-    """The stream of chunks cut into pieces of _PIECE_BITS bits, the last
-    one shorter.  Short chunks are joined with ``concat`` until a piece is
-    full; a chunk that is one whole piece, or a whole stream shorter than
-    one, passes through uncopied."""
-    held, n = [], 0  # the start of the next piece, n bits long
-    for chunk in chunks:
-        i = 0
-        if held:
-            i = min(_PIECE_BITS - n, chunk.nbits)
-            held.append(chunk[:i])
-            n += i
-            if n < _PIECE_BITS:
-                continue
-            yield concat(*held)
-            held = []
-        while chunk.nbits - i >= _PIECE_BITS:
-            yield chunk[i:i + _PIECE_BITS]
-            i += _PIECE_BITS
-        if i < chunk.nbits:
-            held, n = [chunk[i:]], chunk.nbits - i
-    if held:
-        yield held[0] if len(held) == 1 else concat(*held)
-
-
 def _fold(state: _LagState, pieces, mapper=map) -> _LagState:
     """``state`` followed by the pieces, measured through ``mapper``."""
     lags = state.lags
@@ -257,7 +232,7 @@ class LagAccumulator:
         return BitSequence(bits.to_bytes(-(-e // 8), "little"), e).to_array()
 
     def add(self, seq: BitSequence) -> None:
-        self._state = _fold(self._state, _pieces([seq]))
+        self._state = _fold(self._state, _pieces([seq], _PIECE_BITS))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LagAccumulator):
@@ -452,7 +427,7 @@ def _check_lags(max_lag: int, n: int | None) -> None:
 
 def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     """The report of the chunks' lag state, measured through ``mapper``."""
-    pieces = _pieces(chunks)
+    pieces = _pieces(chunks, _PIECE_BITS)
     if max_lag < 1:
         # no lag state exists; an error in the input is raised first
         deque(pieces, maxlen=0)

@@ -18,11 +18,10 @@ All outputs are deterministic functions of their arguments.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from randev.bitstream import BitSequence, concat
+from randev.bitstream import concat
 from randev.estimators import (
     AnalysisReport,
     PairCounts,
@@ -212,7 +211,7 @@ def concat_property(config: SourceConfig, lengths, seed: int | None = None) -> b
         config = config.with_seed(seed)
     live = Source(config)
     pieces = [live.generate(n) for n in lengths]
-    stitched = functools.reduce(concat, pieces, BitSequence(b"", 0))
+    stitched = concat(*pieces)
     whole = generate(config, sum(lengths))
     if stitched != whole:
         return False

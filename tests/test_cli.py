@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import select
 import stat
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import randev
-from randev import cli
+from randev import bitstream, cli
 from randev.bitstream import BitSequence, read_file
 from randev.cli import MonitorConfig, main
 from randev.estimators import PairCounts, accumulate, analyze, deviation_plugin
@@ -428,9 +429,34 @@ class TestMonitor:
         assert code == 2
         assert from_stdin == from_file
 
-    def test_window_values_match_library(self, capsys, tmp_path):
+    def test_window_line_reaches_a_live_pipe(self):
+        # one window's bytes on a pipe left open: its line must arrive
+        # before the stream ends, with stdout a pipe and not unbuffered
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "randev.cli", "monitor", "--window-bits", "1024"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+        try:
+            proc.stdin.write(generate(SourceConfig.ideal(seed=1), 1024).data)
+            proc.stdin.flush()
+            out, deadline = b"", time.monotonic() + 30
+            while b"\n" not in out and time.monotonic() < deadline:
+                ready, _, _ = select.select([proc.stdout], [], [], 1.0)
+                if ready:
+                    out += os.read(proc.stdout.fileno(), 4096) or b"EOF\n"
+            assert out.startswith(b"0,") and out.endswith(b",ok\n"), out
+            assert proc.poll() is None  # the stream is still open
+        finally:
+            proc.stdin.close()
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+    def test_window_values_match_library(self, capsys, monkeypatch, tmp_path):
         # byte-aligned windows, windows off byte boundaries, and windows
-        # that span several 64 KiB reads
+        # that span several reads, here of 97 bytes, at bit offsets
+        monkeypatch.setattr(bitstream, "_READ_BYTES", 97)
         for w, code_want in ((self.W, 2), (1027, 0), (3 * 2**19 + 5, 2)):
             seq = generate(SourceConfig.markov(0.05, 0.05, seed=12), 3 * w + 100)
             path = tmp_path / "w.bits"
@@ -620,13 +646,17 @@ class TestMemory:
         assert done.returncode == 0, rows
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this randev."""
+    src = str(Path(randev.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def fresh(code: str):
     """The JSON that ``code``, run in a fresh interpreter, prints last."""
-    src = str(Path(randev.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=child_env(), timeout=120, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
