@@ -24,8 +24,6 @@ sequence, which a raw read takes in one read.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 __all__ = ["BitSequence", "concat", "from_raw_bytes", "read_file", "read_stream",
@@ -33,9 +31,13 @@ __all__ = ["BitSequence", "concat", "from_raw_bytes", "read_file", "read_stream"
 
 _FORMATS = ("raw", "ascii")
 
-# most bytes per read: 2**22 raw bits, one piece of the estimators' fold,
-# so a whole raw chunk passes through the fold uncopied
-_READ_BYTES = 1 << 19
+# the bits of one piece of a stream: what ``_pieces`` cuts for the
+# estimators' fold, and what ``generate`` makes and writes at a time
+_PIECE_BITS = 1 << 22
+
+# most bytes per read: one piece of raw bits, so a whole raw chunk passes
+# through the fold uncopied
+_READ_BYTES = _PIECE_BITS // 8
 
 
 class BitSequence:
@@ -225,11 +227,12 @@ def from_raw_bytes(payload: bytes, nbits_override: int | None = None) -> BitSequ
 
     Without an override every byte contributes eight bits.  With one, the
     payload must be at least as long as the override requires and any bits
-    past the requested count are dropped.  Like ``read_file``, it is the
-    one raw read of ``read_stream``'s code, here over the bytes, and a
-    whole payload of ``bytes`` is kept uncopied.
+    past the requested count are dropped.  The payload is one chunk cut by
+    ``read_stream``'s own override rule, so it keeps the same bits and
+    raises the same errors; a whole payload of ``bytes`` is kept uncopied.
     """
-    return read_file(io.BytesIO(payload), "raw", nbits_override)
+    whole = BitSequence(payload, 8 * memoryview(payload).nbytes)
+    return concat(*_first_bits([whole], nbits_override))
 
 
 def read_stream(source, format: str = "raw", nbits_override: int | None = None):

@@ -33,14 +33,11 @@ from dataclasses import asdict, dataclass
 
 # the parser needs only these two stages; each command imports the
 # others it runs, so ``generate`` never loads the estimators
-from randev.bitstream import _FORMATS, _pieces, read_stream, write_stream
+from randev.bitstream import _FORMATS, _PIECE_BITS, _pieces, read_stream, write_stream
 from randev.sources import DEADTIME_MODES, SOURCE_KINDS, ParameterError, Source, SourceConfig
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
 
-# generate makes and writes this many bits at a time: a multiple of 8, so
-# each piece's bytes follow the last piece's bytes
-_GENERATE_BITS = 1 << 22
 # monitor holds one window whole: 2**32 bits is 512 MiB
 _MAX_WINDOW_BITS = 1 << 32
 
@@ -131,9 +128,9 @@ def _input_chunks(path: str, format: str, nbits: int | None):
 def cmd_generate(args: argparse.Namespace) -> int:
     source, n = Source(_config_from_args(args)), args.nbits
     # made before the file is opened, so a bad count leaves no file
-    first = source.generate(min(n, _GENERATE_BITS))
-    rest = (source.generate(min(_GENERATE_BITS, n - k))
-            for k in range(_GENERATE_BITS, n, _GENERATE_BITS))
+    first = source.generate(min(n, _PIECE_BITS))
+    rest = (source.generate(min(_PIECE_BITS, n - k))
+            for k in range(_PIECE_BITS, n, _PIECE_BITS))
     nbits = write_stream(itertools.chain([first], rest), args.out, args.format)
     print(f"wrote {nbits} bits ({args.format}) to {args.out}")
     return 0

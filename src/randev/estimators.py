@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from randev.bitstream import BitSequence, _pieces
+from randev.bitstream import _PIECE_BITS, BitSequence, _pieces
 from randev.model import binary_entropy, deviation_quadratic, deviation_sigma, n_max
 
 __all__ = [
@@ -116,7 +116,7 @@ def _pair_counts(s: _LagState) -> PairCounts:
 def accumulate(counts: PairCounts, seq: BitSequence) -> PairCounts:
     """Fold a sequence into the counts, including the pair across the
     boundary between previously accumulated data and seq."""
-    return _pair_counts(_fold(_lag1(counts), _pieces([seq], _PIECE_BITS)))
+    return _pair_counts(_fold(_lag1(counts), [seq]))
 
 
 def _lag1(c: PairCounts) -> _LagState:
@@ -192,14 +192,12 @@ def _merge_states(a: _LagState, b: _LagState) -> _LagState:
     )
 
 
-# The bits of one measured piece: it bounds a measure's numpy temporaries.
-_PIECE_BITS = 2**22
-
-
-def _fold(state: _LagState, pieces, mapper=map) -> _LagState:
-    """``state`` followed by the pieces, measured through ``mapper``."""
+def _fold(state: _LagState, chunks, mapper=map) -> _LagState:
+    """``state`` followed by the chunks, cut into pieces of _PIECE_BITS
+    bits (which bounds a measure's numpy temporaries) and measured
+    through ``mapper``."""
     lags = state.lags
-    for part in mapper(lambda piece: _measure(piece, lags), pieces):
+    for part in mapper(lambda piece: _measure(piece, lags), _pieces(chunks, _PIECE_BITS)):
         state = _merge_states(state, part)
     return state
 
@@ -232,7 +230,7 @@ class LagAccumulator:
         return BitSequence(bits.to_bytes(-(-e // 8), "little"), e).to_array()
 
     def add(self, seq: BitSequence) -> None:
-        self._state = _fold(self._state, _pieces([seq], _PIECE_BITS))
+        self._state = _fold(self._state, [seq])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LagAccumulator):
@@ -427,20 +425,20 @@ def _check_lags(max_lag: int, n: int | None) -> None:
 
 def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     """The report of the chunks' lag state, measured through ``mapper``."""
-    pieces = _pieces(chunks, _PIECE_BITS)
+    chunks = iter(chunks)
     if max_lag < 1:
         # no lag state exists; an error in the input is raised first
-        deque(pieces, maxlen=0)
-    # the pieces that hold the max_lag + 2 bits a report needs, or the
+        deque(chunks, maxlen=0)
+    # the chunks that hold the max_lag + 2 bits a report needs, or the
     # whole stream if it is shorter: it then fails before any measure
     ahead, seen = [], 0
-    for piece in pieces:
-        ahead.append(piece)
-        seen += piece.nbits
+    for chunk in chunks:
+        ahead.append(chunk)
+        seen += chunk.nbits
         if seen >= max_lag + 2:
             break
     _check_lags(max_lag, None if seen >= max_lag + 2 else seen)
-    state = _fold(_empty(tuple(range(1, max_lag + 1))), itertools.chain(ahead, pieces), mapper)
+    state = _fold(_empty(tuple(range(1, max_lag + 1))), itertools.chain(ahead, chunks), mapper)
     counts = _pair_counts(state)
     bias_hat, bias_sigma = bias_estimate(counts)
     estimates = tuple(

@@ -175,6 +175,8 @@ def fig2_curve(a1_min: float, a1_max: float,
     """
     if not step > 0.0:
         raise ParameterError(f"step={step} must be positive")
+    if step == math.inf:
+        raise ParameterError(f"step={step} must be finite")
     if not -1.0 <= a1_min < a1_max <= 1.0:
         raise ParameterError(
             f"range [{a1_min}, {a1_max}] invalid: need -1 <= min < max <= 1"

@@ -4,7 +4,9 @@ Pure functions mapping source parameters to the quantities the
 estimators measure: bias, lag-1 autocorrelation, mutual information
 between adjacent bits, conditional entropy of the next bit given the
 previous one, per-bit randomness deviation, its sampling uncertainty,
-and the usable-length bound implied by a given deviation.
+and the usable-length bound implied by a given deviation.  Every source
+kind is evaluated as its two-state chain (a ``TransitionMatrix``), by
+one closed form for the entropies.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from randev.sources import (
     DEADTIME_MODES,
     ParameterError,
     SourceConfig,
+    TransitionMatrix,
     markov_transition_matrix,
 )
 
@@ -124,13 +127,19 @@ class ModelPrediction:
 
 
 def markov_prediction(b: float, a1: float) -> ModelPrediction:
-    """Exact statistics of the stationary two-state Markov source (b, a1).
+    """Exact statistics of the stationary two-state Markov source (b, a1);
+    raises ParameterError where ``markov_transition_matrix`` does."""
+    return _chain_prediction(markov_transition_matrix(b, a1), b, a1)
+
+
+def _chain_prediction(m: TransitionMatrix, b: float, a1: float) -> ModelPrediction:
+    """Exact statistics of the two-state chain m with bias b and lag-1
+    autocorrelation a1.
 
     cond_entropy is the stationary mixture of the two rows' transition
     entropies; mutual_info follows from the chain rule against the
     marginal entropy.
     """
-    m = markov_transition_matrix(b, a1)
     h0 = binary_entropy(m.p1_given_0)
     h1 = binary_entropy(m.p1_given_1)
     # offset form keeps the a1 = 0 case exact: h0 == h1 gives ce == h1
@@ -150,23 +159,14 @@ def markov_prediction(b: float, a1: float) -> ModelPrediction:
     )
 
 
-def _marginal_only_prediction(b: float) -> ModelPrediction:
-    """Prediction for a memoryless source of bias b, including |b| = 1."""
-    if abs(b) == 1.0:
-        # constant output: next bit fully determined, zero entropy
-        return ModelPrediction(
-            bias=b,
-            a1=0.0,
-            mutual_info=0.0,
-            cond_entropy=0.0,
-            deviation_exact=1.0,
-            deviation_approx=deviation_quadratic(b, 0.0),
-        )
-    return markov_prediction(b, 0.0)
-
-
 def predict_source(config: SourceConfig) -> ModelPrediction:
     """Closed-form expected statistics for any source configuration.
+
+    Each kind is evaluated as its two-state chain.  ideal, bernoulli,
+    splitter and xorshift64 are memoryless: a chain with equal rows, both
+    going to 1 with probability (1 + b)/2, which holds |b| = 1 as well
+    (a constant stream: zero entropy, deviation 1).  markov is its own
+    chain, and dead time the balanced chain with a1 = ``deadtime_a1``.
 
     The xorshift64 generator is statistically indistinguishable from
     the ideal source at the pair level, so its prediction is all-zero
@@ -175,18 +175,15 @@ def predict_source(config: SourceConfig) -> ModelPrediction:
     """
     config.validate()
     kind = config.kind
-    if kind in ("ideal", "xorshift64"):
-        return markov_prediction(0.0, 0.0)
-    if kind == "bernoulli":
-        return _marginal_only_prediction(2.0 * config.p - 1.0)
-    if kind == "splitter":
-        return _marginal_only_prediction(config.b)
     if kind == "markov":
         return markov_prediction(config.b, config.a1)
     if kind == "deadtime":
         a1 = deadtime_a1(config.tau, config.tau_d, config.deadtime_mode)
         return markov_prediction(0.0, a1)
-    raise ParameterError(f"unknown source kind {kind!r}")
+    b = (2.0 * config.p - 1.0 if kind == "bernoulli" else
+         config.b if kind == "splitter" else 0.0)
+    p1, p0 = (1.0 + b) / 2.0, (1.0 - b) / 2.0
+    return _chain_prediction(TransitionMatrix(p1, p1, p0, p1), b, 0.0)
 
 
 def deviation_sigma(deviation: float, n_bits: float) -> float:

@@ -24,9 +24,14 @@ Python loop over the words made 1.3-1.6e8.
 
 All sources are driven by the same fully specified 64-bit base generator
 (SplitMix64) so that identical (config, n) pairs yield identical bit
-streams on any platform.  A live Source carries its state across calls:
-generate(n1) followed by generate(n2) emits exactly the bits of a fresh
-identically-configured source asked for n1 + n2 bits.
+streams on any platform.  ``Source._draws`` is a source's SplitMix64
+position, the draws it has consumed, for every kind but xorshift64: one
+per bit for ideal, bernoulli, splitter and markov, two per photon for
+dead time, all made by ``Source._drawer``.
+
+A live Source carries its state across calls: generate(n1) followed by
+generate(n2) emits exactly the bits of a fresh identically-configured
+source asked for n1 + n2 bits.
 """
 
 from __future__ import annotations
@@ -123,33 +128,6 @@ def _threshold(p: float) -> int:
     integer is below a real exactly when it is below that real's ceiling.
     """
     return max(0, math.ceil(p * 2.0**53))
-
-
-def _drawer(seed: int, size: int):
-    """A function ``(first, m) -> (z >> 11)`` for the SplitMix64 outputs z
-    of draws first .. first+m-1 (1-based), m <= size.
-
-    SplitMix64's state after d draws is seed + d*GAMMA mod 2**64, so any
-    range of draws is a base plus fixed steps.  Every call writes into the
-    same buffers, allocated here once, and returns a view of them.
-    """
-    steps = np.arange(size, dtype=np.uint64)
-    np.multiply(steps, np.uint64(_GAMMA), out=steps)
-    out = np.empty(size, dtype=np.uint64)
-    tmp = np.empty(size, dtype=np.uint64)
-
-    def draw(first: int, m: int) -> np.ndarray:
-        z, t = out[:m], tmp[:m]
-        np.add(steps[:m], np.uint64((seed + first * _GAMMA) & _MASK64), out=z)
-        # the output mix; uint64 arithmetic wraps mod 2**64
-        np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=t), out=z)
-        np.multiply(z, np.uint64(_MIX1), out=z)
-        np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=t), out=z)
-        np.multiply(z, np.uint64(_MIX2), out=z)
-        np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
-        return np.right_shift(z, np.uint64(11), out=z)
-
-    return draw
 
 
 @dataclass(frozen=True)
@@ -305,7 +283,7 @@ class Source:
     def __init__(self, config: SourceConfig):
         config.validate()
         self.config = config
-        self._draws = 0  # uniforms consumed (ideal/bernoulli/splitter/markov)
+        self._draws = 0  # SplitMix64 draws consumed (all kinds but xorshift64)
         self._pending = BitSequence(b"", 0)  # made, not yet emitted
         kind = config.kind
         if kind == "markov":
@@ -315,7 +293,6 @@ class Source:
             # the state at the end of the last photon block
             self._t = 0.0             # arrival clock
             self._dead = [0.0, 0.0]   # per-detector dead-until times
-            self._block = 0           # photon blocks simulated
         elif kind == "xorshift64":
             self._x = config.seed
 
@@ -352,7 +329,7 @@ class Source:
         p = (0.5 if cfg.kind == "ideal" else
              cfg.p if cfg.kind == "bernoulli" else (1.0 + cfg.b) / 2.0)
         threshold = _threshold(p)
-        draw = self._stream_drawer(size)
+        draw = self._drawer(size)
         below = np.empty(size, dtype=bool)
 
         def chunk(m):
@@ -362,15 +339,33 @@ class Source:
 
     # ---- base generator ----
 
-    def _stream_drawer(self, size: int):
-        """A function m -> (z >> 11) for this source's next m <= size draws."""
-        draw = _drawer(self.config.seed, size)
+    def _drawer(self, size: int):
+        """A function m -> (z >> 11) for the SplitMix64 outputs z of this
+        source's next m <= size draws; it advances ``self._draws``.
 
-        def next_draws(m):
-            z = draw(self._draws + 1, m)
+        SplitMix64's state after d draws is seed + d*GAMMA mod 2**64, so
+        any range of draws is a base plus fixed steps.  Every call writes
+        into the same buffers, allocated here once, and returns a view of
+        them.
+        """
+        steps = np.arange(size, dtype=np.uint64)
+        np.multiply(steps, np.uint64(_GAMMA), out=steps)
+        out = np.empty(size, dtype=np.uint64)
+        tmp = np.empty(size, dtype=np.uint64)
+
+        def draw(m: int) -> np.ndarray:
+            z, t = out[:m], tmp[:m]
+            base = (self.config.seed + (self._draws + 1) * _GAMMA) & _MASK64
             self._draws += m
-            return z
-        return next_draws
+            np.add(steps[:m], np.uint64(base), out=z)
+            # the output mix; uint64 arithmetic wraps mod 2**64
+            np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=t), out=z)
+            np.multiply(z, np.uint64(_MIX1), out=z)
+            np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=t), out=z)
+            np.multiply(z, np.uint64(_MIX2), out=z)
+            np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
+            return np.right_shift(z, np.uint64(11), out=z)
+        return draw
 
     # ---- markov ----
 
@@ -385,7 +380,7 @@ class Source:
         tm = self._tm
         from_zero, from_one, stationary = (
             _threshold(p) for p in (tm.p1_given_0, tm.p1_given_1, tm.pi1))
-        draw = self._stream_drawer(size)
+        draw = self._drawer(size)
         one = np.empty(size, dtype=bool)
         reset = np.empty(size, dtype=bool)
         # value[0] is the bit before the chunk, value[i + 1] bit i's value
@@ -439,7 +434,7 @@ class Source:
         # the other live; a cluster at the start of a block starts from
         # the carried dead-until times.
         tau_d = self.config.tau_d
-        draw = _drawer(self.config.seed, 2 * _PHOTON_BLOCK)
+        draw = self._drawer(2 * _PHOTON_BLOCK)
         times = np.empty(_PHOTON_BLOCK + 1)   # the clock before and at each photon
         until = np.empty(_PHOTON_BLOCK + 1)   # times + tau_d
         renew = np.empty(_PHOTON_BLOCK, dtype=bool)
@@ -448,8 +443,8 @@ class Source:
 
         def chunk(m):
             # one whole block, however many bits are owed: photon j of
-            # block g consumes draws 2j+1 (inter-arrival) and 2j+2 (routing)
-            z = draw(2 * self._block * _PHOTON_BLOCK + 1, 2 * _PHOTON_BLOCK)
+            # the stream takes draws 2j+1 (inter-arrival) and 2j+2 (route)
+            z = draw(2 * _PHOTON_BLOCK)
             dts = times[1:]
             np.multiply(z[0::2], 2.0**-53, out=dts)
             np.negative(dts, out=dts)
@@ -470,7 +465,6 @@ class Source:
                 if hit[j]:
                     self._dead[k] = float(until[j + 1])
             self._t = float(times[-1])
-            self._block += 1
             return BitSequence(np.packbits(bits, bitorder="little").tobytes(), bits.size)
         return chunk
 

@@ -62,7 +62,7 @@ class TestGenerate:
         # generate writes each piece of one live source as it is made
         path = tmp_path / "s"
         for piece_bits in (8, 64, 4096):
-            monkeypatch.setattr(cli, "_GENERATE_BITS", piece_bits)
+            monkeypatch.setattr(cli, "_PIECE_BITS", piece_bits)
             for format in ("raw", "ascii"):
                 code, _, _ = run(capsys, "generate", "--source", "xorshift64", "--seed", "3",
                                  "--nbits", "10001", "--out", str(path), "--format", format)

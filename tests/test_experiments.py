@@ -141,9 +141,11 @@ class TestFig2Curve:
         (0.0, 1.0, -0.1),
         (0.0, 1.0, 0.0),
         (0.0, 1.0, math.nan),
+        (-0.5, 0.5, math.inf),
     ])
     def test_bad_ranges(self, args):
-        with pytest.raises(ParameterError):
+        # each message names what is wrong: the range or the step
+        with pytest.raises(ParameterError, match=r"^(range|step)\b"):
             fig2_curve(*args)
 
     @pytest.mark.parametrize("args, rows", [

@@ -271,6 +271,20 @@ class TestPredictSource:
         )
         assert pb.mutual_info == 0.0
         assert ps.mutual_info == 0.0
+        # a memoryless kind is the chain with equal rows, which is the very
+        # chain markov_transition_matrix(b, 0) builds, float for float
+        for b, cfg in (
+            (0.0, SourceConfig.ideal()),
+            (0.0, SourceConfig.xorshift64(seed=7)),
+            (0.0, SourceConfig.bernoulli(0.5)),
+            (2.0 * 0.55 - 1.0, SourceConfig.bernoulli(0.55)),
+            (2.0 * 2**-53 - 1.0, SourceConfig.bernoulli(2**-53)),
+            (0.1, SourceConfig.splitter(0.1)),
+            (-0.0, SourceConfig.splitter(-0.0)),
+            (1.0 - 2**-53, SourceConfig.splitter(1.0 - 2**-53)),
+            (-(1.0 - 1e-6), SourceConfig.splitter(-(1.0 - 1e-6))),
+        ):
+            assert predict_source(cfg) == markov_prediction(b, 0.0)
 
     def test_constant_bernoulli(self):
         p = predict_source(SourceConfig.bernoulli(1.0))
@@ -278,6 +292,9 @@ class TestPredictSource:
         assert p.cond_entropy == 0.0
         assert p.deviation_exact == 1.0
         assert p.mutual_info == 0.0
+        # the constant-zero stream is the same chain with its rows at 0
+        q = predict_source(SourceConfig.bernoulli(0.0))
+        assert (q.bias, q.cond_entropy, q.deviation_exact, q.mutual_info) == (-1.0, 0.0, 1.0, 0.0)
 
     def test_markov_passthrough(self):
         direct = markov_prediction(0.1, 0.1)

@@ -329,7 +329,7 @@ def test_deadtime_matches_scalar_rule(ratio, mode, seed, n, data):
     for a, b in zip([0, *cuts], [*cuts, n]):
         assert src.generate(b - a) == oracle.generate(b - a)
         # the source carries its state from the end of its last photon block
-        assert (src._t, src._dead) == oracle.state_after(src._block * oracle.BLOCK)
+        assert (src._t, src._dead) == oracle.state_after(src._draws // 2)
 
 
 # ------------------------------------------------- xorshift64, word by word
