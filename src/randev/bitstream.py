@@ -5,9 +5,8 @@ first: bit i lives in byte i // 8 at position i % 8.  Pad bits in the
 final byte are always zero, so equal sequences are equal as (data, nbits)
 pairs and raw dumps are directly comparable.  Step-1 slices and
 ``concat`` cut and join the packed bytes at any bit offset; no other
-module does bit-offset arithmetic on packed bytes.  ``_pieces`` is the
-one cutter of a chunked stream into pieces of a fixed size: the
-estimators' fold and ``monitor``'s windows both use it.
+module cuts or joins them.  ``_pieces`` is the one cutter of a chunked
+stream into pieces of a fixed size, for the estimators' fold.
 
 Two file formats are supported:
 
@@ -19,7 +18,7 @@ Two file formats are supported:
 writer of each format.  They move a file a chunk at a time, so memory
 stays at one chunk whatever the file's length; ``read_file``,
 ``from_raw_bytes`` and ``write_file`` are the same code on one whole
-sequence, which a raw read takes in one read.
+sequence, which a raw read without an override takes in one read.
 """
 
 from __future__ import annotations
@@ -206,7 +205,7 @@ def write_stream(chunks, target, format: str = "raw") -> int:
 
 def read_file(path, format: str = "raw", nbits_override: int | None = None) -> BitSequence:
     """Read a sequence from a file: the bits of ``read_stream``, in one
-    read for a raw file.
+    read for a raw file without an override.
 
     Args:
         path: file to read, or a binary file object read from its position.
@@ -260,7 +259,7 @@ def read_stream(source, format: str = "raw", nbits_override: int | None = None):
 
 def _chunks(source, format: str, nbits: int | None, whole: bool = False):
     """The chunks of ``read_stream`` before the override cuts them; with
-    ``whole``, a raw file's bits as one chunk of one read."""
+    ``whole`` and no count, a raw file's bits as one chunk of one read."""
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
             yield from _chunks(fh, format, nbits, whole)
@@ -271,9 +270,11 @@ def _chunks(source, format: str, nbits: int | None, whole: bool = False):
         while block := read(_READ_BYTES):
             yield _from_ascii_bytes(block)
         return
-    # a count in range needs only its own bytes; any other, -1, needs all
+    # a count in range needs only its own bytes, read a chunk at a time: a
+    # read allocates what it asks for, and a count may be past the file's
+    # end or any index; any other count, -1, needs all
     left = -(-nbits // 8) if nbits is not None and nbits >= 0 else -1
-    read, size = (source.read, left) if whole else (read, _READ_BYTES)
+    read, size = (source.read, -1) if whole and left < 0 else (read, _READ_BYTES)
     while left and (block := read(size if left < 0 else min(left, size))):
         left -= len(block)
         yield BitSequence(block, 8 * len(block))

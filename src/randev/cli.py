@@ -13,9 +13,10 @@ Subcommands:
 
 ``generate``, ``analyze``, ``concat`` and ``monitor`` move their bits a
 piece at a time (see ``bitstream.read_stream`` and ``write_stream``), so
-their memory does not grow with the stream.  ``monitor`` cuts its windows
-with the cutter the estimators' fold uses and prints each line as its
-window completes.
+their memory does not grow with the stream.  ``monitor`` counts every
+window of a read in one vector pass (``estimators._window_counts``),
+merges a window that spans reads from its parts, and prints the lines of
+the windows each read completes as that read is counted.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 monitor alarm,
 3 I/O error.
@@ -33,12 +34,13 @@ from dataclasses import asdict, dataclass
 
 # the parser needs only these two stages; each command imports the
 # others it runs, so ``generate`` never loads the estimators
-from randev.bitstream import _FORMATS, _PIECE_BITS, _pieces, read_stream, write_stream
+from randev.bitstream import _FORMATS, _PIECE_BITS, read_stream, write_stream
 from randev.sources import DEADTIME_MODES, SOURCE_KINDS, ParameterError, Source, SourceConfig
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
 
-# monitor holds one window whole: 2**32 bits is 512 MiB
+# monitor holds no window whole, only the counts of its parts read so far,
+# so its memory does not depend on the window; the cap keeps the interface
 _MAX_WINDOW_BITS = 1 << 32
 
 
@@ -192,27 +194,32 @@ def cmd_nmax(args: argparse.Namespace) -> int:
 
 def _monitor_stream(fh, config: MonitorConfig) -> int:
     """Sequential window scan; stream order is semantic, so no parallelism.
-    Each line is flushed as its window completes, so a pipe reader sees it."""
-    from randev.estimators import PairCounts, accumulate, deviation_plugin
+    The lines of the windows each read completes are written and flushed
+    together, so a pipe reader sees a line once its window's bits arrive."""
+    from randev.estimators import _window_counts, deviation_plugin
     from randev.model import deviation_sigma
 
     config.validate()
     w = config.window_bits
-    alarmed = False
-    for index, window in enumerate(_pieces(read_stream(fh), w)):
-        full = window.nbits == w
-        d_hat = sigma = math.nan
-        if window.nbits >= 2:
-            d_hat = deviation_plugin(accumulate(PairCounts(), window))
-            sigma = deviation_sigma(d_hat, window.nbits)
-        status = "incomplete"
-        if full:
-            alarm = d_hat > config.sigma_k * sigma
-            if config.deviation_threshold is not None:
-                alarm = alarm and d_hat > config.deviation_threshold
-            alarmed |= alarm
-            status = "ALARM" if alarm else "ok"
-        print(f"{index},{d_hat:.6g},{sigma:.6g},{status}", flush=True)
+    alarmed, index = False, 0
+    for windows in _window_counts(read_stream(fh), w):
+        lines = []
+        for counts in windows:
+            d_hat = sigma = math.nan
+            if counts.n >= 2:
+                d_hat = deviation_plugin(counts)
+                sigma = deviation_sigma(d_hat, counts.n)
+            status = "incomplete"
+            if counts.n == w:
+                alarm = d_hat > config.sigma_k * sigma
+                if config.deviation_threshold is not None:
+                    alarm = alarm and d_hat > config.deviation_threshold
+                alarmed |= alarm
+                status = "ALARM" if alarm else "ok"
+            lines.append(f"{index},{d_hat:.6g},{sigma:.6g},{status}\n")
+            index += 1
+        sys.stdout.write("".join(lines))
+        sys.stdout.flush()
     return 2 if alarmed else 0
 
 

@@ -23,6 +23,12 @@ field.  One fold cuts the stream, whatever its chunks, into pieces of
 measure the same pieces and are bit-identical.  A piece bounds a
 measure's temporaries, and a stream given as an iterable of chunks is
 read one piece at a time, so memory does not grow with its length.
+
+``_window_counts`` gives the PairCounts of each fixed window of a chunked
+stream, as ``monitor`` reports them.  It counts all the windows of a
+chunk in one pass over the chunk's words: a window's one-count and lag-1
+product are differences of running popcounts at its first and last bit,
+and a window that spans chunks is merged from its parts.
 """
 
 from __future__ import annotations
@@ -141,30 +147,48 @@ def _window_ones(s: _LagState, k: int) -> tuple[int, int]:
             s.ones - (s.head & ~(-1 << k)).bit_count())
 
 
+def _words(data: bytes, out: np.ndarray | None = None) -> np.ndarray:
+    """Packed bytes as little-endian 64-bit words, the last one zero-padded,
+    and one spare zero word for the carry of a shift.  Without ``out`` they
+    view a padded copy of the bytes; with it, they are its first words,
+    written over."""
+    nw = -(-len(data) // 8) + 1
+    if out is None:
+        return np.frombuffer(data.ljust(8 * nw, b"\0"), dtype="<u8")
+    view = out[:nw].view(np.uint8)
+    view[:len(data)] = np.frombuffer(data, np.uint8)
+    view[len(data):] = 0
+    return out[:nw]
+
+
+def _lag_words(words: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The lag-k product words of ``_words``: bit i of word j is
+    x[64j + i] * x[64j + i + k].  Pad bits are zero, so a pair whose
+    second bit lies past the end adds nothing.  With ``out`` (not
+    ``words``), the products fill its first words."""
+    q, r = divmod(k, 64)
+    m = max(len(words) - 1 - q, 0)
+    # word j of x shifted down by k bits, ANDed with word j
+    prod = np.right_shift(words[q:q + m], r, out=None if out is None else out[:m])
+    if r:
+        prod |= words[q + 1:q + 1 + m] << (64 - r)
+    prod &= words[:m]
+    return prod
+
+
 def _measure(seq: BitSequence, lags: tuple[int, ...]) -> _LagState:
     """The state of one piece, counted on its packed 64-bit words."""
     n = seq.nbits
-    nw = -(-len(seq.data) // 8)
-    # one spare zero word for the carry
-    words = np.frombuffer(seq.data.ljust(8 * nw + 8, b"\0"), dtype="<u8")
-    prods = []
-    for k in lags:
-        if k >= n:
-            # no lag-k pair fits in n bits
-            prods.append(0)
-            continue
-        q, r = divmod(k, 64)
-        m = max(nw - q, 0)
-        # word j of x shifted down by k bits, ANDed with word j; pad bits
-        # are zero, so a pair whose second bit lies past the end adds nothing
-        prod = words[q:q + m] >> r
-        if r:
-            prod |= words[q + 1:q + 1 + m] << (64 - r)
-        prod &= words[:m]
-        prods.append(int(np.bitwise_count(prod).sum()))
+    words = _words(seq.data)
+    # one array for every lag's products: a piece's worth of them made and
+    # freed per lag can cost a page fault per page each time
+    prod = np.empty(len(words) - 1, words.dtype)
+    # no lag-k pair fits in n bits when k >= n
+    prods = tuple(int(np.bitwise_count(_lag_words(words, k, prod)).sum()) if k < n else 0
+                  for k in lags)
     edge = min(lags[-1], n)
     return _LagState(
-        lags, n, int(np.bitwise_count(words).sum()), tuple(prods),
+        lags, n, int(np.bitwise_count(words).sum()), prods,
         int.from_bytes(seq[:edge].data, "little"),
         int.from_bytes(seq[n - edge:].data, "little"),
     )
@@ -261,6 +285,86 @@ def merge(a, b):
     raise TypeError(
         f"cannot merge {type(a).__name__} with {type(b).__name__}"
     )
+
+
+def _window_counts(chunks, w: int):
+    """The counts of the stream's consecutive windows of ``w`` bits, the
+    last one shorter: for each chunk, the list of the windows it completes,
+    and after the last chunk the incomplete window, if any.  Each count is
+    ``accumulate(PairCounts(), window)`` field for field.
+
+    A chunk is counted in one numpy pass over its words, whatever ``w``:
+    a window's one-count and lag-1 product are differences of running
+    popcounts at its edges.  A window that spans chunks is merged from its
+    parts, so no window is held whole."""
+    held = PairCounts()  # the window the chunks so far leave open
+    buf = np.empty(0, "<u8")  # a chunk's words, reused so a read faults in no new pages
+    for chunk in chunks:
+        m = chunk.nbits
+        if not m:
+            continue
+        if len(buf) < len(chunk.data) // 8 + 2:
+            buf = np.empty(len(chunk.data) // 8 + 2, "<u8")
+        # each window in the chunk, from its first bit to its last, at
+        # pos[2j] and pos[2j + 1]; the first one continues ``held``
+        starts = np.arange(-held.n, m, w)
+        ends = np.minimum(starts + w, m)
+        starts[0] = 0
+        pos = np.empty(2 * starts.size, np.int64)
+        pos[0::2], pos[1::2] = starts, ends - 1
+        head, c11, bit = _window_sums(_words(chunk.data, buf), pos)
+        first, last = bit[0::2], bit[1::2]
+        ones = head + last
+        c10 = head - c11
+        c01 = ones - first - c11
+        c00 = ends - starts - 1 - c01 - c10 - c11
+        counts = list(map(PairCounts, *(
+            a.tolist() for a in (ends - starts, ones, c00, c01, c10, c11, first, last))))
+        if held.n:
+            counts[0] = merge(held, counts[0])
+        held = counts.pop() if counts[-1].n < w else PairCounts()
+        if counts:
+            yield counts
+    if held.n:
+        yield [held]
+
+
+# words of lag-1 products ``_window_sums`` makes at a time: 128 KiB
+_BLOCK_WORDS = 1 << 14
+
+
+def _window_sums(words: np.ndarray, pos: np.ndarray):
+    """For windows of ``_words`` from bit pos[2j] to bit pos[2j + 1]: the
+    ones and the lag-1 products x[i]*x[i+1] at i from pos[2j] to
+    pos[2j + 1] - 1, and the bit at each position.
+
+    Counts in place, so no second array of words is made: the products
+    replace the words once their popcounts are kept as bytes."""
+    idx, shift = pos >> 6, (pos & 63).astype(np.uint64)
+    ones_above = words[idx] >> shift  # the word of each position, from it up
+    word_ones = np.bitwise_count(words)
+    # a block's products need the words up to the next block's first,
+    # which is not yet replaced; a block bounds the temporaries
+    n = len(words) - 1
+    for j in range(0, n, _BLOCK_WORDS):
+        e = min(j + _BLOCK_WORDS, n)
+        words[j:e] = _lag_words(words[j:e + 1], 1)
+    pairs_above = words[idx] >> shift
+    pairs = _set_bits_before(np.bitwise_count(words, out=words), idx, pairs_above)
+    words[:] = word_ones
+    ones = _set_bits_before(words, idx, ones_above)
+    return np.diff(ones)[0::2], np.diff(pairs)[0::2], (ones_above & 1).astype(np.int64)
+
+
+def _set_bits_before(counts: np.ndarray, idx: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The set bits before some positions, as int64: ``counts`` holds each
+    word's popcount, ``idx`` (ascending) the word of each position, and
+    ``above`` that word's bits from the position up."""
+    cuts = np.concatenate(([0], idx))
+    whole = np.add.reduceat(counts, cuts)[:-1]  # the words before idx[i], from idx[i-1]
+    # reduceat gives the element at an empty range's start, not 0
+    whole[cuts[1:] == cuts[:-1]] = 0
+    return (np.cumsum(whole) + counts[idx] - np.bitwise_count(above)).astype(np.int64)
 
 
 def bias_estimate(counts: PairCounts) -> tuple[float, float]:

@@ -1,13 +1,17 @@
-"""Peak memory of ``randev generate`` and ``randev analyze --json`` against
-stream length.
+"""Peak memory of ``randev generate``, ``randev analyze --json`` and
+``randev monitor`` against stream length.
 
     PYTHONPATH=src python tests/cli_peak_rss.py 100000000 1000000000
 
-For each length, generates that many ideal bits to a temporary file and
-analyzes the file, each in a child process, and prints the child's peak
-resident set size (``ru_maxrss`` from ``os.wait4``) and CPU time.  Exits 1
-if a child's peak at any length is more than TOLERANCE_MIB away from the
-same command's peak at the first length.
+For each length, generates that many ideal bits to a temporary file, then
+analyzes and monitors the file, each in a child process, and prints the
+child's peak resident set size (``ru_maxrss`` from ``os.wait4``) and CPU
+time.  ``monitor`` runs with its default windows and with windows of
+2**30 bits, longer than a 10**9-bit stream, so one window spans the whole
+file.  Exits 1 if a child's peak at any length is more than TOLERANCE_MIB
+away from the same command's peak at the first length, where both
+``monitor`` runs count as one command: the peak does not grow with the
+window either.
 
 A child's ``ru_maxrss`` also counts the process it was forked from, so
 this script forks the children itself and imports nothing large: run it
@@ -22,8 +26,9 @@ import tempfile
 TOLERANCE_MIB = 4.0
 
 
-def child(argv: list) -> dict:
-    """Run ``randev`` with argv in a forked child; its peak RSS and CPU time."""
+def child(argv: list, ok_codes=(0,)) -> dict:
+    """Run ``randev`` with argv in a forked child; its peak RSS and CPU time.
+    An exit code outside ``ok_codes`` (a monitor alarm is 2) fails the run."""
     pid = os.fork()
     if pid == 0:
         try:
@@ -32,7 +37,7 @@ def child(argv: list) -> dict:
         finally:
             os._exit(127)
     _, status, usage = os.wait4(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
+    if os.waitstatus_to_exitcode(status) not in ok_codes:
         sys.exit(f"randev {' '.join(argv)} failed with status {status}")
     return {"peak_mib": usage.ru_maxrss / 1024,  # KiB on Linux
             "cpu_s": usage.ru_utime + usage.ru_stime}
@@ -50,9 +55,13 @@ def main(lengths: list) -> int:
                 ("generate", ["generate", "--source", "ideal", "--seed", "1",
                               "--nbits", str(nbits), "--out", path]),
                 ("analyze", ["analyze", path, "--json"]),
+                ("monitor", ["monitor", path]),
+                ("monitor --window-bits 2**30",
+                 ["monitor", path, "--window-bits", str(1 << 30)]),
             ):
-                row = {"command": command, "nbits": nbits, **child(argv)}
-                base = first.setdefault(command, row["peak_mib"])
+                ok_codes = (0, 2) if argv[0] == "monitor" else (0,)
+                row = {"command": command, "nbits": nbits, **child(argv, ok_codes)}
+                base = first.setdefault(argv[0], row["peak_mib"])
                 row["ok"] = abs(row["peak_mib"] - base) <= TOLERANCE_MIB
                 failed |= not row["ok"]
                 print(json.dumps(row))

@@ -133,6 +133,19 @@ def test_raw_override_too_large(tmp_path):
                 read()
 
 
+def test_raw_override_far_past_the_file(tmp_path):
+    # no read asks for the override's bytes, which no buffer could hold,
+    # so counts past memory and past any index fail as any count past
+    # the end does
+    p = tmp_path / "two.bits"
+    p.write_bytes(b"ab")
+    for nbits in (17, 2**40, 2**63 + 1, 2**70):
+        for read in (lambda: read_file(p, "raw", nbits_override=nbits),
+                     lambda: concat(*read_stream(p, "raw", nbits))):
+            with pytest.raises(ValueError, match=rf"^nbits_override={nbits} outside \[0, 16\]$"):
+                read()
+
+
 def test_ascii_roundtrip(tmp_path):
     seq = BitSequence.from_string("0110")
     p = tmp_path / "x.txt"

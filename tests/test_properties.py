@@ -179,6 +179,39 @@ def test_lag_state_streamed_and_merged_equals_whole(case, k, piece_bits):
     assert whole.sum_prod == int(np.count_nonzero(bits[:-k] & bits[k:]))
 
 
+@FEW
+@given(st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 1027])), st.data())
+def test_window_counts_equal_accumulate(w, data):
+    # windows from one bit up, on and beside the 64-bit words, over a
+    # stream read in chunks of whole bytes, one byte included; the last
+    # window has 0, 1, 2 or any bits.  The lag-1 products are made a few
+    # words at a time, so a chunk's product blocks join too
+    tail = data.draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, w - 1)))
+    n = data.draw(st.integers(0, 3)) * w + min(tail, w - 1)
+    payload = data.draw(st.binary(min_size=-(-n // 8), max_size=-(-n // 8)))
+    seq = BitSequence(payload, 8 * len(payload))[:n]
+    steps = data.draw(st.lists(st.one_of(st.just(1), st.integers(1, 70)), min_size=1, max_size=5))
+    cuts = [0, *itertools.takewhile(lambda c: c < n, itertools.accumulate(
+        8 * steps[i % len(steps)] for i in itertools.count())), n]
+    read = 0  # bits handed out so far
+
+    def chunks():
+        nonlocal read
+        for a, b in zip(cuts, cuts[1:]):
+            read = b
+            yield seq[a:b]
+
+    got = []
+    with mock.patch.object(estimators, "_BLOCK_WORDS", data.draw(st.integers(1, 3))):
+        for windows in estimators._window_counts(chunks(), w):
+            got += windows
+            # a window is given with the chunk that completes it, not
+            # later; the incomplete one follows the last chunk
+            assert len(got) == read // w or (read == n and len(got) == -(-n // w))
+    assert got == [estimators.accumulate(estimators.PairCounts(), seq[i:i + w])
+                   for i in range(0, n, w)]
+
+
 # ------------------------------------------------ integer thresholds
 
 
