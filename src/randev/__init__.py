@@ -7,6 +7,7 @@ The package is organized as a pipeline:
                      dead-time-afflicted, and deterministic bit sources.
 * ``model``       -- closed-form expected statistics for every source.
 * ``estimators``  -- one-pass, mergeable measurements of real streams.
+* ``windows``     -- the fixed-window counts ``randev monitor`` prints.
 * ``experiments`` -- reproducible sweeps and demos built on the above.
 * ``cli``         -- the ``randev`` command.
 
@@ -43,6 +44,7 @@ _STAGES = {
         "DEADTIME_MODES", "SOURCE_KINDS", "ParameterError", "Source", "SourceConfig",
         "TransitionMatrix", "generate", "markov_transition_matrix",
     ),
+    "windows": (),
 }
 _HOME = {name: stage for stage, names in _STAGES.items() for name in names}
 

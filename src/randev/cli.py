@@ -14,7 +14,7 @@ Subcommands:
 ``generate``, ``analyze``, ``concat`` and ``monitor`` move their bits a
 piece at a time (see ``bitstream.read_stream`` and ``write_stream``), so
 their memory does not grow with the stream.  ``monitor`` counts every
-window of a read in one vector pass (``estimators._window_counts``),
+window of a read in one vector pass (``windows._window_counts``),
 merges a window that spans reads from its parts, and prints the lines of
 the windows each read completes as that read is counted.
 
@@ -195,9 +195,11 @@ def cmd_nmax(args: argparse.Namespace) -> int:
 def _monitor_stream(fh, config: MonitorConfig) -> int:
     """Sequential window scan; stream order is semantic, so no parallelism.
     The lines of the windows each read completes are written and flushed
-    together, so a pipe reader sees a line once its window's bits arrive."""
-    from randev.estimators import _window_counts, deviation_plugin
+    in batches of ``windows._WINDOW_BATCH``, all before the next read, so
+    a pipe reader sees a line once its window's bits arrive."""
+    from randev.estimators import deviation_plugin
     from randev.model import deviation_sigma
+    from randev.windows import _window_counts
 
     config.validate()
     w = config.window_bits

@@ -7,8 +7,12 @@ little-endian ints.  The one-counts of the head window x[0 .. n-k) and
 tail window x[k .. n) are the one-count minus the ones among the last or
 first k edge bits.  A piece is counted on its packed bytes read as
 little-endian 64-bit words (``bitwise_count`` of each word ANDed with the
-stream shifted down by k bits) and nothing is unpacked.  States of
-consecutive pieces merge in integer arithmetic on their edge bits.
+stream shifted down by k bits) and nothing is unpacked.  The lags that
+share a word offset k >> 6 are the rows of one 2-D broadcast pass, as
+many rows as fit a budget of 2**14 words: a 2**14-bit stream takes its 8
+default lags in one pass, a 2**22-bit piece one lag per pass, so a short
+stream pays a few numpy calls, not a few per lag.  States of consecutive
+pieces merge in integer arithmetic on their edge bits.
 
 ``LagAccumulator(k)`` is the one-lag state.  ``PairCounts`` (bits,
 one-bits, the four adjacent-pair counts) is the lag-1 view: c11 is the
@@ -24,11 +28,8 @@ measure the same pieces and are bit-identical.  A piece bounds a
 measure's temporaries, and a stream given as an iterable of chunks is
 read one piece at a time, so memory does not grow with its length.
 
-``_window_counts`` gives the PairCounts of each fixed window of a chunked
-stream, as ``monitor`` reports them.  It counts all the windows of a
-chunk in one pass over the chunk's words: a window's one-count and lag-1
-product are differences of running popcounts at its first and last bit,
-and a window that spans chunks is merged from its parts.
+The PairCounts of each fixed window of a chunked stream, as ``monitor``
+reports them, come from ``randev.windows``.
 """
 
 from __future__ import annotations
@@ -161,37 +162,71 @@ def _words(data: bytes, out: np.ndarray | None = None) -> np.ndarray:
     return out[:nw]
 
 
-def _lag_words(words: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The lag-k product words of ``_words``: bit i of word j is
-    x[64j + i] * x[64j + i + k].  Pad bits are zero, so a pair whose
-    second bit lies past the end adds nothing.  With ``out`` (not
-    ``words``), the products fill its first words."""
-    q, r = divmod(k, 64)
-    m = max(len(words) - 1 - q, 0)
-    # word j of x shifted down by k bits, ANDed with word j
-    prod = np.right_shift(words[q:q + m], r, out=None if out is None else out[:m])
-    if r:
-        prod |= words[q + 1:q + 1 + m] << (64 - r)
-    prod &= words[:m]
-    return prod
+# words of lag products ``_measure`` makes in one pass: 128 KiB, so a
+# 2**14-bit stream takes all the lags of a word offset at once and a
+# piece of over 2**19 bits one lag per pass.  At 2**16 words, a piece of
+# 2**17 to 2**21 bits faulted both 512 KiB arrays in anew on every call
+# and took twice as long
+_PASS_WORDS = 1 << 14
 
 
 def _measure(seq: BitSequence, lags: tuple[int, ...]) -> _LagState:
     """The state of one piece, counted on its packed 64-bit words."""
     n = seq.nbits
     words = _words(seq.data)
-    # one array for every lag's products: a piece's worth of them made and
-    # freed per lag can cost a page fault per page each time
-    prod = np.empty(len(words) - 1, words.dtype)
-    # no lag-k pair fits in n bits when k >= n
-    prods = tuple(int(np.bitwise_count(_lag_words(words, k, prod)).sum()) if k < n else 0
-                  for k in lags)
+    # no lag-k pair fits in n bits when k >= n; lags ascend.  The product
+    # arrays are freed before the popcount of the words is made: freed
+    # after it, glibc trimmed the heap, and each 2**22-bit piece faulted
+    # them in again (352 minor faults a piece, not 224)
+    prods = _lag_products(words, [k for k in lags if k < n])
+    prods += [0] * (len(lags) - len(prods))
     edge = min(lags[-1], n)
     return _LagState(
-        lags, n, int(np.bitwise_count(words).sum()), prods,
+        lags, n, int(np.bitwise_count(words).sum()), tuple(prods),
         int.from_bytes(seq[:edge].data, "little"),
         int.from_bytes(seq[n - edge:].data, "little"),
     )
+
+
+def _lag_products(words: np.ndarray, lags: list[int]) -> list[int]:
+    """The lag-k product sums of ``_words`` for ascending lags below its
+    bit count.
+
+    The lags k = 64q + r of one word offset q are the rows of one
+    broadcast pass, as many as ``_PASS_WORDS`` allows: row i of word j is
+    word q + j shifted down by r_i, ORed with the carry from word q + j + 1
+    shifted up by 64 - r_i (numpy gives 0 for a shift by 64), ANDed with
+    word j."""
+    width = len(words) - 1
+    # one product and one carry array for every pass: a piece's worth of
+    # them made and freed per lag can cost a page fault per page each time.
+    # Two arrays, not one of twice the size, which raised the peak memory
+    # of ``randev analyze`` by 0.4 MiB
+    size = min(len(lags) * width, max(_PASS_WORDS, width))
+    prod, carry = np.empty(size, words.dtype), np.empty(size, words.dtype)
+    prods = []
+    for q, group in itertools.groupby(lags, lambda k: k >> 6):
+        group = [k & 63 for k in group]
+        m = width - q
+        rows = max(1, _PASS_WORDS // m)
+        for i in range(0, len(group), rows):
+            rs = group[i:i + rows]
+            # a lone row is 1-D with a Python-int shift: numpy's scalar
+            # loops and the fewest calls, for the one-lag passes of a long
+            # piece
+            if len(rs) > 1:
+                r = np.array(rs, np.uint64)[:, None]
+                p, c = (a[:len(rs) * m].reshape(len(rs), m) for a in (prod, carry))
+            else:
+                r, p, c = rs[0], prod[:m], carry[:m]
+            np.right_shift(words[q:q + m], r, out=p)
+            if rs != [0]:  # a lag of whole words alone needs no carry
+                np.left_shift(words[q + 1:q + 1 + m], 64 - r, out=c)
+                p |= c
+            p &= words[:m]
+            counts = np.bitwise_count(p).sum(axis=-1)
+            prods += counts.tolist() if len(rs) > 1 else [int(counts)]
+    return prods
 
 
 def _merge_states(a: _LagState, b: _LagState) -> _LagState:
@@ -285,86 +320,6 @@ def merge(a, b):
     raise TypeError(
         f"cannot merge {type(a).__name__} with {type(b).__name__}"
     )
-
-
-def _window_counts(chunks, w: int):
-    """The counts of the stream's consecutive windows of ``w`` bits, the
-    last one shorter: for each chunk, the list of the windows it completes,
-    and after the last chunk the incomplete window, if any.  Each count is
-    ``accumulate(PairCounts(), window)`` field for field.
-
-    A chunk is counted in one numpy pass over its words, whatever ``w``:
-    a window's one-count and lag-1 product are differences of running
-    popcounts at its edges.  A window that spans chunks is merged from its
-    parts, so no window is held whole."""
-    held = PairCounts()  # the window the chunks so far leave open
-    buf = np.empty(0, "<u8")  # a chunk's words, reused so a read faults in no new pages
-    for chunk in chunks:
-        m = chunk.nbits
-        if not m:
-            continue
-        if len(buf) < len(chunk.data) // 8 + 2:
-            buf = np.empty(len(chunk.data) // 8 + 2, "<u8")
-        # each window in the chunk, from its first bit to its last, at
-        # pos[2j] and pos[2j + 1]; the first one continues ``held``
-        starts = np.arange(-held.n, m, w)
-        ends = np.minimum(starts + w, m)
-        starts[0] = 0
-        pos = np.empty(2 * starts.size, np.int64)
-        pos[0::2], pos[1::2] = starts, ends - 1
-        head, c11, bit = _window_sums(_words(chunk.data, buf), pos)
-        first, last = bit[0::2], bit[1::2]
-        ones = head + last
-        c10 = head - c11
-        c01 = ones - first - c11
-        c00 = ends - starts - 1 - c01 - c10 - c11
-        counts = list(map(PairCounts, *(
-            a.tolist() for a in (ends - starts, ones, c00, c01, c10, c11, first, last))))
-        if held.n:
-            counts[0] = merge(held, counts[0])
-        held = counts.pop() if counts[-1].n < w else PairCounts()
-        if counts:
-            yield counts
-    if held.n:
-        yield [held]
-
-
-# words of lag-1 products ``_window_sums`` makes at a time: 128 KiB
-_BLOCK_WORDS = 1 << 14
-
-
-def _window_sums(words: np.ndarray, pos: np.ndarray):
-    """For windows of ``_words`` from bit pos[2j] to bit pos[2j + 1]: the
-    ones and the lag-1 products x[i]*x[i+1] at i from pos[2j] to
-    pos[2j + 1] - 1, and the bit at each position.
-
-    Counts in place, so no second array of words is made: the products
-    replace the words once their popcounts are kept as bytes."""
-    idx, shift = pos >> 6, (pos & 63).astype(np.uint64)
-    ones_above = words[idx] >> shift  # the word of each position, from it up
-    word_ones = np.bitwise_count(words)
-    # a block's products need the words up to the next block's first,
-    # which is not yet replaced; a block bounds the temporaries
-    n = len(words) - 1
-    for j in range(0, n, _BLOCK_WORDS):
-        e = min(j + _BLOCK_WORDS, n)
-        words[j:e] = _lag_words(words[j:e + 1], 1)
-    pairs_above = words[idx] >> shift
-    pairs = _set_bits_before(np.bitwise_count(words, out=words), idx, pairs_above)
-    words[:] = word_ones
-    ones = _set_bits_before(words, idx, ones_above)
-    return np.diff(ones)[0::2], np.diff(pairs)[0::2], (ones_above & 1).astype(np.int64)
-
-
-def _set_bits_before(counts: np.ndarray, idx: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """The set bits before some positions, as int64: ``counts`` holds each
-    word's popcount, ``idx`` (ascending) the word of each position, and
-    ``above`` that word's bits from the position up."""
-    cuts = np.concatenate(([0], idx))
-    whole = np.add.reduceat(counts, cuts)[:-1]  # the words before idx[i], from idx[i-1]
-    # reduceat gives the element at an empty range's start, not 0
-    whole[cuts[1:] == cuts[:-1]] = 0
-    return (np.cumsum(whole) + counts[idx] - np.bitwise_count(above)).astype(np.int64)
 
 
 def bias_estimate(counts: PairCounts) -> tuple[float, float]:
@@ -465,7 +420,12 @@ def marginal_entropy_lag1(counts: PairCounts) -> float:
 def deviation_plugin(counts: PairCounts) -> float:
     """Empirical randomness deviation: 1 minus the plug-in conditional
     entropy, clamped to [0, 1]."""
-    d = 1.0 - cond_entropy_lag1(counts)
+    return _deviation(cond_entropy_lag1(counts))
+
+
+def _deviation(cond_entropy: float) -> float:
+    """1 - cond_entropy, clamped to [0, 1]."""
+    d = 1.0 - cond_entropy
     if d < 0.0:
         return 0.0
     return 1.0 if d > 1.0 else d
@@ -548,14 +508,15 @@ def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     estimates = tuple(
         LagEstimate(k, *_autocorr(state, i)) for i, k in enumerate(state.lags)
     )
-    dev = deviation_plugin(counts)
+    cond_entropy = cond_entropy_lag1(counts)
+    dev = _deviation(cond_entropy)
     return AnalysisReport(
         n_bits=counts.n,
         bias_hat=bias_hat,
         bias_sigma=bias_sigma,
         autocorr=estimates,
         mi_lag1_hat=mutual_information_lag1(counts),
-        cond_entropy_hat=cond_entropy_lag1(counts),
+        cond_entropy_hat=cond_entropy,
         deviation_plugin=dev,
         deviation_markov=deviation_quadratic(bias_hat, estimates[0].value),
         deviation_sigma=deviation_sigma(dev, counts.n),

@@ -29,6 +29,12 @@ position, the draws it has consumed, for every kind but xorshift64: one
 per bit for ideal, bernoulli, splitter and markov, two per photon for
 dead time, all made by ``Source._drawer``.
 
+The constant tables of a chunk, the SplitMix64 step offsets d*GAMMA and
+markov's bit positions and flip parity, are built like the xorshift64
+tables: once per process, read-only, and only by the kinds that use
+them.  Each call slices them, so a 2**14-bit ``generate`` after the
+first builds none.
+
 A live Source carries its state across calls: generate(n1) followed by
 generate(n2) emits exactly the bits of a fresh identically-configured
 source asked for n1 + n2 bits.
@@ -66,7 +72,8 @@ SOURCE_KINDS = ("ideal", "bernoulli", "splitter", "markov", "deadtime", "xorshif
 DEADTIME_MODES = ("reroute", "loss")
 
 # photons per dead-time chunk; a chunk always simulates a whole block,
-# so the detector state changes only at block ends
+# so the detector state changes only at block ends, and takes two draws
+# per photon, _GEN_CHUNK in all
 _PHOTON_BLOCK = 1 << 15
 
 # bits per internal chunk; each chunk is packed as soon as it is made, and
@@ -344,12 +351,11 @@ class Source:
         source's next m <= size draws; it advances ``self._draws``.
 
         SplitMix64's state after d draws is seed + d*GAMMA mod 2**64, so
-        any range of draws is a base plus fixed steps.  Every call writes
-        into the same buffers, allocated here once, and returns a view of
-        them.
+        any range of draws is a base plus the fixed steps d*GAMMA, a table
+        built once per process.  Every call writes into the same buffers,
+        allocated here once, and returns a view of them.
         """
-        steps = np.arange(size, dtype=np.uint64)
-        np.multiply(steps, np.uint64(_GAMMA), out=steps)
+        steps = _gamma_steps()
         out = np.empty(size, dtype=np.uint64)
         tmp = np.empty(size, dtype=np.uint64)
 
@@ -386,15 +392,12 @@ class Source:
         # value[0] is the bit before the chunk, value[i + 1] bit i's value
         # if it is a reset
         value = np.zeros(size + 1, dtype=np.uint8)
-        pos = np.arange(1, size + 1, dtype=np.int64)
+        pos = _markov_positions()
         bits = np.empty(size, dtype=np.uint8)
         # a flip chain's bit i is value[last] ^ ((i + 1 - last) & 1); the
         # parity of each position, (i + 1) & 1, is xored in before and
         # after the gather
-        parity = None
-        if self.config.a1 < 0:
-            parity = np.zeros(size, dtype=np.uint8)
-            parity[::2] = 1
+        parity = _flip_parity() if self.config.a1 < 0 else None
 
         def chunk(m):
             z = draw(m)
@@ -411,7 +414,7 @@ class Source:
             # last[i]: 1 + the index of the last reset at or before bit i,
             # or 0 (the previous bit) if there is none; it takes the place
             # of the draws, which are not read again
-            last = np.multiply(pos[:m], reset[:m], out=z.view(np.int64))
+            last = np.multiply(pos[:m], reset[:m], out=z.view(np.int32)[:m])
             np.maximum.accumulate(last, out=last)
             if parity is not None:
                 np.bitwise_xor(v, parity[:m], out=v)
@@ -544,6 +547,36 @@ class Source:
         return chunk
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """The table, made read-only: the cached tables below are shared by
+    every source in the process."""
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _gamma_steps() -> np.ndarray:
+    """d*GAMMA mod 2**64 for the draws d = 0 .. _GEN_CHUNK - 1 of a chunk."""
+    steps = np.arange(_GEN_CHUNK, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    return _read_only(steps)
+
+
+@functools.cache
+def _markov_positions() -> np.ndarray:
+    """1 + i for the bits i of a markov chunk, as int32, whose running
+    maximum is faster than int64's."""
+    return _read_only(np.arange(1, _GEN_CHUNK + 1, dtype=np.int32))
+
+
+@functools.cache
+def _flip_parity() -> np.ndarray:
+    """(i + 1) & 1 for the bits i of a markov chunk."""
+    parity = np.zeros(_GEN_CHUNK, dtype=np.uint8)
+    parity[::2] = 1
+    return _read_only(parity)
+
+
 @functools.cache
 def _xorshift_tables() -> np.ndarray:
     """The (levels, 8, 256) tables of M**(2**k), k = 0 .. log2(_GEN_CHUNK/64),
@@ -563,7 +596,7 @@ def _xorshift_tables() -> np.ndarray:
             table[:, 1 << i:2 << i] = table[:, :1 << i] ^ col[:, None]
         # the columns of the square
         _jump(table, cols, cols)
-    return tables
+    return _read_only(tables)
 
 
 def _jump(table: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:

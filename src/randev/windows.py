@@ -1,0 +1,110 @@
+"""The counts of a chunked stream's fixed windows, as ``randev monitor``
+reports them.
+
+``_window_counts`` gives the PairCounts of each window of ``w`` bits.
+It counts all the windows of a chunk in one pass over the chunk's words:
+a window's one-count and lag-1 product are differences of running
+popcounts at its first and last bit, and a window that spans chunks is
+merged from its parts.  The windows a chunk completes become PairCounts
+``_WINDOW_BATCH`` at a time, so a read of many small windows holds few of
+them as Python objects.
+
+Kept apart from ``estimators`` so that ``analyze``, which imports that
+module, does not compile this one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from randev.estimators import PairCounts, _words, merge
+
+
+# windows ``_window_counts`` turns into PairCounts at a time, so a read
+# that completes thousands of small windows holds few of them as objects
+_WINDOW_BATCH = 128
+
+
+def _window_counts(chunks, w: int):
+    """The counts of the stream's consecutive windows of ``w`` bits, the
+    last one shorter, in lists of at most ``_WINDOW_BATCH``: every window
+    a chunk completes is given before the next chunk is read, and after
+    the last chunk the incomplete window, if any.  Each count is
+    ``accumulate(PairCounts(), window)`` field for field.
+
+    A chunk is counted in one numpy pass over its words, whatever ``w``:
+    a window's one-count and lag-1 product are differences of running
+    popcounts at its edges.  A window that spans chunks is merged from its
+    parts, so no window is held whole."""
+    held = PairCounts()  # the window the chunks so far leave open
+    buf = np.empty(0, "<u8")  # a chunk's words, reused so a read faults in no new pages
+    for chunk in chunks:
+        m = chunk.nbits
+        if not m:
+            continue
+        if len(buf) < len(chunk.data) // 8 + 2:
+            buf = np.empty(len(chunk.data) // 8 + 2, "<u8")
+        # each window in the chunk, from its first bit to its last, at
+        # pos[2j] and pos[2j + 1]; the first one continues ``held``
+        starts = np.arange(-held.n, m, w)
+        ends = np.minimum(starts + w, m)
+        starts[0] = 0
+        pos = np.empty(2 * starts.size, np.int64)
+        pos[0::2], pos[1::2] = starts, ends - 1
+        head, c11, bit = _window_sums(_words(chunk.data, buf), pos)
+        first, last = bit[0::2], bit[1::2]
+        ones = head + last
+        c10 = head - c11
+        c01 = ones - first - c11
+        c00 = ends - starts - 1 - c01 - c10 - c11
+        fields = (ends - starts, ones, c00, c01, c10, c11, first, last)
+        # the first window continues ``held``; the last, if incomplete,
+        # is held for the next chunk
+        for i in range(0, starts.size, _WINDOW_BATCH):
+            counts = list(map(PairCounts, *(a[i:i + _WINDOW_BATCH].tolist() for a in fields)))
+            if not i and held.n:
+                counts[0] = merge(held, counts[0])
+            if i + _WINDOW_BATCH >= starts.size:
+                held = counts.pop() if counts[-1].n < w else PairCounts()
+            if counts:
+                yield counts
+    if held.n:
+        yield [held]
+
+
+# words of lag-1 products ``_window_sums`` makes at a time: 128 KiB
+_BLOCK_WORDS = 1 << 14
+
+
+def _window_sums(words: np.ndarray, pos: np.ndarray):
+    """For windows of ``_words`` from bit pos[2j] to bit pos[2j + 1]: the
+    ones and the lag-1 products x[i]*x[i+1] at i from pos[2j] to
+    pos[2j + 1] - 1, and the bit at each position.
+
+    Counts in place, so no second array of words is made: the products
+    replace the words once their popcounts are kept as bytes."""
+    idx, shift = pos >> 6, (pos & 63).astype(np.uint64)
+    ones_above = words[idx] >> shift  # the word of each position, from it up
+    word_ones = np.bitwise_count(words)
+    # a block's products need the words up to the next block's first,
+    # which is not yet replaced; a block bounds the temporaries
+    n = len(words) - 1
+    for j in range(0, n, _BLOCK_WORDS):
+        e = min(j + _BLOCK_WORDS, n)
+        words[j:e] &= (words[j:e] >> 1) | (words[j + 1:e + 1] << 63)
+    pairs_above = words[idx] >> shift
+    pairs = _set_bits_before(np.bitwise_count(words, out=words), idx, pairs_above)
+    words[:] = word_ones
+    ones = _set_bits_before(words, idx, ones_above)
+    return np.diff(ones)[0::2], np.diff(pairs)[0::2], (ones_above & 1).astype(np.int64)
+
+
+def _set_bits_before(counts: np.ndarray, idx: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The set bits before some positions, as int64: ``counts`` holds each
+    word's popcount, ``idx`` (ascending) the word of each position, and
+    ``above`` that word's bits from the position up."""
+    cuts = np.concatenate(([0], idx))
+    whole = np.add.reduceat(counts, cuts)[:-1]  # the words before idx[i], from idx[i-1]
+    # reduceat gives the element at an empty range's start, not 0
+    whole[cuts[1:] == cuts[:-1]] = 0
+    return (np.cumsum(whole) + counts[idx] - np.bitwise_count(above)).astype(np.int64)

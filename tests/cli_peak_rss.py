@@ -6,12 +6,13 @@
 For each length, generates that many ideal bits to a temporary file, then
 analyzes and monitors the file, each in a child process, and prints the
 child's peak resident set size (``ru_maxrss`` from ``os.wait4``) and CPU
-time.  ``monitor`` runs with its default windows and with windows of
-2**30 bits, longer than a 10**9-bit stream, so one window spans the whole
-file.  Exits 1 if a child's peak at any length is more than TOLERANCE_MIB
-away from the same command's peak at the first length, where both
-``monitor`` runs count as one command: the peak does not grow with the
-window either.
+time.  ``monitor`` runs with its default windows, with windows of 1024
+bits, thousands to a read, and with windows of 2**30 bits, longer than a
+10**9-bit stream, so one window spans the whole file.  Exits 1 if a
+child's peak at any length is more than TOLERANCE_MIB away from the same
+command's peak at the first length, where every ``monitor`` run is
+checked against the default-window one: the peak does not grow with the
+window, nor with the number of windows, either.
 
 A child's ``ru_maxrss`` also counts the process it was forked from, so
 this script forks the children itself and imports nothing large: run it
@@ -56,6 +57,7 @@ def main(lengths: list) -> int:
                               "--nbits", str(nbits), "--out", path]),
                 ("analyze", ["analyze", path, "--json"]),
                 ("monitor", ["monitor", path]),
+                ("monitor --window-bits 1024", ["monitor", path, "--window-bits", "1024"]),
                 ("monitor --window-bits 2**30",
                  ["monitor", path, "--window-bits", str(1 << 30)]),
             ):

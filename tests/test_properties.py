@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from randev import bitstream, estimators
+from randev import bitstream, estimators, sources, windows
 from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, read_stream
 from randev.estimators import (EstimatorError, LagAccumulator, analyze, analyze_parallel,
                                merge)
@@ -121,12 +121,14 @@ def test_analyze_pieces_equals_whole(tmp_path_factory, max_lag, piece_bits, data
     # shorter than max_lag; streams start at max_lag - 12 bits so that
     # both reports and too-short errors are drawn for every max_lag.
     # The whole is measured in one piece, the rest with a short piece
-    # size, so the fold's own cut runs too
+    # size, so the fold's own cut runs too, and with a pass budget of a
+    # few words, so the lags of one word offset split across passes
     bits, cuts = data.draw(
         bits_and_cuts(max_bits=400, max_cuts=6, min_bits=max(0, max_lag - 12)))
     seq = BitSequence.from_bits(bits)
     whole = outcome(lambda: analyze(seq, max_lag=max_lag))
-    with mock.patch.object(estimators, "_PIECE_BITS", piece_bits):
+    with mock.patch.object(estimators, "_PIECE_BITS", piece_bits), \
+         mock.patch.object(estimators, "_PASS_WORDS", data.draw(st.integers(1, 3))):
         assert outcome(lambda: analyze(seq, max_lag=max_lag)) == whole
         assert outcome(lambda: analyze(pieces(seq, cuts), max_lag=max_lag)) == whole
         assert outcome(lambda: analyze_parallel(seq, max_lag, workers=3)) == whole
@@ -180,6 +182,29 @@ def test_lag_state_streamed_and_merged_equals_whole(case, k, piece_bits):
 
 
 @FEW
+@given(st.lists(st.integers(0, 1), max_size=400),
+       st.lists(st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(1, 450)),
+                min_size=1, max_size=12, unique=True),
+       st.one_of(st.none(), st.integers(1, 3)))
+@example([1] * 130, [63, 64, 65, 127, 128, 129, 130, 400], 1)
+@example([1, 0, 1] * 43, [1, 63, 64, 65, 127, 128, 129], None)
+def test_measure_matches_unpacked_products(bits, lags, pass_words):
+    # lags on and beside the word boundaries, lags at or past the length,
+    # and pass budgets of one to three words, or the default one that
+    # puts all the lags of a word offset in one pass
+    bits = np.array(bits, dtype=np.uint8)
+    lags = tuple(sorted(lags))
+    budget = estimators._PASS_WORDS if pass_words is None else pass_words
+    with mock.patch.object(estimators, "_PASS_WORDS", budget):
+        state = estimators._measure(BitSequence.from_bits(bits), lags)
+    assert state.prods == tuple(int(np.count_nonzero(bits[:-k] & bits[k:])) for k in lags)
+    assert (state.n, state.ones) == (bits.size, int(bits.sum()))
+    edge = min(lags[-1], bits.size)
+    assert state.head == int("".join(map(str, bits[:edge][::-1])) or "0", 2)
+    assert state.tail == int("".join(map(str, bits[bits.size - edge:][::-1])) or "0", 2)
+
+
+@FEW
 @given(st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 1027])), st.data())
 def test_window_counts_equal_accumulate(w, data):
     # windows from one bit up, on and beside the 64-bit words, over a
@@ -193,21 +218,21 @@ def test_window_counts_equal_accumulate(w, data):
     steps = data.draw(st.lists(st.one_of(st.just(1), st.integers(1, 70)), min_size=1, max_size=5))
     cuts = [0, *itertools.takewhile(lambda c: c < n, itertools.accumulate(
         8 * steps[i % len(steps)] for i in itertools.count())), n]
-    read = 0  # bits handed out so far
+    got = []
 
     def chunks():
-        nonlocal read
         for a, b in zip(cuts, cuts[1:]):
-            read = b
+            # every window the chunks so far complete is given before the
+            # next chunk is read; the incomplete one follows the last chunk
+            assert len(got) == a // w
             yield seq[a:b]
 
-    got = []
-    with mock.patch.object(estimators, "_BLOCK_WORDS", data.draw(st.integers(1, 3))):
-        for windows in estimators._window_counts(chunks(), w):
-            got += windows
-            # a window is given with the chunk that completes it, not
-            # later; the incomplete one follows the last chunk
-            assert len(got) == read // w or (read == n and len(got) == -(-n // w))
+    # a few windows per batch, so a chunk's windows come in several
+    with mock.patch.object(windows, "_BLOCK_WORDS", data.draw(st.integers(1, 3))), \
+         mock.patch.object(windows, "_WINDOW_BATCH", data.draw(st.integers(1, 3))):
+        for batch in windows._window_counts(chunks(), w):
+            assert 0 < len(batch) <= windows._WINDOW_BATCH
+            got += batch
     assert got == [estimators.accumulate(estimators.PairCounts(), seq[i:i + w])
                    for i in range(0, n, w)]
 
@@ -413,3 +438,28 @@ def test_xorshift_matches_scalar_recurrence(seed, n, steps):
     for a, b in zip([0, *cuts], [*cuts, n]):
         assert src.generate(b - a) == oracle.generate(b - a)
         assert src._x == oracle.x
+
+
+@pytest.mark.parametrize("config, built", [
+    (SourceConfig.ideal(seed=1), {"_gamma_steps"}),
+    (SourceConfig.deadtime(1.0, 0.5, seed=1), {"_gamma_steps"}),
+    (SourceConfig.markov(0.1, 0.2, seed=1), {"_gamma_steps", "_markov_positions"}),
+    (SourceConfig.markov(0.1, -0.2, seed=1), {"_gamma_steps", "_markov_positions", "_flip_parity"}),
+    (SourceConfig.xorshift64(seed=1), {"_xorshift_tables"}),
+], ids=["ideal", "deadtime", "markov_carry", "markov_flip", "xorshift64"])
+def test_cached_source_tables_are_shared_and_read_only(config, built):
+    # each kind builds only the tables it uses, once per process, and
+    # every source shares them, so none may be written to
+    tables = [getattr(sources, name) for name in
+              ("_gamma_steps", "_markov_positions", "_flip_parity", "_xorshift_tables")]
+    for table in tables:
+        table.cache_clear()
+    first = generate(config, 3000)
+    assert {t.__name__ for t in tables if t.cache_info().currsize} == built
+    for table in tables:
+        if table.cache_info().currsize:
+            assert not table().flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table()[0] = 0
+    assert generate(config, 3000) == first
+
