@@ -2,10 +2,12 @@
 
 The package is organized as a pipeline:
 
+* ``config``      -- source configurations and their checks; no numpy.
 * ``bitstream``   -- packed bit sequences and file I/O.
 * ``sources``     -- seeded simulators of ideal, biased, correlated,
                      dead-time-afflicted, and deterministic bit sources.
-* ``model``       -- closed-form expected statistics for every source.
+* ``model``       -- closed-form expected statistics for every source;
+                     needs only ``config``, so it loads no numpy.
 * ``estimators``  -- one-pass, mergeable measurements of real streams.
 * ``windows``     -- the fixed-window counts ``randev monitor`` prints.
 * ``experiments`` -- reproducible sweeps and demos built on the above.
@@ -14,7 +16,11 @@ The package is organized as a pipeline:
 Each stage loads on first use: ``import randev`` imports no stage, and
 the first access to a public name, or to a stage itself, imports the
 module it lives in, so a program that only generates bits never loads
-the estimators.
+the estimators, and one that only configures sources or evaluates the
+model never loads numpy.  The records (``SourceConfig``,
+``ModelPrediction``, ``AnalysisReport`` and the rest) are
+``NamedTuple``s: ``_replace`` makes a changed copy, ``_asdict`` gives
+the fields in order, and a record equals the plain tuple of its fields.
 """
 
 import importlib
@@ -23,6 +29,10 @@ __version__ = "0.1.0"
 
 # every public name, by the stage that defines it
 _STAGES = {
+    "config": (
+        "DEADTIME_MODES", "SOURCE_KINDS", "ParameterError", "SourceConfig", "TransitionMatrix",
+        "markov_transition_matrix",
+    ),
     "bitstream": ("BitSequence", "concat", "from_raw_bytes", "read_file", "write_file"),
     "estimators": (
         "AnalysisReport", "DegenerateSequenceError", "EmptyInputError", "EstimatorError",
@@ -40,10 +50,7 @@ _STAGES = {
         "deviation_sigma", "markov_prediction", "mi_exact_unbiased", "mi_parabolic", "n_max",
         "predict_source",
     ),
-    "sources": (
-        "DEADTIME_MODES", "SOURCE_KINDS", "ParameterError", "Source", "SourceConfig",
-        "TransitionMatrix", "generate", "markov_transition_matrix",
-    ),
+    "sources": ("Source", "generate"),
     "windows": (),
 }
 _HOME = {name: stage for stage, names in _STAGES.items() for name in names}

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from randev.config import _FORMATS
+
 __all__ = ["BitSequence", "concat", "from_raw_bytes", "read_file", "read_stream",
            "write_file", "write_stream"]
-
-_FORMATS = ("raw", "ascii")
 
 # the bits of one piece of a stream: what ``_pieces`` cuts for the
 # estimators' fold, and what ``generate`` makes and writes at a time

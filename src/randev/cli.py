@@ -26,16 +26,16 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
-# the parser needs only these two stages; each command imports the
-# others it runs, so ``generate`` never loads the estimators
-from randev.bitstream import _FORMATS, _PIECE_BITS, read_stream, write_stream
-from randev.sources import DEADTIME_MODES, SOURCE_KINDS, ParameterError, Source, SourceConfig
+# the parser needs only the numpy-free config layer; each command imports
+# the stages it runs, so ``--help``, ``predict`` and ``nmax`` load no
+# numpy, ``analyze`` and ``monitor`` no generators, and ``generate`` no
+# estimators
+from randev.config import _FORMATS, DEADTIME_MODES, SOURCE_KINDS, ParameterError, SourceConfig
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
 
@@ -54,8 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(NamedTuple):
     """Windowing and alarm settings for the stream monitor."""
 
     window_bits: int = 1 << 20
@@ -120,6 +119,8 @@ def _config_from_args(args: argparse.Namespace) -> SourceConfig:
 
 def _input_chunks(path: str, format: str, nbits: int | None):
     """The chunks of a bit file, or of stdin for ``-``, read as they are used."""
+    from randev.bitstream import read_stream
+
     if path == "-":
         if format != "raw":
             raise ParameterError("stdin input supports only the raw format")
@@ -128,6 +129,9 @@ def _input_chunks(path: str, format: str, nbits: int | None):
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from randev.bitstream import _PIECE_BITS, write_stream
+    from randev.sources import Source
+
     source, n = Source(_config_from_args(args)), args.nbits
     # made before the file is opened, so a bad count leaves no file
     first = source.generate(min(n, _PIECE_BITS))
@@ -158,6 +162,8 @@ def _report_lines(doc: dict) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    import json
+
     from randev.estimators import analyze
 
     chunks = _input_chunks(args.file, args.format, args.nbits)
@@ -167,10 +173,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    import json
+
     from randev.model import predict_source
 
     prediction = predict_source(_config_from_args(args))
-    print(json.dumps(asdict(prediction), indent=2))
+    print(json.dumps(prediction._asdict(), indent=2))
     return 0
 
 
@@ -197,6 +205,7 @@ def _monitor_stream(fh, config: MonitorConfig) -> int:
     The lines of the windows each read completes are written and flushed
     in batches of ``windows._WINDOW_BATCH``, all before the next read, so
     a pipe reader sees a line once its window's bits arrive."""
+    from randev.bitstream import read_stream
     from randev.estimators import deviation_plugin
     from randev.model import deviation_sigma
     from randev.windows import _window_counts
@@ -261,6 +270,8 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def cmd_concat(args: argparse.Namespace) -> int:
+    from randev.bitstream import read_stream, write_stream
+
     chunks = (c for path in args.inputs for c in read_stream(path, args.format))
     nbits = _replace(args.out, lambda fh: write_stream(chunks, fh, args.format))
     print(f"wrote {nbits} bits to {args.out}")

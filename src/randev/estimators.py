@@ -38,7 +38,7 @@ import itertools
 import math
 import os
 from collections import deque, namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +84,7 @@ class DegenerateSequenceError(EstimatorError):
     """The sequence is constant, so normalized correlations are undefined."""
 
 
-@dataclass(frozen=True)
-class PairCounts:
+class PairCounts(NamedTuple):
     """Counts of bits, one-bits, and adjacent (previous, next) pairs.
 
     ``first_bit`` and ``last_bit`` are the lag-1 state's edge bits, so
@@ -431,15 +430,13 @@ def _deviation(cond_entropy: float) -> float:
     return 1.0 if d > 1.0 else d
 
 
-@dataclass(frozen=True)
-class LagEstimate:
+class LagEstimate(NamedTuple):
     lag: int
     value: float
     sigma: float
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Every measured quantity for one stream.
 
     ``deviation_plugin`` comes from the conditional-entropy route;

@@ -19,9 +19,10 @@ All outputs are deterministic functions of their arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from randev.bitstream import concat
+from randev.config import ParameterError, SourceConfig
 from randev.estimators import (
     AnalysisReport,
     PairCounts,
@@ -35,7 +36,7 @@ from randev.model import (
     mi_exact_unbiased,
     mi_parabolic,
 )
-from randev.sources import ParameterError, Source, SourceConfig, generate
+from randev.sources import Source, generate
 
 __all__ = [
     "GridRow",
@@ -54,8 +55,7 @@ __all__ = [
 _MAX_ROWS = 10**6  # largest grid or curve built, checked before the loop
 
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     """One (bias, a1) grid point; empirical fields set only when a
     stream was generated for the point."""
 
@@ -69,8 +69,7 @@ class GridRow:
     z_score: float | None = None
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(NamedTuple):
     step: float
     rows: tuple[GridRow, ...]
     max_relative_error: float
@@ -83,15 +82,13 @@ class GridResult:
         return max(abs(row.z_score) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     a1: float
     mi_exact: float
     mi_approx: float
 
 
-@dataclass(frozen=True)
-class PrngDemo:
+class PrngDemo(NamedTuple):
     """Per-bit statistics of a deterministic generator next to its true
     information bound."""
 

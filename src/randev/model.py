@@ -12,9 +12,9 @@ one closed form for the entropies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from randev.sources import (
+from randev.config import (
     DEADTIME_MODES,
     ParameterError,
     SourceConfig,
@@ -110,8 +110,7 @@ def mi_parabolic(a1: float) -> float:
     return deviation_quadratic(0.0, a1)
 
 
-@dataclass(frozen=True)
-class ModelPrediction:
+class ModelPrediction(NamedTuple):
     """Expected values of every measured quantity for one source setup.
 
     ``deviation_exact`` is 1 - cond_entropy; ``deviation_approx`` is

@@ -38,38 +38,26 @@ first builds none.
 A live Source carries its state across calls: generate(n1) followed by
 generate(n2) emits exactly the bits of a fresh identically-configured
 source asked for n1 + n2 bits.
+
+A source's parameters, ``SourceConfig``, and their checks live in the
+numpy-free ``randev.config``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from randev.bitstream import BitSequence, concat
+from randev.config import _MASK64, ParameterError, SourceConfig, markov_transition_matrix
 
-__all__ = [
-    "ParameterError",
-    "RngState",
-    "SourceConfig",
-    "TransitionMatrix",
-    "Source",
-    "splitmix_next",
-    "markov_transition_matrix",
-    "generate",
-    "SOURCE_KINDS",
-    "DEADTIME_MODES",
-]
+__all__ = ["Source", "generate"]
 
-_MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-SOURCE_KINDS = ("ideal", "bernoulli", "splitter", "markov", "deadtime", "xorshift64")
-DEADTIME_MODES = ("reroute", "loss")
 
 # photons per dead-time chunk; a chunk always simulates a whole block,
 # so the detector state changes only at block ends, and takes two draws
@@ -87,193 +75,15 @@ _BYTE_ROWS = np.arange(0, 8 * 256, 256, dtype=np.uint16)[:, None]
 # the dead-time value of a lost photon, beside the bits 0 and 1
 _LOST = 2
 
-# the dead-time simulator spends about tau_d/(2 tau) photons per emitted bit
-_MAX_DEAD_RATIO = 1e4
-
-
-class ParameterError(ValueError):
-    """A source or model parameter is outside its admissible domain."""
-
-
-@dataclass(frozen=True)
-class RngState:
-    """State of the base deterministic generator (SplitMix64)."""
-
-    s: int
-
-    def __post_init__(self):
-        if not 0 <= self.s <= _MASK64:
-            raise ParameterError(f"rng state must be a 64-bit unsigned value, got {self.s}")
-
-
-def splitmix_next(state: RngState) -> tuple[RngState, int]:
-    """Advance SplitMix64 by one step.
-
-    The recurrence, bit-exact: s += 0x9E3779B97F4A7C15 (mod 2**64);
-    z = s; z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9; z = (z ^ (z >> 27))
-    * 0x94D049BB133111EB; output z ^ (z >> 31).
-
-    Returns:
-        (new state, 64-bit output value).
-    """
-    s = (state.s + _GAMMA) & _MASK64
-    z = s
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return RngState(s), z ^ (z >> 31)
-
-
-def uniform_from_output(value: int) -> float:
-    """Map a 64-bit generator output to a uniform real in [0, 1)."""
-    return (value >> 11) * 2.0**-53
-
 
 def _threshold(p: float) -> int:
-    """The integer T with ``(z >> 11) < T`` exactly when ``uniform_from_output(z) < p``.
+    """The integer T with ``(z >> 11) < T`` exactly when ``(z >> 11) * 2**-53 < p``,
+    the uniform in [0, 1) that a 64-bit output z stands for.
 
     ``(z >> 11) * 2**-53`` and ``p * 2**53`` are exact floats, and an
     integer is below a real exactly when it is below that real's ceiling.
     """
     return max(0, math.ceil(p * 2.0**53))
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Two-state chain: transition probabilities to 1 and stationary weights."""
-
-    p1_given_0: float
-    p1_given_1: float
-    pi0: float
-    pi1: float
-
-
-def markov_transition_matrix(b: float, a1: float) -> TransitionMatrix:
-    """Build the two-state chain with bias b and lag-1 autocorrelation a1.
-
-    With p1 = (1+b)/2 and p0 = (1-b)/2 the chain
-    p1_given_0 = p1*(1-a1), p1_given_1 = p1 + a1*p0 has stationary
-    distribution (p0, p1), lag-1 autocorrelation exactly a1, and lag-k
-    autocorrelation a1**k (a1 is the second eigenvalue).
-
-    Raises:
-        ParameterError: if |b| >= 1 or a1 falls outside the admissible
-            interval [-(1-|b|)/(1+|b|), 1], which is required for all four
-            transition probabilities to stay in [0, 1].
-    """
-    if not -1.0 < b < 1.0:
-        raise ParameterError(f"bias b={b} must satisfy |b| < 1")
-    lo = -(1.0 - abs(b)) / (1.0 + abs(b))
-    if not lo <= a1 <= 1.0:
-        raise ParameterError(
-            f"a1={a1} outside admissible interval [{lo:.6g}, 1] for bias b={b}"
-        )
-    p1 = (1.0 + b) / 2.0
-    p0 = (1.0 - b) / 2.0
-    return TransitionMatrix(
-        p1_given_0=p1 * (1.0 - a1),
-        p1_given_1=p1 + a1 * p0,
-        pi0=p0,
-        pi1=p1,
-    )
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    """Parameterization of one source. Use the per-kind constructors."""
-
-    kind: str
-    p: float | None = None
-    b: float | None = None
-    a1: float | None = None
-    tau: float | None = None
-    tau_d: float | None = None
-    seed: int = 0
-    deadtime_mode: str = "reroute"
-
-    @classmethod
-    def ideal(cls, seed: int = 0) -> "SourceConfig":
-        return cls(kind="ideal", seed=seed)
-
-    @classmethod
-    def bernoulli(cls, p: float, seed: int = 0) -> "SourceConfig":
-        return cls(kind="bernoulli", p=p, seed=seed)
-
-    @classmethod
-    def splitter(cls, b: float, seed: int = 0) -> "SourceConfig":
-        return cls(kind="splitter", b=b, seed=seed)
-
-    @classmethod
-    def markov(cls, b: float, a1: float, seed: int = 0) -> "SourceConfig":
-        return cls(kind="markov", b=b, a1=a1, seed=seed)
-
-    @classmethod
-    def deadtime(cls, tau: float, tau_d: float, seed: int = 0,
-                 mode: str = "reroute") -> "SourceConfig":
-        """Event-driven two-detector pair with dead time.
-
-        Photon arrivals advance by dt = -tau*ln(1-u); each photon is routed
-        to detector 0 or 1 with probability 1/2.  In ``reroute`` mode
-        (default) a photon whose routed detector is dead is detected by the
-        other detector when that one is live, and lost only when both are
-        dead.  In ``loss`` mode it is simply lost.  A detection emits the
-        detector's label and sets that detector dead until arrival + tau_d.
-        """
-        return cls(kind="deadtime", tau=tau, tau_d=tau_d, seed=seed,
-                   deadtime_mode=mode)
-
-    @classmethod
-    def xorshift64(cls, seed: int) -> "SourceConfig":
-        """The xorshift64 state stream (s ^= s<<13; s ^= s>>7; s ^= s<<17).
-
-        Each state update emits its 64 bits least-significant-first; the
-        stream is fully determined by the 64-bit seed, so its total
-        information content is bounded by 64 bits no matter how long it runs.
-        """
-        return cls(kind="xorshift64", seed=seed)
-
-    def with_seed(self, seed: int) -> "SourceConfig":
-        return replace(self, seed=seed)
-
-    def validate(self) -> None:
-        """Raise ParameterError unless the configuration is admissible."""
-        if self.kind not in SOURCE_KINDS:
-            raise ParameterError(
-                f"unknown source kind {self.kind!r}: expected one of {SOURCE_KINDS}"
-            )
-        if not 0 <= self.seed <= _MASK64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.kind == "bernoulli":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ParameterError(f"bernoulli requires 0 <= p <= 1, got p={self.p}")
-        elif self.kind == "splitter":
-            if self.b is None or not -1.0 < self.b < 1.0:
-                raise ParameterError(f"splitter requires |b| < 1, got b={self.b}")
-        elif self.kind == "markov":
-            if self.b is None or self.a1 is None:
-                raise ParameterError("markov requires both b and a1")
-            markov_transition_matrix(self.b, self.a1)
-        elif self.kind == "deadtime":
-            if self.tau is None or not 0 < self.tau < math.inf:
-                raise ParameterError(
-                    f"deadtime requires finite tau > 0, got tau={self.tau}"
-                )
-            if self.tau_d is None or not 0 <= self.tau_d < math.inf:
-                raise ParameterError(
-                    f"deadtime requires finite tau_d >= 0, got tau_d={self.tau_d}"
-                )
-            if self.tau_d > _MAX_DEAD_RATIO * self.tau:
-                raise ParameterError(
-                    f"deadtime requires tau_d/tau <= {_MAX_DEAD_RATIO:g} (about "
-                    f"tau_d/(2 tau) photons are spent per bit), got "
-                    f"tau_d/tau={self.tau_d / self.tau:.6g}"
-                )
-            if self.deadtime_mode not in DEADTIME_MODES:
-                raise ParameterError(
-                    f"deadtime mode {self.deadtime_mode!r} not one of {DEADTIME_MODES}"
-                )
-        elif self.kind == "xorshift64":
-            if self.seed == 0:
-                raise ParameterError("xorshift64 requires a nonzero seed")
 
 
 class Source:

@@ -14,6 +14,11 @@ command's peak at the first length, where every ``monitor`` run is
 checked against the default-window one: the peak does not grow with the
 window, nor with the number of windows, either.
 
+First it runs ``randev --help`` and ``randev predict``, which load no
+numpy, and a bare ``import numpy``; it exits 1 unless each of the two
+commands peaks below the bare import, so a stray numpy import on their
+path fails.
+
 A child's ``ru_maxrss`` also counts the process it was forked from, so
 this script forks the children itself and imports nothing large: run it
 as its own process, not inside a test runner.
@@ -27,19 +32,20 @@ import tempfile
 TOLERANCE_MIB = 4.0
 
 
-def child(argv: list, ok_codes=(0,)) -> dict:
-    """Run ``randev`` with argv in a forked child; its peak RSS and CPU time.
-    An exit code outside ``ok_codes`` (a monitor alarm is 2) fails the run."""
+def child(argv: list, ok_codes=(0,), python=("-m", "randev.cli")) -> dict:
+    """Run ``randev`` with argv (or the interpreter with ``python`` and
+    argv) in a forked child; its peak RSS and CPU time.  An exit code
+    outside ``ok_codes`` (a monitor alarm is 2) fails the run."""
     pid = os.fork()
     if pid == 0:
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-            os.execv(sys.executable, [sys.executable, "-m", "randev.cli", *argv])
+            os.execv(sys.executable, [sys.executable, *python, *argv])
         finally:
             os._exit(127)
     _, status, usage = os.wait4(pid, 0)
     if os.waitstatus_to_exitcode(status) not in ok_codes:
-        sys.exit(f"randev {' '.join(argv)} failed with status {status}")
+        sys.exit(f"{' '.join([*python, *argv])} failed with status {status}")
     return {"peak_mib": usage.ru_maxrss / 1024,  # KiB on Linux
             "cpu_s": usage.ru_utime + usage.ru_stime}
 
@@ -48,7 +54,17 @@ def main(lengths: list) -> int:
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.normpath(src), os.environ.get("PYTHONPATH")) if p)
+    row = {"command": "import numpy", "nbits": None, **child(["import numpy"], python=("-c",))}
+    numpy_peak = row["peak_mib"]
+    print(json.dumps({**row, "ok": True}))
     first, failed = {}, False
+    for command, argv in (("--help", ["--help"]),
+                          ("predict", ["predict", "--source", "deadtime", "--tau", "1",
+                                       "--dead-time", "0.5"])):
+        row = {"command": command, "nbits": None, **child(argv)}
+        row["ok"] = row["peak_mib"] < numpy_peak
+        failed |= not row["ok"]
+        print(json.dumps(row))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ideal.bits")
         for nbits in lengths:

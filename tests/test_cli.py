@@ -62,7 +62,7 @@ class TestGenerate:
         # generate writes each piece of one live source as it is made
         path = tmp_path / "s"
         for piece_bits in (8, 64, 4096):
-            monkeypatch.setattr(cli, "_PIECE_BITS", piece_bits)
+            monkeypatch.setattr(bitstream, "_PIECE_BITS", piece_bits)
             for format in ("raw", "ascii"):
                 code, _, _ = run(capsys, "generate", "--source", "xorshift64", "--seed", "3",
                                  "--nbits", "10001", "--out", str(path), "--format", format)
@@ -635,12 +635,14 @@ class TestMemory:
         # forked generate, analyze and monitor children at 2^23 and 2^27
         # bits, monitor also with 1024-bit windows and with one window
         # longer than either stream: the script checks each command's peaks
-        # are within 4 MiB of each other
+        # are within 4 MiB of each other, and that --help and predict peak
+        # below a bare numpy import
         script = Path(__file__).with_name("cli_peak_rss.py")
         done = subprocess.run([sys.executable, str(script), str(2**23), str(2**27)],
                               capture_output=True, text=True, timeout=300)
         rows = [json.loads(line) for line in done.stdout.splitlines()]
         assert [(r["command"], r["nbits"]) for r in rows] == [
+            ("import numpy", None), ("--help", None), ("predict", None)] + [
             (command, nbits) for nbits in (2**23, 2**27)
             for command in ("generate", "analyze", "monitor", "monitor --window-bits 1024",
                             "monitor --window-bits 2**30")]
@@ -662,28 +664,44 @@ def fresh(code: str):
 
 
 def modules_after(argv):
+    """The modules a fresh interpreter holds after ``randev`` ran argv."""
     return set(fresh("import json, sys\n"
                      "from randev.cli import main\n"
-                     f"assert main({argv!r}) == 0\n"
+                     "try:\n"
+                     f"    code = main({argv!r})\n"
+                     "except SystemExit as exc:\n"
+                     "    code = exc.code\n"
+                     "assert code == 0\n"
                      "print(json.dumps(sorted(sys.modules)))\n"))
 
 
 class TestImports:
     """Each command loads only the stages it runs."""
 
-    def test_generate_loads_no_estimators(self, tmp_path):
-        loaded = modules_after(["generate", "--source", "xorshift64", "--seed", "1",
-                                "--nbits", "1000", "--out", str(tmp_path / "x.bits")])
-        assert "randev.sources" in loaded
-        assert not loaded & {"randev.estimators", "randev.experiments", "randev.model",
-                             "concurrent.futures"}
-
-    def test_analyze_loads_no_experiments(self, tmp_path):
-        path = tmp_path / "x.bits"
-        path.write_bytes(generate(SourceConfig.ideal(seed=1), 4096).data)
-        loaded = modules_after(["analyze", str(path)])
-        assert "randev.estimators" in loaded
-        assert not loaded & {"randev.experiments", "randev.windows"}
+    @pytest.mark.parametrize("argv, needs, shuns", [
+        # the parser and the closed forms need no numpy
+        (["--help"], {"randev.config"}, {"numpy", "randev.bitstream", "randev.model"}),
+        (["predict", "--source", "deadtime", "--tau", "1", "--dead-time", "0.5"],
+         {"randev.model"}, {"numpy", "randev.bitstream"}),
+        (["nmax", "--a1", "0.01"], {"randev.model"}, {"numpy", "randev.bitstream"}),
+        # measuring a stream runs no generator
+        (["analyze", "{bits}"], {"randev.estimators"},
+         {"randev.sources", "randev.experiments", "randev.windows"}),
+        (["monitor", "{bits}", "--window-bits", "1024"], {"randev.windows"},
+         {"randev.sources", "randev.experiments"}),
+        # generating one runs no estimator
+        (["generate", "--source", "xorshift64", "--seed", "1", "--nbits", "1000",
+          "--out", "{out}"], {"randev.sources"},
+         {"randev.estimators", "randev.windows", "randev.model", "randev.experiments",
+          "concurrent.futures"}),
+    ], ids=["help", "predict", "nmax", "analyze", "monitor", "generate"])
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, needs, shuns):
+        bits = tmp_path / "x.bits"
+        bits.write_bytes(generate(SourceConfig.ideal(seed=1), 4096).data)
+        loaded = modules_after([a.format(bits=bits, out=tmp_path / "y.bits") for a in argv])
+        assert needs <= loaded
+        # no record type is a dataclass, whose definition compiles code
+        assert loaded & (shuns | {"dataclasses"}) == set()
 
     def test_star_import_binds_all_from_home_modules(self):
         # a name's home is the stage whose __all__ lists it; model's
@@ -695,7 +713,8 @@ class TestImports:
             "exec('from randev import *', bound)\n"
             "bound.pop('__builtins__')\n"
             "stages = [importlib.import_module('randev.' + s) for s in\n"
-            "          ('bitstream', 'sources', 'model', 'estimators', 'experiments')]\n"
+            "          ('config', 'bitstream', 'sources', 'model', 'estimators',\n"
+            "           'experiments')]\n"
             "mismatched = [n for n in randev.__all__\n"
             "              if not any(n in m.__all__ for m in stages)\n"
             "              or any(n in m.__all__ and bound[n] is not getattr(m, n)\n"

@@ -17,8 +17,9 @@ from randev import bitstream, estimators, sources, windows
 from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, read_stream
 from randev.estimators import (EstimatorError, LagAccumulator, analyze, analyze_parallel,
                                merge)
-from randev.sources import (RngState, Source, SourceConfig, _threshold, generate,
-                            markov_transition_matrix, splitmix_next, uniform_from_output)
+from randev.sources import (Source, SourceConfig, _threshold, generate,
+                            markov_transition_matrix)
+from splitmix_oracle import RngState, splitmix_next, uniform_from_output
 
 FEW = settings(max_examples=60, deadline=None)
 

@@ -14,14 +14,12 @@ import randev
 from randev.bitstream import BitSequence, concat
 from randev.sources import (
     ParameterError,
-    RngState,
     Source,
     SourceConfig,
     generate,
     markov_transition_matrix,
-    splitmix_next,
-    uniform_from_output,
 )
+from splitmix_oracle import RngState, splitmix_next, uniform_from_output
 
 # golden values computed by direct evaluation of the stated recurrence
 SPLITMIX_SEED0_FIRST3 = (
