@@ -247,11 +247,11 @@ def read_stream(source, format: str = "raw", nbits_override: int | None = None):
             checked to its end.
 
     Each read makes one chunk: what one read of the file returns, up to
-    _READ_BYTES bytes, so a pipe's bits come as they arrive.  A path is
-    opened when the first chunk is asked for.  Errors are raised as the
-    reads meet them: a bad character with its chunk, and an override
-    outside [0, bits available] once the file is read to its end, after
-    every chunk before it.
+    _READ_BYTES bytes, so a pipe's bits come as they arrive.  When the
+    first chunk is asked for, a negative override fails before any read;
+    else a path is opened.  Errors of the file are raised as the reads
+    meet them: a bad character with its chunk, and an override past the
+    bits available once the file is read to its end.
     """
     _check_format(format)
     return _first_bits(_chunks(source, format, nbits_override), nbits_override)
@@ -270,10 +270,10 @@ def _chunks(source, format: str, nbits: int | None, whole: bool = False):
         while block := read(_READ_BYTES):
             yield _from_ascii_bytes(block)
         return
-    # a count in range needs only its own bytes, read a chunk at a time: a
-    # read allocates what it asks for, and a count may be past the file's
-    # end or any index; any other count, -1, needs all
-    left = -(-nbits // 8) if nbits is not None and nbits >= 0 else -1
+    # a count needs only its own bytes, read a chunk at a time: a read
+    # allocates what it asks for, and a count may be past the file's end
+    # or any index; no count, -1, needs all
+    left = -1 if nbits is None else -(-nbits // 8)
     read, size = (source.read, -1) if whole and left < 0 else (read, _READ_BYTES)
     while left and (block := read(size if left < 0 else min(left, size))):
         left -= len(block)
@@ -310,14 +310,16 @@ def _first_bits(chunks, nbits_override: int | None):
     if nbits_override is None:
         yield from chunks
         return
-    owed, total = max(nbits_override, 0), 0
+    if nbits_override < 0:
+        raise ValueError(f"nbits_override={nbits_override} must be non-negative")
+    owed, total = nbits_override, 0
     for chunk in chunks:
         total += chunk.nbits
         if owed:
             part = chunk[:owed]
             owed -= part.nbits
             yield part
-    if not 0 <= nbits_override <= total:
+    if nbits_override > total:
         raise ValueError(f"nbits_override={nbits_override} outside [0, {total}]")
 
 

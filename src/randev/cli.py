@@ -32,9 +32,9 @@ import sys
 from typing import NamedTuple
 
 # the parser needs only the numpy-free config layer; each command imports
-# the stages it runs, so ``--help``, ``predict`` and ``nmax`` load no
-# numpy, ``analyze`` and ``monitor`` no generators, and ``generate`` no
-# estimators
+# the stages it runs, so ``--help``, ``predict``, ``nmax``, ``fig2`` and
+# ``validate-approx`` load no numpy, ``analyze`` and ``monitor`` no
+# generators, and ``generate`` no estimators
 from randev.config import _FORMATS, DEADTIME_MODES, SOURCE_KINDS, ParameterError, SourceConfig
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
@@ -210,7 +210,6 @@ def _monitor_stream(fh, config: MonitorConfig) -> int:
     from randev.model import deviation_sigma
     from randev.windows import _window_counts
 
-    config.validate()
     w = config.window_bits
     alarmed, index = False, 0
     for windows in _window_counts(read_stream(fh), w):
@@ -237,6 +236,7 @@ def _monitor_stream(fh, config: MonitorConfig) -> int:
 def cmd_monitor(args: argparse.Namespace) -> int:
     config = MonitorConfig(args.window_bits, args.sigma_k,
                            args.deviation_threshold)
+    config.validate()  # before the input is opened: it may be missing
     if args.file == "-":
         return _monitor_stream(sys.stdin.buffer, config)
     with open(args.file, "rb") as fh:

@@ -473,32 +473,24 @@ class AnalysisReport(NamedTuple):
         }
 
 
-def _check_lags(max_lag: int, n: int | None) -> None:
-    """Reject a max_lag below 1, or one too long for n bits if n is known."""
+def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
+    """The report of the chunks' lag state, measured through ``mapper``:
+    the one check of max_lag, made before any chunk is read, and of the
+    stream's length."""
     if max_lag < 1:
         raise EstimatorError(f"max_lag={max_lag} must be at least 1")
-    if n is not None and n < max_lag + 2:
-        raise InsufficientDataError(
-            f"analysis up to lag {max_lag} needs at least {max_lag + 2} "
-            f"bits, got {n}"
-        )
-
-
-def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
-    """The report of the chunks' lag state, measured through ``mapper``."""
-    chunks = iter(chunks)
-    if max_lag < 1:
-        # no lag state exists; an error in the input is raised first
-        deque(chunks, maxlen=0)
     # the chunks that hold the max_lag + 2 bits a report needs, or the
     # whole stream if it is shorter: it then fails before any measure
+    chunks = iter(chunks)
     ahead, seen = [], 0
     for chunk in chunks:
         ahead.append(chunk)
         seen += chunk.nbits
         if seen >= max_lag + 2:
             break
-    _check_lags(max_lag, None if seen >= max_lag + 2 else seen)
+    else:
+        raise InsufficientDataError(
+            f"analysis up to lag {max_lag} needs at least {max_lag + 2} bits, got {seen}")
     state = _fold(_empty(tuple(range(1, max_lag + 1))), itertools.chain(ahead, chunks), mapper)
     counts = _pair_counts(state)
     bias_hat, bias_sigma = bias_estimate(counts)
@@ -527,11 +519,11 @@ def analyze(data, max_lag: int = 8) -> AnalysisReport:
 
     ``data`` is one BitSequence or an iterable of BitSequence chunks in
     stream order, such as ``bitstream.read_stream`` of a file; chunked
-    input produces the identical report.  An iterable is read once, a
-    piece at a time, and a too-short one fails once its end is read.
+    input produces the identical report.  A max_lag below 1 fails before
+    any chunk is read.  An iterable is read once, a piece at a time, and
+    a too-short one fails once its end is read.
     """
     if isinstance(data, BitSequence):
-        _check_lags(max_lag, data.nbits)
         data = [data]
     return _report(data, max_lag, map)
 
@@ -545,7 +537,6 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
     are cut and in flight at once.  The same ordered fold merges them, so
     the report equals analyze()'s field for field.
     """
-    _check_lags(max_lag, seq.nbits)
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
@@ -553,7 +544,9 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
     # imported here: its logging import would cost every other call
     from concurrent.futures import ThreadPoolExecutor
 
-    threads = min(workers, -(-seq.nbits // _PIECE_BITS))
+    # at least one thread, as a pool needs; it starts them only as work is
+    # submitted, so an input that fails its checks starts none
+    threads = max(1, min(workers, -(-seq.nbits // _PIECE_BITS)))
     with ThreadPoolExecutor(threads) as pool:
         return _report([seq], max_lag,
                        lambda fn, pieces: _map_ahead(pool, 2 * threads, fn, pieces))

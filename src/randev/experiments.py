@@ -19,24 +19,21 @@ All outputs are deterministic functions of their arguments.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from randev.bitstream import concat
+# the stages that make and measure streams load numpy, so the functions
+# that run them import them; the closed forms of ``fig2_curve`` and of
+# ``validate_approx`` without n_bits need only the model
 from randev.config import ParameterError, SourceConfig
-from randev.estimators import (
-    AnalysisReport,
-    PairCounts,
-    accumulate,
-    analyze,
-    deviation_plugin,
-)
 from randev.model import (
     deviation_sigma,
     markov_prediction,
     mi_exact_unbiased,
     mi_parabolic,
 )
-from randev.sources import Source, generate
+
+if TYPE_CHECKING:
+    from randev.estimators import AnalysisReport
 
 __all__ = [
     "GridRow",
@@ -122,6 +119,9 @@ def validate_approx(grid_step: float, n_bits: int | None = None,
         raise ParameterError(f"n_bits={n_bits} must be at least 2")
     side = 0.2 / grid_step + 1
     _check_rows(side * side - 1, f"grid_step={grid_step}")
+    if n_bits is not None:
+        from randev.estimators import PairCounts, accumulate, deviation_plugin
+        from randev.sources import generate
     span = math.floor(0.1 / grid_step + 1e-9)
     rows = []
     worst = 0.0
@@ -203,6 +203,10 @@ def concat_property(config: SourceConfig, lengths, seed: int | None = None) -> b
     ``lengths`` is the partition n_1..n_m; a seed given here overrides
     the one in config.
     """
+    from randev.bitstream import concat
+    from randev.estimators import PairCounts, accumulate, analyze
+    from randev.sources import Source, generate
+
     lengths = [int(n) for n in lengths]
     if any(n < 0 for n in lengths):
         raise ParameterError("partition lengths must be non-negative")
@@ -229,6 +233,9 @@ def prng_demo(seed: int, n_bits: int) -> PrngDemo:
     A 64-bit seed can supply at most 64/n_bits bits of entropy per
     emitted bit, no matter how clean the measured statistics look.
     """
+    from randev.estimators import analyze
+    from randev.sources import generate
+
     if n_bits < 64:
         raise ParameterError(f"n_bits={n_bits} must be at least 64")
     config = SourceConfig.xorshift64(seed=seed)

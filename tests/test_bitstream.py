@@ -126,11 +126,39 @@ def test_raw_override_too_large(tmp_path):
     text = tmp_path / "one.txt"
     text.write_text("00000000\n")
     for nbits in (9, -1, -5, -8):
+        want = (rf"^nbits_override={nbits} outside \[0, 8\]$" if nbits > 0
+                else rf"^nbits_override={nbits} must be non-negative$")
         for read in (lambda: read_file(p, "raw", nbits_override=nbits),
                      lambda: read_file(text, "ascii", nbits_override=nbits),
                      lambda: from_raw_bytes(b"\x00", nbits)):
-            with pytest.raises(ValueError, match=rf"^nbits_override={nbits} outside \[0, 8\]$"):
+            with pytest.raises(ValueError, match=want):
                 read()
+
+
+class Endless:
+    """A raw stream with no end, as a pipe from /dev/zero: zero bytes for
+    every read, which it counts."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        if size < 0 or self.reads > 100:  # a hang, cut short
+            pytest.fail("an endless stream was read to no end")
+        return bytes(size)
+
+
+def test_negative_count_fails_before_any_read(tmp_path):
+    # a negative count needs no read to be rejected, so an endless stream
+    # or a missing file is never read
+    source = Endless()
+    for read in (lambda: concat(*read_stream(source, "raw", -1)),
+                 lambda: concat(*read_stream(source, "ascii", -1)),
+                 lambda: read_file(source, "raw", -1),
+                 lambda: read_file(tmp_path / "nope.bits", "raw", -1)):
+        with pytest.raises(ValueError, match=r"^nbits_override=-1 must be non-negative$"):
+            read()
+    assert source.reads == 0
 
 
 def test_raw_override_far_past_the_file(tmp_path):

@@ -223,7 +223,27 @@ class TestAnalyze:
             for argv in ((str(raw),), (str(text), "--format", "ascii"), ("-",)):
                 code, out, err = run(capsys, "analyze", *argv, "--nbits", nbits)
                 assert code == 1 and out == ""
-                assert err == f"error: nbits_override={nbits} outside [0, 128]\n"
+                assert err == f"error: nbits_override={nbits} must be non-negative\n"
+
+    def test_bad_arguments_fail_before_an_endless_stdin_is_read(self, capsys, monkeypatch):
+        # as `cat /dev/zero | randev analyze - ...`: a check that needs no
+        # read fails at once, and the stream is never read
+        class Endless:
+            reads = 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                if size < 0 or self.reads > 100:  # a hang, cut short
+                    pytest.fail("an endless stream was read to no end")
+                return bytes(size)
+
+        stdin = Endless()
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=stdin))
+        for flags, message in ((("--max-lag", "0"), "max_lag=0 must be at least 1"),
+                               (("--nbits", "-1"), "nbits_override=-1 must be non-negative")):
+            code, out, err = run(capsys, "analyze", "-", *flags)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert stdin.reads == 0
 
     def test_max_lag_beyond_length_exits_1(self, capsys, tmp_path):
         # the length check comes before any lag is measured, so a huge
@@ -479,13 +499,17 @@ class TestMonitor:
                     status = "ALARM" if d_hat > 3.0 * sigma else "ok"
                 assert lines[idx] == f"{idx},{d_hat:.6g},{sigma:.6g},{status}"
 
-    def test_bad_window_exits_1(self, capsys, tmp_path):
+    def test_bad_window_exits_1(self, capsys, monkeypatch, tmp_path):
+        # the settings are checked before the input is opened, so a path,
+        # stdin and a missing file all fail alike
         path = tmp_path / "x.bits"
         path.write_bytes(b"\x00" * 256)
-        code, _, err = run(capsys, "monitor", str(path),
-                           "--window-bits", "512")
-        assert code == 1
-        assert "1024" in err
+        feed_stdin(monkeypatch, b"\x00" * 256)
+        for source in (str(path), "-", str(tmp_path / "nope.bits")):
+            code, _, err = run(capsys, "monitor", source,
+                               "--window-bits", "512")
+            assert code == 1
+            assert "1024" in err
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, "monitor", str(tmp_path / "nope.bits"))
@@ -694,7 +718,13 @@ class TestImports:
           "--out", "{out}"], {"randev.sources"},
          {"randev.estimators", "randev.windows", "randev.model", "randev.experiments",
           "concurrent.futures"}),
-    ], ids=["help", "predict", "nmax", "analyze", "monitor", "generate"])
+        # the closed-form experiments generate and measure no stream
+        (["fig2"], {"randev.experiments", "randev.model"},
+         {"numpy", "randev.bitstream", "randev.sources", "randev.estimators"}),
+        (["validate-approx"], {"randev.experiments", "randev.model"},
+         {"numpy", "randev.bitstream", "randev.sources", "randev.estimators"}),
+    ], ids=["help", "predict", "nmax", "analyze", "monitor", "generate", "fig2",
+            "validate-approx"])
     def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, needs, shuns):
         bits = tmp_path / "x.bits"
         bits.write_bytes(generate(SourceConfig.ideal(seed=1), 4096).data)

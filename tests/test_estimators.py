@@ -1,6 +1,7 @@
 """Estimator checks: hand counts, merge exactness, information identities."""
 
 import concurrent.futures
+import itertools
 import math
 import random
 import time
@@ -459,15 +460,28 @@ class TestAnalyze:
         assert g <= 10.83
 
     def test_serial_and_parallel_fail_alike(self):
-        for seq, max_lag in ((BitSequence(b"", 0), 8), (S("0101"), 8),
-                             (S("0110"), 0), (S("0110" * 250), 3_000_000)):
+        def bad_read():
+            raise ValueError("invalid ascii bit character 'x': expected '0' or '1'")
+            yield
+
+        def endless():
+            yield from itertools.repeat(S("0110"), 10_000)
+            pytest.fail("an endless stream was read to no end")
+
+        for seq, max_lag, later in ((BitSequence(b"", 0), 8, ()), (S("0101"), 8, ()),
+                                    (S("0110"), 0, ()), (S("0110" * 250), 3_000_000, ()),
+                                    # max_lag is checked before any chunk is
+                                    # read, so neither a read that would fail
+                                    # nor an endless stream is read
+                                    (S("0110" * 250), 0, bad_read()),
+                                    (S("0110" * 250), -1, endless())):
             with pytest.raises(EstimatorError) as serial:
                 analyze(seq, max_lag=max_lag)
             # chunks have no length up front; lags past the end must still
             # be cheap to measure, merge and reject
             start = time.perf_counter()
             with pytest.raises(EstimatorError) as chunked:
-                analyze(iter([seq[:8], seq[8:]]), max_lag=max_lag)
+                analyze(itertools.chain([seq[:8], seq[8:]], later), max_lag=max_lag)
             assert time.perf_counter() - start < 5.0
             assert chunked.type is serial.type
             assert str(chunked.value) == str(serial.value)

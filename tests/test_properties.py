@@ -105,12 +105,15 @@ def ascii_text(draw, seq):
 
 def read_back(stream, nbits, bad):
     """What reading ``stream``, the whole file, keeps of it or raises: a
-    bad character anywhere, then an override outside the bits there."""
+    negative override, which needs no read, then a bad character
+    anywhere, then an override past the bits there."""
+    if nbits is not None and nbits < 0:
+        return ValueError, f"nbits_override={nbits} must be non-negative"
     if bad is not None:
         return ValueError, f"invalid ascii bit character {bad!r}: expected '0' or '1'"
     if nbits is None:
         return stream
-    if not 0 <= nbits <= stream.nbits:
+    if nbits > stream.nbits:
         return ValueError, f"nbits_override={nbits} outside [0, {stream.nbits}]"
     return stream[:nbits]
 
