@@ -25,7 +25,6 @@ Exit codes: 0 success, 1 usage or parameter error, 2 monitor alarm,
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -95,26 +94,15 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> SourceConfig:
     kind = args.source
-    if kind == "ideal":
-        return SourceConfig.ideal(seed=args.seed)
-    if kind == "bernoulli":
-        if args.p is None:
-            raise ParameterError("bernoulli requires --p")
-        return SourceConfig.bernoulli(args.p, seed=args.seed)
-    if kind == "splitter":
-        if args.bias is None:
-            raise ParameterError("splitter requires --bias")
-        return SourceConfig.splitter(args.bias, seed=args.seed)
-    if kind == "markov":
-        if args.bias is None or args.a1 is None:
-            raise ParameterError("markov requires --bias and --a1")
-        return SourceConfig.markov(args.bias, args.a1, seed=args.seed)
+    names = {"bernoulli": ("p",), "splitter": ("bias",), "markov": ("bias", "a1"),
+             "deadtime": ("tau", "dead_time")}.get(kind, ())
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        flags = " and ".join("--" + name.replace("_", "-") for name in names)
+        raise ParameterError(f"{kind} requires {flags}")
     if kind == "deadtime":
-        if args.tau is None or args.dead_time is None:
-            raise ParameterError("deadtime requires --tau and --dead-time")
-        return SourceConfig.deadtime(args.tau, args.dead_time,
-                                     seed=args.seed, mode=args.dead_mode)
-    return SourceConfig.xorshift64(args.seed)
+        return SourceConfig.deadtime(*values, seed=args.seed, mode=args.dead_mode)
+    return getattr(SourceConfig, kind)(*values, seed=args.seed)
 
 
 def _input_chunks(path: str, format: str, nbits: int | None):
@@ -133,11 +121,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     from randev.sources import Source
 
     source, n = Source(_config_from_args(args)), args.nbits
-    # made before the file is opened, so a bad count leaves no file
-    first = source.generate(min(n, _PIECE_BITS))
-    rest = (source.generate(min(_PIECE_BITS, n - k))
-            for k in range(_PIECE_BITS, n, _PIECE_BITS))
-    nbits = write_stream(itertools.chain([first], rest), args.out, args.format)
+    # at least one piece, so a negative count fails and 0 writes an empty file
+    pieces = (source.generate(min(_PIECE_BITS, n - k))
+              for k in range(0, max(n, 1), _PIECE_BITS))
+    nbits = _replace(args.out, lambda fh: write_stream(pieces, fh, args.format))
     print(f"wrote {nbits} bits ({args.format}) to {args.out}")
     return 0
 
@@ -200,19 +187,18 @@ def cmd_nmax(args: argparse.Namespace) -> int:
     return 0
 
 
-def _monitor_stream(fh, config: MonitorConfig) -> int:
-    """Sequential window scan; stream order is semantic, so no parallelism.
-    The lines of the windows each read completes are written and flushed
-    in batches of ``windows._WINDOW_BATCH``, all before the next read, so
-    a pipe reader sees a line once its window's bits arrive."""
-    from randev.bitstream import read_stream
+def _monitor_stream(chunks, config: MonitorConfig) -> int:
+    """Sequential window scan of the chunks, whose order is semantic, so no
+    parallelism.  The lines of the windows each chunk completes are written
+    and flushed in batches of ``windows._WINDOW_BATCH`` before the next is
+    read, so a pipe reader sees a line once its window's bits arrive."""
     from randev.estimators import deviation_plugin
     from randev.model import deviation_sigma
     from randev.windows import _window_counts
 
     w = config.window_bits
     alarmed, index = False, 0
-    for windows in _window_counts(read_stream(fh), w):
+    for windows in _window_counts(chunks, w):
         lines = []
         for counts in windows:
             d_hat = sigma = math.nan
@@ -234,13 +220,9 @@ def _monitor_stream(fh, config: MonitorConfig) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    config = MonitorConfig(args.window_bits, args.sigma_k,
-                           args.deviation_threshold)
+    config = MonitorConfig(args.window_bits, args.sigma_k, args.deviation_threshold)
     config.validate()  # before the input is opened: it may be missing
-    if args.file == "-":
-        return _monitor_stream(sys.stdin.buffer, config)
-    with open(args.file, "rb") as fh:
-        return _monitor_stream(fh, config)
+    return _monitor_stream(_input_chunks(args.file, "raw", None), config)
 
 
 def cmd_validate_approx(args: argparse.Namespace) -> int:
@@ -281,10 +263,10 @@ def cmd_concat(args: argparse.Namespace) -> int:
 def _replace(path: str, write):
     """``write(fh)`` to a new file beside ``path`` (or the file a link at
     ``path`` names), renamed over it once complete, and return what
-    ``write`` returns.  So an input that is also the output is read
-    before it is replaced, and a failure leaves ``path`` as it was.  A
-    path that names no regular file, such as a device or a pipe, is
-    written in place: there is nothing to replace."""
+    ``write`` returns.  So a failed or interrupted write leaves ``path``
+    as it was, and a ``concat`` input that is also the output is read
+    before it is replaced.  A path that names no regular file, such as a
+    device or a pipe, is written in place: there is nothing to replace."""
     target = os.path.realpath(path)
     exists = os.path.exists(target)
     if exists and not os.path.isfile(target):
@@ -351,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monitor", help="windowed health check of a stream")
     p.add_argument("file", nargs="?", default="-",
                    help="raw bit file, or - for stdin (default)")
-    p.add_argument("--window-bits", type=int, default=1 << 20)
-    p.add_argument("--sigma-k", type=float, default=3.0,
+    p.add_argument("--window-bits", type=int, default=MonitorConfig().window_bits)
+    p.add_argument("--sigma-k", type=float, default=MonitorConfig().sigma_k,
                    help="alarm when the deviation exceeds this many sigma")
     p.add_argument("--deviation-threshold", type=float, default=None,
                    help="additionally require the deviation to exceed this")

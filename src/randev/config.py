@@ -14,6 +14,7 @@ the plain tuple of its fields.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 __all__ = [
@@ -39,6 +40,13 @@ _MAX_DEAD_RATIO = 1e4
 
 class ParameterError(ValueError):
     """A source or model parameter is outside its admissible domain."""
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 class TransitionMatrix(NamedTuple):
@@ -142,7 +150,7 @@ class SourceConfig(NamedTuple):
             raise ParameterError(
                 f"unknown source kind {self.kind!r}: expected one of {SOURCE_KINDS}"
             )
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= _integer(self.seed, "seed") <= _MASK64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 <= self.p <= 1.0:

@@ -109,14 +109,15 @@ def _pair_counts(s: _LagState) -> PairCounts:
     """The adjacent-pair view of a state whose first lag is 1."""
     if s.n == 0:
         return PairCounts()
-    head_ones, tail_ones = _window_ones(s, 1)
-    c11 = s.prods[0]
-    c10 = head_ones - c11
-    c01 = tail_ones - c11
-    return PairCounts(
-        s.n, s.ones, s.n - 1 - c01 - c10 - c11, c01, c10, c11,
-        s.ones - tail_ones, s.ones - head_ones,
-    )
+    return PairCounts(*_pair_cells(s.n, s.ones, *_window_ones(s, 1), s.prods[0]))
+
+
+def _pair_cells(n, ones, head_ones, tail_ones, c11):
+    """The PairCounts fields from n >= 1 bits' ones, the ones of x[0 .. n-1)
+    and x[1 .. n) and the lag-1 product, as ints or int64 arrays alike."""
+    c10, c01 = head_ones - c11, tail_ones - c11
+    return (n, ones, n - 1 - c01 - c10 - c11, c01, c10, c11,
+            ones - tail_ones, ones - head_ones)
 
 
 def accumulate(counts: PairCounts, seq: BitSequence) -> PairCounts:

@@ -52,27 +52,37 @@ def binary_entropy(q: float) -> float:
 
 
 def deadtime_a1(tau: float, tau_d: float, deadtime_mode: str = "reroute") -> float:
-    """Lag-1 autocorrelation of the dead-time detector pair.
+    """Exact lag-1 autocorrelation of the dead-time detector pair:
+    -x/(1+x) in ``reroute`` mode and -x/(2+x) in ``loss`` mode, for
+    x = tau_d/tau, computed as -1/(1 + k/x) so that a huge x gives -1.
 
-    ``tau`` is the mean photon spacing and ``tau_d`` the per-detector
-    dead time.  In the default rerouting model a photon aimed at a dead
-    detector fires the other one, forcing alternation:
-    a1 = exp(-tau_d/tau) - 1.  In the loss model the rerouted photon is
-    discarded, which erases half of the forced alternations:
-    a1 = exp(-tau_d/(2*tau)) - 1.  Both are exact only for
-    tau_d << tau; the simulator is the reference beyond that regime.
+    A "same" bit, one detector firing twice in a row, finds the other
+    live: the first firing left it dead for tau_d, and the other has not
+    fired since.  With Poisson photons of mean spacing ``tau`` the stream
+    renews there, so if a cycle from one "same" bit to the next has L
+    bits, P(same) = 1/E[L] and, by symmetry, a1 = 2/E[L] - 1.
+
+    Reroute (a photon aimed at a dead detector fires the other): after a
+    detection that leaves the other dead for r more, the next is at
+    r + E, E ~ Exp(tau), a forced alternation leaving r' = tau_d - r - E
+    if before tau_d, else a fair bit with r' = 0.  The mean count of
+    forced bits before a fair one, F(r) = (tau_d - r)(tau + r)/tau**2,
+    solves F(r) = E[1(r + E < tau_d)(1 + F(tau_d - r - E))]; F(0) = x,
+    and a fair bit is "same" with probability 1/2: E[L] = 2 (1 + x).
+
+    Loss (that photon is lost): the detectors fire as independent renewal
+    processes of period tau_d + Exp(2 tau), and a firing is "same" if the
+    other fired nowhere in its period, which has probability
+    2 tau E[exp(-E/(2 tau))]/(tau_d + 2 tau) = 1/(2 + x) = 1/E[L].
     """
     if not 0.0 < tau < math.inf:
         raise ParameterError(f"tau={tau} must be finite and positive")
     if not 0.0 <= tau_d < math.inf:
         raise ParameterError(f"tau_d={tau_d} must be finite and non-negative")
     if deadtime_mode not in DEADTIME_MODES:
-        raise ParameterError(
-            f"deadtime_mode={deadtime_mode!r} not in {DEADTIME_MODES}"
-        )
-    if deadtime_mode == "loss":
-        return math.expm1(-0.5 * tau_d / tau)
-    return math.expm1(-tau_d / tau)
+        raise ParameterError(f"deadtime_mode={deadtime_mode!r} not in {DEADTIME_MODES}")
+    k = 2.0 if deadtime_mode == "loss" else 1.0
+    return -1.0 / (1.0 + k * (tau / tau_d)) if tau_d else -0.0
 
 
 def mi_exact_unbiased(a1: float) -> float:
@@ -165,7 +175,8 @@ def predict_source(config: SourceConfig) -> ModelPrediction:
     splitter and xorshift64 are memoryless: a chain with equal rows, both
     going to 1 with probability (1 + b)/2, which holds |b| = 1 as well
     (a constant stream: zero entropy, deviation 1).  markov is its own
-    chain, and dead time the balanced chain with a1 = ``deadtime_a1``.
+    chain, and dead time the balanced chain with a1 = ``deadtime_a1``, so
+    its a1 and its order-1 deviation_exact = 1 - h((1 - a1)/2) are exact.
 
     The xorshift64 generator is statistically indistinguishable from
     the ideal source at the pair level, so its prediction is all-zero

@@ -51,7 +51,7 @@ import math
 import numpy as np
 
 from randev.bitstream import BitSequence, concat
-from randev.config import _MASK64, ParameterError, SourceConfig, markov_transition_matrix
+from randev.config import _MASK64, ParameterError, SourceConfig, _integer, markov_transition_matrix
 
 __all__ = ["Source", "generate"]
 
@@ -99,7 +99,7 @@ class Source:
 
     def __init__(self, config: SourceConfig):
         config.validate()
-        self.config = config
+        self.config = config._replace(seed=int(config.seed))  # a numpy seed as an int
         self._draws = 0  # SplitMix64 draws consumed (all kinds but xorshift64)
         self._pending = BitSequence(b"", 0)  # made, not yet emitted
         kind = config.kind
@@ -111,11 +111,11 @@ class Source:
             self._t = 0.0             # arrival clock
             self._dead = [0.0, 0.0]   # per-detector dead-until times
         elif kind == "xorshift64":
-            self._x = config.seed
+            self._x = self.config.seed
 
     def generate(self, n: int) -> BitSequence:
         """Emit the next n bits of this source's stream."""
-        if n < 0:
+        if (n := _integer(n, "bit count")) < 0:
             raise ParameterError(f"bit count must be non-negative, got {n}")
         part, parts, owed = self._pending, [], n
         if part.nbits < n:

@@ -4,10 +4,11 @@ reports them.
 ``_window_counts`` gives the PairCounts of each window of ``w`` bits.
 It counts all the windows of a chunk in one pass over the chunk's words:
 a window's one-count and lag-1 product are differences of running
-popcounts at its first and last bit, and a window that spans chunks is
-merged from its parts.  The windows a chunk completes become PairCounts
-``_WINDOW_BATCH`` at a time, so a read of many small windows holds few of
-them as Python objects.
+popcounts at its first and last bit, its pair cells are derived as
+``_pair_counts`` derives them (``estimators._pair_cells``), and a window
+that spans chunks is merged from its parts.  The windows a chunk
+completes become PairCounts ``_WINDOW_BATCH`` at a time, so a read of
+many small windows holds few of them as Python objects.
 
 Kept apart from ``estimators`` so that ``analyze``, which imports that
 module, does not compile this one.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from randev.estimators import PairCounts, _words, merge
+from randev.estimators import PairCounts, _pair_cells, _words, merge
 
 
 # windows ``_window_counts`` turns into PairCounts at a time, so a read
@@ -52,12 +53,8 @@ def _window_counts(chunks, w: int):
         pos = np.empty(2 * starts.size, np.int64)
         pos[0::2], pos[1::2] = starts, ends - 1
         head, c11, bit = _window_sums(_words(chunk.data, buf), pos)
-        first, last = bit[0::2], bit[1::2]
-        ones = head + last
-        c10 = head - c11
-        c01 = ones - first - c11
-        c00 = ends - starts - 1 - c01 - c10 - c11
-        fields = (ends - starts, ones, c00, c01, c10, c11, first, last)
+        ones = head + bit[1::2]
+        fields = _pair_cells(ends - starts, ones, head, ones - bit[0::2], c11)
         # the first window continues ``held``; the last, if incomplete,
         # is held for the next chunk
         for i in range(0, starts.size, _WINDOW_BATCH):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import randev
-from randev import bitstream, cli
+from randev import bitstream, cli, sources
 from randev.bitstream import BitSequence, read_file
 from randev.cli import MonitorConfig, main
 from randev.estimators import PairCounts, accumulate, analyze, deviation_plugin
@@ -69,6 +69,41 @@ class TestGenerate:
                 assert code == 0
                 want = generate(SourceConfig.xorshift64(3), 10001)
                 assert read_file(path, format, 10001) == want
+
+    def test_failure_keeps_the_old_output(self, capsys, monkeypatch, tmp_path):
+        # the pieces go to a file beside --out, renamed over it once complete
+        path = tmp_path / "s.bits"
+        path.write_bytes(b"OLD")
+        real, calls = sources.Source.generate, []
+
+        def fail_second(self, n):
+            calls.append(n)
+            if len(calls) == 2:
+                raise OSError("device gone")
+            return real(self, n)
+
+        monkeypatch.setattr(bitstream, "_PIECE_BITS", 64)
+        monkeypatch.setattr(sources.Source, "generate", fail_second)
+        code, _, err = run(capsys, "generate", "--source", "ideal", "--nbits", "1000",
+                           "--out", str(path))
+        assert (code, err) == (3, "error: device gone\n")
+        assert len(calls) == 2
+        assert path.read_bytes() == b"OLD"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_negative_count_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "s.bits"
+        code, _, err = run(capsys, "generate", "--source", "ideal", "--nbits", "-1",
+                           "--out", str(path))
+        assert code == 1
+        assert "bit count must be non-negative" in err
+        assert list(tmp_path.iterdir()) == []
+        # no bits make an empty file
+        code, out, _ = run(capsys, "generate", "--source", "ideal", "--nbits", "0",
+                           "--out", str(path))
+        assert (code, out) == (0, f"wrote 0 bits (raw) to {path}\n")
+        assert path.read_bytes() == b""
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_ascii_format(self, capsys, tmp_path):
         path = tmp_path / "s.txt"
@@ -287,8 +322,8 @@ class TestPredict:
                            "--tau", "1000", "--dead-time", "40")
         assert code == 0
         doc = json.loads(out)
-        assert doc["a1"] == pytest.approx(-0.039211, abs=5e-7)
-        assert doc["deviation_approx"] == pytest.approx(1.109e-3, abs=5e-7)
+        assert doc["a1"] == pytest.approx(-0.038462, abs=5e-7)
+        assert doc["deviation_approx"] == pytest.approx(1.067e-3, abs=5e-7)
 
     def test_ideal_all_zero(self, capsys):
         code, out, _ = run(capsys, "predict", "--source", "ideal")
@@ -308,7 +343,7 @@ class TestPredict:
         assert code == 0
         a_re = json.loads(reroute)["a1"]
         a_lo = json.loads(loss)["a1"]
-        assert a_lo == pytest.approx(math.expm1(-0.02))
+        assert a_lo == pytest.approx(-0.04 / 2.04)
         assert a_lo > a_re
 
 

@@ -76,18 +76,20 @@ class TestDeadtimeA1:
         assert deadtime_a1(1000.0, 0.0) == 0.0
 
     def test_reroute_value(self):
-        assert deadtime_a1(1000.0, 40.0) == pytest.approx(
-            math.exp(-0.04) - 1.0, rel=1e-13
-        )
-        assert deadtime_a1(1000.0, 40.0) == pytest.approx(-0.0392, abs=1e-4)
+        # -x/(1 + x) at x = tau_d/tau = 0.04
+        assert deadtime_a1(1000.0, 40.0) == pytest.approx(-0.04 / 1.04, rel=1e-13)
+        assert deadtime_a1(1000.0, 40.0) == pytest.approx(-0.038462, abs=5e-7)
 
-    def test_loss_halves_exponent(self):
-        assert deadtime_a1(1000.0, 40.0, "loss") == pytest.approx(
-            math.expm1(-0.02), rel=1e-13
-        )
+    def test_loss_value(self):
+        # -x/(2 + x) at x = 0.04
+        assert deadtime_a1(1000.0, 40.0, "loss") == pytest.approx(-0.04 / 2.04, rel=1e-13)
+        assert deadtime_a1(1000.0, 40.0, "loss") == pytest.approx(-0.019608, abs=5e-7)
 
     def test_long_dead_time_limit(self):
-        assert deadtime_a1(1.0, 1e6) == pytest.approx(-1.0, abs=1e-12)
+        assert deadtime_a1(1.0, 1e6) == pytest.approx(-1e6 / (1.0 + 1e6), rel=1e-13)
+        assert deadtime_a1(1.0, 1e6, "loss") == pytest.approx(-1e6 / (2.0 + 1e6), rel=1e-13)
+        # an x = tau_d/tau past the float range
+        assert deadtime_a1(1e-310, 1.0) == deadtime_a1(1e-310, 1.0, "loss") == -1.0
 
     def test_domain(self):
         with pytest.raises(ParameterError):
@@ -311,8 +313,12 @@ class TestPredictSource:
         loss = predict_source(
             SourceConfig.deadtime(1000.0, 40.0, mode="loss")
         )
-        assert loss.a1 == pytest.approx(math.expm1(-0.02), rel=1e-13)
+        assert loss.a1 == pytest.approx(-0.04 / 2.04, rel=1e-13)
         assert abs(loss.a1) < abs(reroute.a1)
+        # exact at order 1: the balanced chain's deviation 1 - h((1 - a1)/2)
+        for p in (reroute, loss):
+            assert p.deviation_exact == pytest.approx(
+                1.0 - binary_entropy((1.0 - p.a1) / 2.0), rel=1e-12)
 
 
 class TestDeviationSigma:

@@ -12,6 +12,7 @@ import pytest
 
 import randev
 from randev.bitstream import BitSequence, concat
+from randev.model import deadtime_a1
 from randev.sources import (
     ParameterError,
     Source,
@@ -180,14 +181,33 @@ def test_config_validation_errors():
         SourceConfig.xorshift64(0),
         SourceConfig(kind="ideal", seed=-1),
         SourceConfig(kind="ideal", seed=2**64),
+        SourceConfig.ideal(seed=2.0),
+        SourceConfig.markov(0.1, 0.1, seed=None),
+        SourceConfig.xorshift64(seed=1.5),
     ):
         with pytest.raises(ParameterError):
             Source(bad)
+        with pytest.raises(ParameterError):
+            generate(bad, 10)
+    # a numpy integer seed is the same seed as the int
+    for seed in (np.uint64(2**64 - 1), np.int64(5)):
+        for cfg in (SourceConfig.ideal(seed=seed), SourceConfig.xorshift64(seed)):
+            assert generate(cfg, 100) == generate(cfg.with_seed(int(seed)), 100)
 
 
 def test_generate_rejects_negative_count():
     with pytest.raises(ParameterError):
         Source(SourceConfig.ideal(seed=1)).generate(-1)
+
+
+def test_generate_rejects_a_count_that_is_not_an_integer():
+    for n in (2.5, 10.0, "3", None):
+        with pytest.raises(ParameterError):
+            Source(SourceConfig.ideal(seed=1)).generate(n)
+        with pytest.raises(ParameterError):
+            generate(SourceConfig.ideal(seed=1), n)
+    assert generate(SourceConfig.ideal(seed=1), np.int64(100)) == generate(
+        SourceConfig.ideal(seed=1), 100)
 
 
 def test_generate_zero_bits_every_kind():
@@ -335,30 +355,42 @@ def test_deadtime_zero_deadtime_is_ideal_like():
     assert abs(b) <= 3 / np.sqrt(n)
 
 
-def test_deadtime_autocorr_matches_exponential_formula():
+def test_deadtime_autocorr_matches_deadtime_a1():
+    # reroute: a1 = -x/(1 + x), x = tau_d/tau = 0.04
     n = 10**6
     seq = generate(SourceConfig.deadtime(1000.0, 40.0, seed=3), n)
     b, (a1,) = bias_a_k(seq, 1)
-    assert a1 == pytest.approx(np.expm1(-0.04), abs=0.004)
+    assert a1 == pytest.approx(deadtime_a1(1000.0, 40.0), abs=0.004)
     assert abs(b) <= 3 / np.sqrt(n)
 
 
-def test_deadtime_loss_mode_halves_the_exponent():
-    # With lost (not re-routed) photons, renewal analysis gives
-    # P(same) = exp(-tau_d/(2 tau))/2, hence a1 = exp(-tau_d/(2 tau)) - 1.
+def test_deadtime_loss_mode_autocorr_matches_deadtime_a1():
+    # With lost (not re-routed) photons each detector fires as its own
+    # renewal process, and a1 = -x/(2 + x).
     n = 10**6
     seq = generate(SourceConfig.deadtime(1000.0, 40.0, seed=3, mode="loss"), n)
     _, (a1,) = bias_a_k(seq, 1)
-    assert a1 == pytest.approx(np.expm1(-0.02), abs=0.004)
+    assert a1 == pytest.approx(deadtime_a1(1000.0, 40.0, "loss"), abs=0.004)
 
 
 def test_deadtime_large_deadtime_forces_alternation():
-    # frozen simulation oracle: at tau_d = 5 tau the both-dead window is
-    # long and the asymptotic formula (-0.993) badly overestimates the
-    # alternation; the simulated value sits near -0.83
+    # at tau_d = 5 tau the stream alternates in 11 of 12 pairs: a1 = -5/6
     seq = generate(SourceConfig.deadtime(1000.0, 5000.0, seed=6), 10**6)
     _, (a1,) = bias_a_k(seq, 1)
-    assert -0.86 < a1 < -0.80
+    assert a1 == pytest.approx(deadtime_a1(1000.0, 5000.0), abs=0.004)
+
+
+@pytest.mark.parametrize("mode", ["reroute", "loss"])
+@pytest.mark.parametrize("x", [0.5, 2.0, 5.0])
+def test_deadtime_a1_is_exact_beyond_first_order(mode, x):
+    # where x = tau_d/tau is not small, the simulated a1 fits the exact
+    # -x/(1 + x) or -x/(2 + x) and rejects the first-order expm1(-x) or
+    # expm1(-x/2); the two forms are at least 15/sqrt(n) apart here
+    n = 5 * 10**5
+    _, (a1,) = bias_a_k(generate(SourceConfig.deadtime(1.0, x, seed=11, mode=mode), n), 1)
+    first_order = math.expm1(-x / 2 if mode == "loss" else -x)
+    assert abs(a1 - deadtime_a1(1.0, x, mode)) < 3 / math.sqrt(n)
+    assert abs(a1 - first_order) > 10 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------- xorshift
