@@ -19,7 +19,7 @@ merges a window that spans reads from its parts, and prints the lines of
 the windows each read completes as that read is counted.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 monitor alarm,
-3 I/O error.
+3 I/O error, 130 interrupted (as a shell reports SIGINT).
 """
 
 from __future__ import annotations
@@ -376,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def cli_main() -> None:

@@ -7,12 +7,14 @@ little-endian ints.  The one-counts of the head window x[0 .. n-k) and
 tail window x[k .. n) are the one-count minus the ones among the last or
 first k edge bits.  A piece is counted on its packed bytes read as
 little-endian 64-bit words (``bitwise_count`` of each word ANDed with the
-stream shifted down by k bits) and nothing is unpacked.  The lags that
-share a word offset k >> 6 are the rows of one 2-D broadcast pass, as
-many rows as fit a budget of 2**14 words: a 2**14-bit stream takes its 8
-default lags in one pass, a 2**22-bit piece one lag per pass, so a short
-stream pays a few numpy calls, not a few per lag.  States of consecutive
-pieces merge in integer arithmetic on their edge bits.
+stream shifted down by k bits) and nothing is unpacked; the one-count is
+the lag-0 row.  Consecutive lags that share a word offset k >> 6 are the
+rows of one 2-D broadcast pass, as many rows as fit a budget of 2**14
+words: a 2**14-bit stream takes its ones and 8 default lags in one pass,
+a 2**22-bit piece one lag per pass, so a short stream pays a few numpy
+calls, not a few per lag.  The edges are read from the piece's edge
+bytes.  States of consecutive pieces merge in integer arithmetic on
+their edge bits, and one Python loop makes every lag's estimate.
 
 ``LagAccumulator(k)`` is the one-lag state.  ``PairCounts`` (bits,
 one-bits, the four adjacent-pair counts) is the lag-1 view: c11 is the
@@ -169,34 +171,37 @@ def _words(data: bytes, out: np.ndarray | None = None) -> np.ndarray:
 # and took twice as long
 _PASS_WORDS = 1 << 14
 
+# the shift r = 0..63 of each row of a pass, and its carry's shift 64 - r,
+# as columns that every pass slices
+_SHIFTS = np.arange(64, dtype=np.uint64)[:, None]
+_CARRIES = 64 - _SHIFTS
+
 
 def _measure(seq: BitSequence, lags: tuple[int, ...]) -> _LagState:
-    """The state of one piece, counted on its packed 64-bit words."""
-    n = seq.nbits
-    words = _words(seq.data)
-    # no lag-k pair fits in n bits when k >= n; lags ascend.  The product
-    # arrays are freed before the popcount of the words is made: freed
-    # after it, glibc trimmed the heap, and each 2**22-bit piece faulted
-    # them in again (352 minor faults a piece, not 224)
-    prods = _lag_products(words, [k for k in lags if k < n])
-    prods += [0] * (len(lags) - len(prods))
+    """The state of one piece, counted on its packed 64-bit words; its ones
+    are the lag-0 products, the first row of the first pass."""
+    n, data = seq.nbits, seq.data
+    # no lag-k pair fits in n bits when k >= n; lags ascend
+    sums = _lag_products(_words(data), [k for k in (0, *lags) if k < n])
+    sums += [0] * (len(lags) + 1 - len(sums))
     edge = min(lags[-1], n)
+    start = n - edge
     return _LagState(
-        lags, n, int(np.bitwise_count(words).sum()), tuple(prods),
-        int.from_bytes(seq[:edge].data, "little"),
-        int.from_bytes(seq[n - edge:].data, "little"),
+        lags, n, sums[0], tuple(sums[1:]),
+        int.from_bytes(data[:-(-edge // 8)], "little") & ~(-1 << edge),
+        int.from_bytes(data[start >> 3:], "little") >> (start & 7),
     )
 
 
 def _lag_products(words: np.ndarray, lags: list[int]) -> list[int]:
     """The lag-k product sums of ``_words`` for ascending lags below its
-    bit count.
+    bit count; lag 0 gives the ones.
 
-    The lags k = 64q + r of one word offset q are the rows of one
-    broadcast pass, as many as ``_PASS_WORDS`` allows: row i of word j is
-    word q + j shifted down by r_i, ORed with the carry from word q + j + 1
-    shifted up by 64 - r_i (numpy gives 0 for a shift by 64), ANDed with
-    word j."""
+    Each run of consecutive lags k = 64q + r of one word offset q makes
+    the rows of one broadcast pass, as many as ``_PASS_WORDS`` allows:
+    row i of word j is word q + j shifted down by r_i, ORed with the carry
+    from word q + j + 1 shifted up by 64 - r_i (numpy gives 0 for a shift
+    by 64), ANDed with word j."""
     width = len(words) - 1
     # one product and one carry array for every pass: a piece's worth of
     # them made and freed per lag can cost a page fault per page each time.
@@ -205,27 +210,32 @@ def _lag_products(words: np.ndarray, lags: list[int]) -> list[int]:
     size = min(len(lags) * width, max(_PASS_WORDS, width))
     prod, carry = np.empty(size, words.dtype), np.empty(size, words.dtype)
     prods = []
-    for q, group in itertools.groupby(lags, lambda k: k >> 6):
-        group = [k & 63 for k in group]
+    # consecutive lags share k - (their index)
+    for (q, _), run in itertools.groupby(enumerate(lags), lambda ik: (ik[1] >> 6, ik[1] - ik[0])):
+        run = [k for _, k in run]
         m = width - q
         rows = max(1, _PASS_WORDS // m)
-        for i in range(0, len(group), rows):
-            rs = group[i:i + rows]
-            # a lone row is 1-D with a Python-int shift: numpy's scalar
-            # loops and the fewest calls, for the one-lag passes of a long
-            # piece
-            if len(rs) > 1:
-                r = np.array(rs, np.uint64)[:, None]
-                p, c = (a[:len(rs) * m].reshape(len(rs), m) for a in (prod, carry))
-            else:
-                r, p, c = rs[0], prod[:m], carry[:m]
-            np.right_shift(words[q:q + m], r, out=p)
-            if rs != [0]:  # a lag of whole words alone needs no carry
-                np.left_shift(words[q + 1:q + 1 + m], 64 - r, out=c)
+        for i in range(0, len(run), rows):
+            k, count = run[i], min(rows, len(run) - i)
+            r = k & 63
+            if count > 1:
+                p, c = (a[:count * m].reshape(count, m) for a in (prod, carry))
+                np.right_shift(words[q:q + m], _SHIFTS[r:r + count], out=p)
+                np.left_shift(words[q + 1:q + 1 + m], _CARRIES[r:r + count], out=c)
                 p |= c
-            p &= words[:m]
-            counts = np.bitwise_count(p).sum(axis=-1)
-            prods += counts.tolist() if len(rs) > 1 else [int(counts)]
+                p &= words[:m]
+                prods += np.bitwise_count(p).sum(axis=1).tolist()
+            else:
+                # a lone row is 1-D with Python-int shifts: numpy's scalar
+                # loops and the fewest calls, for the one-lag passes of a
+                # long piece.  A lone lag 0 counts the words themselves
+                p = words[q:q + m]
+                if r:
+                    p = np.right_shift(p, r, out=prod[:m])
+                    p |= np.left_shift(words[q + 1:q + 1 + m], 64 - r, out=carry[:m])
+                if k:
+                    p = np.bitwise_and(p, words[:m], out=prod[:m])
+                prods.append(int(np.bitwise_count(p).sum()))
     return prods
 
 
@@ -346,26 +356,38 @@ def autocorr(data, k: int | None = None) -> tuple[float, float]:
         raise EstimatorError(
             f"requested lag {k} but accumulator holds lag {data.k}"
         )
-    return _autocorr(data._state, 0)
-
-
-def _autocorr(s: _LagState, i: int) -> tuple[float, float]:
-    """Autocorrelation and sigma at a state's i-th lag."""
-    n, k = s.n, s.lags[i]
-    if n < k + 2:
+    if data.n < data.k + 2:
         raise InsufficientDataError(
-            f"lag-{k} autocorrelation needs at least {k + 2} bits, got {n}"
+            f"lag-{data.k} autocorrelation needs at least {data.k + 2} bits, got {data.n}"
         )
-    sum_head, sum_tail = _window_ones(s, k)
-    mean = s.ones / n
-    terms = n - k
-    num = s.prods[i] - mean * (sum_head + sum_tail) + terms * mean * mean
-    den = sum_head * (1.0 - 2.0 * mean) + terms * mean * mean
-    if den == 0.0:
-        raise DegenerateSequenceError(
-            "constant sequence: autocorrelation is undefined"
-        )
-    return num / den, 1.0 / math.sqrt(n)
+    (estimate,) = _estimates(data._state)
+    return estimate.value, estimate.sigma
+
+
+def _estimates(s: _LagState) -> tuple[LagEstimate, ...]:
+    """The autocorrelation and its 1/sqrt(n) sigma at every lag of a state
+    with n >= lags[-1] + 2 bits.
+
+    One loop in Python: numpy took more than twice as long for the 8
+    default lags."""
+    n, ones, head, tail = s.n, s.ones, s.head, s.tail
+    mean = ones / n
+    skew, sigma, edge = 1.0 - 2.0 * mean, 1.0 / math.sqrt(n), s.lags[-1]
+    estimates = []
+    for k, prod in zip(s.lags, s.prods):
+        # the one-counts of the head and tail windows, as ``_window_ones``
+        # gives them
+        sum_head = ones - (tail >> (edge - k)).bit_count()
+        sum_tail = ones - (head & ~(-1 << k)).bit_count()
+        terms = n - k
+        num = prod - mean * (sum_head + sum_tail) + terms * mean * mean
+        den = sum_head * skew + terms * mean * mean
+        if den == 0.0:
+            raise DegenerateSequenceError(
+                "constant sequence: autocorrelation is undefined"
+            )
+        estimates.append(LagEstimate(k, num / den, sigma))
+    return tuple(estimates)
 
 
 def _require_pairs(counts: PairCounts) -> int:
@@ -495,9 +517,7 @@ def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     state = _fold(_empty(tuple(range(1, max_lag + 1))), itertools.chain(ahead, chunks), mapper)
     counts = _pair_counts(state)
     bias_hat, bias_sigma = bias_estimate(counts)
-    estimates = tuple(
-        LagEstimate(k, *_autocorr(state, i)) for i, k in enumerate(state.lags)
-    )
+    estimates = _estimates(state)
     cond_entropy = cond_entropy_lag1(counts)
     dev = _deviation(cond_entropy)
     return AnalysisReport(

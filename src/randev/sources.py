@@ -27,13 +27,20 @@ All sources are driven by the same fully specified 64-bit base generator
 streams on any platform.  ``Source._draws`` is a source's SplitMix64
 position, the draws it has consumed, for every kind but xorshift64: one
 per bit for ideal, bernoulli, splitter and markov, two per photon for
-dead time, all made by ``Source._drawer``.
+dead time, all made by ``Source._drawer``.  A draw z stands for the
+uniform (z >> 11) * 2**-53, and a bit that is 1 when that uniform is
+below p compares z itself with ``_threshold(p) << 11``, so no draw is
+shifted first.
 
-The constant tables of a chunk, the SplitMix64 step offsets d*GAMMA and
-markov's bit positions and flip parity, are built like the xorshift64
-tables: once per process, read-only, and only by the kinds that use
-them.  Each call slices them, so a 2**14-bit ``generate`` after the
-first builds none.
+A markov chunk is made packed: its resets (the draws that fix a bit
+whatever the bit before) are filled forward on 64-bit words, within a
+word in six doubling steps and across words by a running maximum over
+the words, so its cost does not depend on a1.
+
+The SplitMix64 step offsets d*GAMMA of a chunk are a table built like
+the xorshift64 tables: once per process, read-only, and only by the
+kinds that use it.  Each call slices it, so a 2**14-bit ``generate``
+after the first builds none.
 
 A live Source carries its state across calls: generate(n1) followed by
 generate(n2) emits exactly the bits of a fresh identically-configured
@@ -74,6 +81,9 @@ _BYTE_ROWS = np.arange(0, 8 * 256, 256, dtype=np.uint16)[:, None]
 
 # the dead-time value of a lost photon, beside the bits 0 and 1
 _LOST = 2
+
+# (i + 1) & 1 for the bits i of a word, least-significant first
+_ODD_BITS = 0x5555555555555555
 
 
 def _threshold(p: float) -> int:
@@ -145,7 +155,7 @@ class Source:
         # independent bits: ideal, bernoulli, splitter
         p = (0.5 if cfg.kind == "ideal" else
              cfg.p if cfg.kind == "bernoulli" else (1.0 + cfg.b) / 2.0)
-        threshold = _threshold(p)
+        threshold = _threshold(p) << 11
         draw = self._drawer(size)
         below = np.empty(size, dtype=bool)
 
@@ -157,8 +167,10 @@ class Source:
     # ---- base generator ----
 
     def _drawer(self, size: int):
-        """A function m -> (z >> 11) for the SplitMix64 outputs z of this
-        source's next m <= size draws; it advances ``self._draws``.
+        """A function m -> the SplitMix64 outputs z of this source's next
+        m <= size draws; it advances ``self._draws``.  A caller compares
+        z with ``_threshold(p) << 11``: ``(z >> 11) < T`` exactly when
+        ``z < T * 2**11``, so no draw is shifted to be compared.
 
         SplitMix64's state after d draws is seed + d*GAMMA mod 2**64, so
         any range of draws is a base plus the fixed steps d*GAMMA, a table
@@ -179,8 +191,7 @@ class Source:
             np.multiply(z, np.uint64(_MIX1), out=z)
             np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=t), out=z)
             np.multiply(z, np.uint64(_MIX2), out=z)
-            np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
-            return np.right_shift(z, np.uint64(11), out=z)
+            return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
         return draw
 
     # ---- markov ----
@@ -190,49 +201,73 @@ class Source:
         # x_{i+1} ~ Bernoulli(p1_given_{x_i}) with one uniform per bit:
         # each uniform u either fixes the next bit outright (u decides the
         # same way from both states: a "reset"), or carries/flips the
-        # previous bit.  Between resets every step is a carry (a1 >= 0)
-        # or a flip (a1 < 0), so the chunk resolves with one segmented
-        # maximum instead of a Python loop.
+        # previous bit.  A draw below both thresholds is a reset to 1, one
+        # between them a carry (a1 >= 0) or a flip (a1 < 0), so a chunk is
+        # its resets filled forward.  The fill runs on packed 64-bit words:
+        # within a word in six doubling steps, and across words by one
+        # running maximum over the words that hold a reset.
         tm = self._tm
-        from_zero, from_one, stationary = (
-            _threshold(p) for p in (tm.p1_given_0, tm.p1_given_1, tm.pi1))
+        lo, hi = sorted(_threshold(p) << 11 for p in (tm.p1_given_0, tm.p1_given_1))
+        stationary = _threshold(tm.pi1) << 11
         draw = self._drawer(size)
-        one = np.empty(size, dtype=bool)
-        reset = np.empty(size, dtype=bool)
-        # value[0] is the bit before the chunk, value[i + 1] bit i's value
-        # if it is a reset
-        value = np.zeros(size + 1, dtype=np.uint8)
-        pos = _markov_positions()
-        bits = np.empty(size, dtype=np.uint8)
-        # a flip chain's bit i is value[last] ^ ((i + 1 - last) & 1); the
-        # parity of each position, (i + 1) & 1, is xored in before and
-        # after the gather
-        parity = _flip_parity() if self.config.a1 < 0 else None
+        nw = -(-size // 64)
+        below_lo = np.empty(64 * nw, dtype=bool)
+        below_hi = np.empty(64 * nw, dtype=bool)
+        before = np.empty(nw, dtype=np.uint64)
+        tmp = np.empty(nw, dtype=np.uint64)
+        # key[0] is the bit before the chunk, key[w + 1] word w's last bit
+        # plus rank[w] = 2(w + 1) if word w holds a reset, else 0
+        key = np.empty(nw + 1, dtype=np.uint64)
+        rank = np.arange(2, 2 * nw + 2, 2, dtype=np.uint64)
+        # a flip chain's bit i is its last reset's value xor the parity of
+        # the steps since; each position's parity, (i + 1) & 1, is xored
+        # in before the fill and out after it
+        flip = self.config.a1 < 0
 
         def chunk(m):
             z = draw(m)
-            v = value[1:m + 1]
-            np.less(z, from_zero, out=v)
-            np.less(z, from_one, out=one[:m])
-            np.equal(v, one[:m], out=reset[:m])
+            k = -(-m // 64)
+            lo_bits, hi_bits = below_lo[:64 * k], below_hi[:64 * k]
+            np.less(z, lo, out=lo_bits[:m])
+            np.less(z, hi, out=hi_bits[:m])
+            lo_bits[m:] = hi_bits[m:] = False  # the bits past m: resets to 0
             if self._prev is None:
                 # very first bit of the stream draws from the stationary law
-                reset[0] = True
-                v[0] = z[0] < stationary
-            else:
-                value[0] = self._prev
-            # last[i]: 1 + the index of the last reset at or before bit i,
-            # or 0 (the previous bit) if there is none; it takes the place
-            # of the draws, which are not read again
-            last = np.multiply(pos[:m], reset[:m], out=z.view(np.int32)[:m])
-            np.maximum.accumulate(last, out=last)
-            if parity is not None:
-                np.bitwise_xor(v, parity[:m], out=v)
-            out = np.take(value, last, out=bits[:m], mode="clip")
-            if parity is not None:
-                np.bitwise_xor(out, parity[:m], out=out)
-            self._prev = int(out[-1])
-            return BitSequence(np.packbits(out, bitorder="little").tobytes(), m)
+                lo_bits[0] = hi_bits[0] = int(z[0]) < stationary
+            # f: 1 at the resets to 1, free: 1 at the bits that are no reset
+            out = np.packbits(lo_bits, bitorder="little")
+            f, free = out.view("<u8"), np.packbits(hi_bits, bitorder="little").view("<u8")
+            free ^= f
+            b, t = before[:k], tmp[:k]
+            np.invert(free, out=b)  # the resets
+            if flip:
+                f ^= np.bitwise_and(b, _ODD_BITS, out=t)
+            # the bits of a word before its first reset: (r & -r) - 1 for
+            # the word's resets r
+            b &= np.negative(b, out=t)
+            b -= 1
+            # after the step by s, free[i] is 1 where bits i - 2s + 1 .. i
+            # hold no reset, or 0 near the word's start, where f gains
+            # nothing from the next shift
+            for s in (1, 2, 4, 8, 16, 32):
+                f |= np.bitwise_and(np.left_shift(f, s, out=t), free, out=t)
+                if s < 32:
+                    free &= np.left_shift(free, s, out=t)
+            # the bits before a word's first reset take its carry: the last
+            # bit of the nearest earlier word with a reset, or the bit
+            # before the chunk
+            kw = key[1:k + 1]
+            np.right_shift(f, 63, out=kw)
+            kw |= rank[:k]
+            kw &= np.subtract(np.right_shift(b, 63, out=t), 1, out=t)
+            key[0] = self._prev or 0
+            np.maximum.accumulate(key[:k + 1], out=key[:k + 1])
+            f |= np.multiply(b, np.bitwise_and(key[:k], 1, out=t), out=t)
+            if flip:
+                f ^= _ODD_BITS
+            out = out[:-(-m // 8)]
+            self._prev = int(out[-1]) >> ((m - 1) & 7) & 1
+            return BitSequence(out.tobytes(), m)
         return chunk
 
     # ---- dead-time detector pair ----
@@ -257,7 +292,11 @@ class Source:
         def chunk(m):
             # one whole block, however many bits are owed: photon j of
             # the stream takes draws 2j+1 (inter-arrival) and 2j+2 (route)
+            # (z >> 11) * 2**-53 is the uniform of z; all the draws are
+            # shifted, as one contiguous pass took less time than a strided
+            # pass over the inter-arrival half
             z = draw(2 * _PHOTON_BLOCK)
+            np.right_shift(z, 11, out=z)
             dts = times[1:]
             np.multiply(z[0::2], 2.0**-53, out=dts)
             np.negative(dts, out=dts)
@@ -370,21 +409,6 @@ def _gamma_steps() -> np.ndarray:
     steps = np.arange(_GEN_CHUNK, dtype=np.uint64)
     steps *= np.uint64(_GAMMA)
     return _read_only(steps)
-
-
-@functools.cache
-def _markov_positions() -> np.ndarray:
-    """1 + i for the bits i of a markov chunk, as int32, whose running
-    maximum is faster than int64's."""
-    return _read_only(np.arange(1, _GEN_CHUNK + 1, dtype=np.int32))
-
-
-@functools.cache
-def _flip_parity() -> np.ndarray:
-    """(i + 1) & 1 for the bits i of a markov chunk."""
-    parity = np.zeros(_GEN_CHUNK, dtype=np.uint8)
-    parity[::2] = 1
-    return _read_only(parity)
 
 
 @functools.cache

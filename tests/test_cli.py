@@ -91,6 +91,22 @@ class TestGenerate:
         assert path.read_bytes() == b"OLD"
         assert sorted(tmp_path.iterdir()) == [path]
 
+    def test_interrupt_exits_130_with_one_error_line(self, capsys, monkeypatch, tmp_path):
+        # Ctrl-C mid-stream: one error line, no traceback, the status a
+        # shell reports for SIGINT, and the old output left whole
+        path = tmp_path / "s.bits"
+        path.write_bytes(b"OLD")
+
+        def interrupted(self, n):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sources.Source, "generate", interrupted)
+        code, out, err = run(capsys, "generate", "--source", "ideal", "--nbits", "1000",
+                             "--out", str(path))
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert path.read_bytes() == b"OLD"
+        assert sorted(tmp_path.iterdir()) == [path]
+
     def test_negative_count_writes_no_file(self, capsys, tmp_path):
         path = tmp_path / "s.bits"
         code, _, err = run(capsys, "generate", "--source", "ideal", "--nbits", "-1",

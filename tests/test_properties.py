@@ -192,10 +192,18 @@ def test_lag_state_streamed_and_merged_equals_whole(case, k, piece_bits):
        st.one_of(st.none(), st.integers(1, 3)))
 @example([1] * 130, [63, 64, 65, 127, 128, 129, 130, 400], 1)
 @example([1, 0, 1] * 43, [1, 63, 64, 65, 127, 128, 129], None)
+@example([], [1, 8], None)
+@example([1], [1, 2], None)
+@example([1, 1, 0, 1, 0, 0, 1], [1, 2, 3, 8], None)
+@example([1, 1, 0, 1, 1] * 40, [1], None)
+@example([1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1] * 9 + [1, 1], [2, 3, 30], None)
 def test_measure_matches_unpacked_products(bits, lags, pass_words):
     # lags on and beside the word boundaries, lags at or past the length,
     # and pass budgets of one to three words, or the default one that
-    # puts all the lags of a word offset in one pass
+    # puts all the lags of a word offset in one pass.  The ones are the
+    # lag-0 row of the first pass, so streams of 0, 1 and 7 bits, a lone
+    # lag and a tail edge that starts mid-byte (bit 71 of 101) pin them
+    # and the edges
     bits = np.array(bits, dtype=np.uint8)
     lags = tuple(sorted(lags))
     budget = estimators._PASS_WORDS if pass_words is None else pass_words
@@ -447,15 +455,15 @@ def test_xorshift_matches_scalar_recurrence(seed, n, steps):
 @pytest.mark.parametrize("config, built", [
     (SourceConfig.ideal(seed=1), {"_gamma_steps"}),
     (SourceConfig.deadtime(1.0, 0.5, seed=1), {"_gamma_steps"}),
-    (SourceConfig.markov(0.1, 0.2, seed=1), {"_gamma_steps", "_markov_positions"}),
-    (SourceConfig.markov(0.1, -0.2, seed=1), {"_gamma_steps", "_markov_positions", "_flip_parity"}),
+    (SourceConfig.markov(0.1, 0.2, seed=1), {"_gamma_steps"}),
+    (SourceConfig.markov(0.1, -0.2, seed=1), {"_gamma_steps"}),
     (SourceConfig.xorshift64(seed=1), {"_xorshift_tables"}),
 ], ids=["ideal", "deadtime", "markov_carry", "markov_flip", "xorshift64"])
 def test_cached_source_tables_are_shared_and_read_only(config, built):
     # each kind builds only the tables it uses, once per process, and
     # every source shares them, so none may be written to
     tables = [getattr(sources, name) for name in
-              ("_gamma_steps", "_markov_positions", "_flip_parity", "_xorshift_tables")]
+              ("_gamma_steps", "_xorshift_tables")]
     for table in tables:
         table.cache_clear()
     first = generate(config, 3000)

@@ -302,12 +302,20 @@ def markov_reference(b, a1, seed, n):
 @pytest.mark.parametrize(
     "b,a1",
     [(0.0, 0.0), (0.1, 0.1), (0.1, -0.1), (-0.3, 0.5), (0.0, -1.0), (0.0, 1.0),
-     (0.5, -1 / 3), (0.02, 0.04), (0.9, -0.05)],
+     (0.5, -1 / 3), (0.02, 0.04), (0.9, -0.05), (0.0, 0.999), (0.0, -0.999)],
 )
 def test_markov_matches_sequential_definition(b, a1):
-    for n in (1, 2, 65, 700):
-        got = list(generate(SourceConfig.markov(b, a1, seed=11), n).to_array())
-        assert got == markov_reference(b, a1, 11, n)
+    # lengths on and beside the 64-bit words the chunk is filled on, and
+    # past one 2^16-bit chunk; at a1 = +-0.999 most words hold no reset,
+    # so their bits come from a word before them
+    config = SourceConfig.markov(b, a1, seed=11)
+    want = markov_reference(b, a1, 11, 2**16 + 70)
+    for n in (1, 2, 63, 64, 65, 129, 700, 2**16 + 70):
+        assert list(generate(config, n).to_array()) == want[:n]
+    # a live source carries its last bit across calls cut off a word
+    src = Source(config)
+    got = concat(*(src.generate(n) for n in (63, 1, 2**16)))
+    assert list(got.to_array()) == want[:2**16 + 64]
 
 
 def test_markov_deterministic_limits():
