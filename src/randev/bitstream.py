@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from randev.config import _FORMATS
+from randev.config import _FORMATS, _integer
 
 __all__ = ["BitSequence", "concat", "from_raw_bytes", "read_file", "read_stream",
            "write_file", "write_stream"]
@@ -51,6 +51,7 @@ class BitSequence:
 
     def __init__(self, data: bytes, nbits: int):
         data = bytes(data)
+        nbits = _integer(nbits, "nbits", ValueError)
         if nbits < 0:
             raise ValueError("nbits must be non-negative")
         if not nbits <= 8 * len(data) < nbits + 8:
@@ -74,10 +75,14 @@ class BitSequence:
     @classmethod
     def from_bits(cls, bits) -> "BitSequence":
         """Pack an iterable/array of 0/1 values into a sequence."""
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        if arr.size and arr.max() > 1:
+        arr = np.asarray(bits).reshape(-1)
+        if arr.dtype == np.uint8 or arr.dtype == np.bool_:
+            bad = arr.size and arr.max() > 1
+        else:
+            # checked before the cast, which would wrap or truncate them
+            bad = ((arr != 0) & (arr != 1)).any()
+            arr = arr.astype(np.uint8)
+        if bad:
             raise ValueError("bit values must be 0 or 1")
         packed = np.packbits(arr, bitorder="little")
         return cls(packed.tobytes(), int(arr.size))
@@ -310,6 +315,7 @@ def _first_bits(chunks, nbits_override: int | None):
     if nbits_override is None:
         yield from chunks
         return
+    nbits_override = _integer(nbits_override, "nbits_override", ValueError)
     if nbits_override < 0:
         raise ValueError(f"nbits_override={nbits_override} must be non-negative")
     owed, total = nbits_override, 0

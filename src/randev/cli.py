@@ -34,7 +34,8 @@ from typing import NamedTuple
 # the stages it runs, so ``--help``, ``predict``, ``nmax``, ``fig2`` and
 # ``validate-approx`` load no numpy, ``analyze`` and ``monitor`` no
 # generators, and ``generate`` no estimators
-from randev.config import _FORMATS, DEADTIME_MODES, SOURCE_KINDS, ParameterError, SourceConfig
+from randev.config import (_FORMATS, DEADTIME_MODES, SOURCE_KINDS, ParameterError, SourceConfig,
+                           _integer)
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
 
@@ -61,7 +62,7 @@ class MonitorConfig(NamedTuple):
     deviation_threshold: float | None = None
 
     def validate(self) -> None:
-        if not 1024 <= self.window_bits <= _MAX_WINDOW_BITS:
+        if not 1024 <= _integer(self.window_bits, "window_bits") <= _MAX_WINDOW_BITS:
             raise ParameterError(
                 f"window_bits={self.window_bits} must be in [1024, {_MAX_WINDOW_BITS}]"
             )

@@ -42,11 +42,13 @@ class ParameterError(ValueError):
     """A source or model parameter is outside its admissible domain."""
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, error: type[ValueError] = ParameterError) -> int:
+    """``value`` as an int, if it is an integer (numpy's and bools too);
+    else ``error``."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 class TransitionMatrix(NamedTuple):

@@ -8,13 +8,14 @@ tail window x[k .. n) are the one-count minus the ones among the last or
 first k edge bits.  A piece is counted on its packed bytes read as
 little-endian 64-bit words (``bitwise_count`` of each word ANDed with the
 stream shifted down by k bits) and nothing is unpacked; the one-count is
-the lag-0 row.  Consecutive lags that share a word offset k >> 6 are the
-rows of one 2-D broadcast pass, as many rows as fit a budget of 2**14
-words: a 2**14-bit stream takes its ones and 8 default lags in one pass,
-a 2**22-bit piece one lag per pass, so a short stream pays a few numpy
-calls, not a few per lag.  The edges are read from the piece's edge
-bytes.  States of consecutive pieces merge in integer arithmetic on
-their edge bits, and one Python loop makes every lag's estimate.
+the lag-0 row.  Every pass has one shape: consecutive lags that share a
+word offset k >> 6 are the rows of one 2-D broadcast pass, as many rows
+as fit a budget of 2**14 words.  A 2**14-bit stream takes its ones and 8
+default lags in one pass, and a 2**22-bit piece one lag per pass, as a
+pass of one row, so a short stream pays a few numpy calls, not a few per
+lag.  The edges are read from the piece's edge bytes.  States of
+consecutive pieces merge in integer arithmetic on their edge bits, and
+one Python loop makes every lag's estimate.
 
 ``LagAccumulator(k)`` is the one-lag state.  ``PairCounts`` (bits,
 one-bits, the four adjacent-pair counts) is the lag-1 view: c11 is the
@@ -45,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from randev.bitstream import _PIECE_BITS, BitSequence, _pieces
+from randev.config import _integer
 from randev.model import binary_entropy, deviation_quadratic, deviation_sigma, n_max
 
 __all__ = [
@@ -164,11 +166,11 @@ def _words(data: bytes, out: np.ndarray | None = None) -> np.ndarray:
     return out[:nw]
 
 
-# words of lag products ``_measure`` makes in one pass: 128 KiB, so a
-# 2**14-bit stream takes all the lags of a word offset at once and a
-# piece of over 2**19 bits one lag per pass.  At 2**16 words, a piece of
-# 2**17 to 2**21 bits faulted both 512 KiB arrays in anew on every call
-# and took twice as long
+# words of lag products ``_measure`` makes in one pass, and of lag-1
+# products ``windows`` makes at a time: 128 KiB, so a 2**14-bit stream
+# takes all the lags of a word offset at once and a piece of over 2**19
+# bits one lag per pass.  At 2**16 words, a piece of 2**17 to 2**21 bits
+# faulted both 512 KiB arrays in anew on every call and took twice as long
 _PASS_WORDS = 1 << 14
 
 # the shift r = 0..63 of each row of a pass, and its carry's shift 64 - r,
@@ -198,10 +200,10 @@ def _lag_products(words: np.ndarray, lags: list[int]) -> list[int]:
     bit count; lag 0 gives the ones.
 
     Each run of consecutive lags k = 64q + r of one word offset q makes
-    the rows of one broadcast pass, as many as ``_PASS_WORDS`` allows:
-    row i of word j is word q + j shifted down by r_i, ORed with the carry
-    from word q + j + 1 shifted up by 64 - r_i (numpy gives 0 for a shift
-    by 64), ANDed with word j."""
+    the rows of one broadcast pass, as many as ``_PASS_WORDS`` allows, and
+    a run of one lag one row: row i of word j is word q + j shifted down
+    by r_i, ORed with the carry from word q + j + 1 shifted up by 64 - r_i
+    (numpy gives 0 for a shift by 64), ANDed with word j."""
     width = len(words) - 1
     # one product and one carry array for every pass: a piece's worth of
     # them made and freed per lag can cost a page fault per page each time.
@@ -216,26 +218,13 @@ def _lag_products(words: np.ndarray, lags: list[int]) -> list[int]:
         m = width - q
         rows = max(1, _PASS_WORDS // m)
         for i in range(0, len(run), rows):
-            k, count = run[i], min(rows, len(run) - i)
-            r = k & 63
-            if count > 1:
-                p, c = (a[:count * m].reshape(count, m) for a in (prod, carry))
-                np.right_shift(words[q:q + m], _SHIFTS[r:r + count], out=p)
-                np.left_shift(words[q + 1:q + 1 + m], _CARRIES[r:r + count], out=c)
-                p |= c
-                p &= words[:m]
-                prods += np.bitwise_count(p).sum(axis=1).tolist()
-            else:
-                # a lone row is 1-D with Python-int shifts: numpy's scalar
-                # loops and the fewest calls, for the one-lag passes of a
-                # long piece.  A lone lag 0 counts the words themselves
-                p = words[q:q + m]
-                if r:
-                    p = np.right_shift(p, r, out=prod[:m])
-                    p |= np.left_shift(words[q + 1:q + 1 + m], 64 - r, out=carry[:m])
-                if k:
-                    p = np.bitwise_and(p, words[:m], out=prod[:m])
-                prods.append(int(np.bitwise_count(p).sum()))
+            r, count = run[i] & 63, min(rows, len(run) - i)
+            p, c = (a[:count * m].reshape(count, m) for a in (prod, carry))
+            np.right_shift(words[q:q + m], _SHIFTS[r:r + count], out=p)
+            np.left_shift(words[q + 1:q + 1 + m], _CARRIES[r:r + count], out=c)
+            p |= c
+            p &= words[:m]
+            prods += np.bitwise_count(p).sum(axis=1).tolist()
     return prods
 
 
@@ -279,6 +268,7 @@ class LagAccumulator:
     __slots__ = ("_state",)
 
     def __init__(self, k: int):
+        k = _integer(k, "lag k", EstimatorError)
         if k < 1:
             raise EstimatorError(f"lag k={k} must be at least 1")
         self._state = _empty((k,))
@@ -500,6 +490,7 @@ def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     """The report of the chunks' lag state, measured through ``mapper``:
     the one check of max_lag, made before any chunk is read, and of the
     stream's length."""
+    max_lag = _integer(max_lag, "max_lag", EstimatorError)
     if max_lag < 1:
         raise EstimatorError(f"max_lag={max_lag} must be at least 1")
     # the chunks that hold the max_lag + 2 bits a report needs, or the
@@ -560,6 +551,7 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
     """
     if workers is None:
         workers = os.cpu_count() or 1
+    workers = _integer(workers, "workers", EstimatorError)
     if workers < 1:
         raise EstimatorError(f"workers={workers} must be at least 1")
     # imported here: its logging import would cost every other call

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 # the stages that make and measure streams load numpy, so the functions
 # that run them import them; the closed forms of ``fig2_curve`` and of
 # ``validate_approx`` without n_bits need only the model
-from randev.config import ParameterError, SourceConfig
+from randev.config import ParameterError, SourceConfig, _integer
 from randev.model import (
     deviation_sigma,
     markov_prediction,
@@ -207,7 +207,7 @@ def concat_property(config: SourceConfig, lengths, seed: int | None = None) -> b
     from randev.estimators import PairCounts, accumulate, analyze
     from randev.sources import Source, generate
 
-    lengths = [int(n) for n in lengths]
+    lengths = [_integer(n, "partition length") for n in lengths]
     if any(n < 0 for n in lengths):
         raise ParameterError("partition lengths must be non-negative")
     if seed is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from randev.estimators import PairCounts, _pair_cells, _words, merge
+from randev.estimators import _PASS_WORDS, PairCounts, _pair_cells, _words, merge
 
 
 # windows ``_window_counts`` turns into PairCounts at a time, so a read
@@ -69,10 +69,6 @@ def _window_counts(chunks, w: int):
         yield [held]
 
 
-# words of lag-1 products ``_window_sums`` makes at a time: 128 KiB
-_BLOCK_WORDS = 1 << 14
-
-
 def _window_sums(words: np.ndarray, pos: np.ndarray):
     """For windows of ``_words`` from bit pos[2j] to bit pos[2j + 1]: the
     ones and the lag-1 products x[i]*x[i+1] at i from pos[2j] to
@@ -84,10 +80,11 @@ def _window_sums(words: np.ndarray, pos: np.ndarray):
     ones_above = words[idx] >> shift  # the word of each position, from it up
     word_ones = np.bitwise_count(words)
     # a block's products need the words up to the next block's first,
-    # which is not yet replaced; a block bounds the temporaries
+    # which is not yet replaced; a block of the estimators' pass budget
+    # bounds the temporaries
     n = len(words) - 1
-    for j in range(0, n, _BLOCK_WORDS):
-        e = min(j + _BLOCK_WORDS, n)
+    for j in range(0, n, _PASS_WORDS):
+        e = min(j + _PASS_WORDS, n)
         words[j:e] &= (words[j:e] >> 1) | (words[j + 1:e + 1] << 63)
     pairs_above = words[idx] >> shift
     pairs = _set_bits_before(np.bitwise_count(words, out=words), idx, pairs_above)

@@ -20,6 +20,8 @@ def test_construction_validates_length_fit():
         BitSequence(b"\x06\x00", 4)
     with pytest.raises(ValueError):
         BitSequence(b"", 1)
+    with pytest.raises(ValueError):
+        BitSequence(b"\x01", 2.5)
 
 
 def test_construction_rejects_nonzero_pad_bits():
@@ -46,8 +48,10 @@ def test_from_bits_roundtrip():
 
 
 def test_from_bits_rejects_non_binary():
-    with pytest.raises(ValueError):
-        BitSequence.from_bits([0, 1, 2])
+    # other values than 0 and 1 are rejected, not truncated or wrapped
+    for bits in ([0, 1, 2], [0.5], [1.7, 0.2], [-1], [256]):
+        with pytest.raises(ValueError, match=r"^bit values must be 0 or 1$"):
+            BitSequence.from_bits(bits)
 
 
 def test_concat_identity_and_simple():
@@ -149,15 +153,17 @@ class Endless:
 
 
 def test_negative_count_fails_before_any_read(tmp_path):
-    # a negative count needs no read to be rejected, so an endless stream
-    # or a missing file is never read
+    # a negative or non-integer count needs no read to be rejected, so an
+    # endless stream or a missing file is never read
     source = Endless()
-    for read in (lambda: concat(*read_stream(source, "raw", -1)),
-                 lambda: concat(*read_stream(source, "ascii", -1)),
-                 lambda: read_file(source, "raw", -1),
-                 lambda: read_file(tmp_path / "nope.bits", "raw", -1)):
-        with pytest.raises(ValueError, match=r"^nbits_override=-1 must be non-negative$"):
-            read()
+    for nbits, message in ((-1, r"^nbits_override=-1 must be non-negative$"),
+                           (2.5, r"^nbits_override must be an integer, got 2\.5$")):
+        for read in (lambda: concat(*read_stream(source, "raw", nbits)),
+                     lambda: concat(*read_stream(source, "ascii", nbits)),
+                     lambda: read_file(source, "raw", nbits),
+                     lambda: read_file(tmp_path / "nope.bits", "raw", nbits)):
+            with pytest.raises(ValueError, match=message):
+                read()
     assert source.reads == 0
 
 

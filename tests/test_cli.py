@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tokenize
 import types
 from pathlib import Path
 
@@ -415,6 +416,8 @@ class TestMonitorConfig:
             MonitorConfig(window_bits=512).validate()
         with pytest.raises(ParameterError):
             MonitorConfig(window_bits=2**32 + 1).validate()
+        with pytest.raises(ParameterError):
+            MonitorConfig(window_bits=1024.5).validate()
         MonitorConfig(window_bits=2**32).validate()
         with pytest.raises(ParameterError):
             MonitorConfig(sigma_k=0.0).validate()
@@ -804,6 +807,19 @@ class TestImports:
         assert bound == names
         assert len(names) == 49
         assert mismatched == []
+
+    def test_every_module_stays_below_4096_tokens(self):
+        # CPython's parser doubles its token array at 4096 tokens, and a
+        # module past that compiles with about 0.3 MiB more peak memory,
+        # which every command that loads it pays
+        counts = {}
+        for path in sorted(Path(randev.__file__).parent.glob("*.py")):
+            with open(path, "rb") as fh:
+                counts[path.name] = sum(
+                    tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                    for tok in tokenize.tokenize(fh.readline))
+        assert "estimators.py" in counts
+        assert {name: n for name, n in counts.items() if n >= 4096} == {}
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

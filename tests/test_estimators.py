@@ -146,8 +146,9 @@ class TestAutocorr:
             autocorr(S("0110"), 3)
 
     def test_bad_lag(self):
-        with pytest.raises(EstimatorError):
-            autocorr(S("0110"), 0)
+        for k in (0, 2.0):
+            with pytest.raises(EstimatorError):
+                autocorr(S("0110"), k)
 
     def test_markov_stream_recovers_a1(self):
         seq = generate(SourceConfig.markov(0.0, 0.1, seed=11), 200_000)
@@ -218,8 +219,18 @@ class TestLagAccumulator:
             merge(LagAccumulator(1), LagAccumulator(2))
 
     def test_bad_lag(self):
-        with pytest.raises(EstimatorError):
-            LagAccumulator(0)
+        for k in (0, 2.5):
+            with pytest.raises(EstimatorError):
+                LagAccumulator(k)
+
+    def test_numpy_integer_lag(self):
+        seq = generate(SourceConfig.markov(0.0, 0.1, seed=3), 5000)
+        numpy_lag, int_lag = LagAccumulator(np.int64(3)), LagAccumulator(3)
+        numpy_lag.add(seq)
+        int_lag.add(seq)
+        assert numpy_lag == int_lag
+        assert type(numpy_lag.k) is int
+        assert merge(numpy_lag, int_lag).n == 10_000
 
     def test_empty_add_is_noop(self):
         acc = LagAccumulator(4)
@@ -470,6 +481,7 @@ class TestAnalyze:
 
         for seq, max_lag, later in ((BitSequence(b"", 0), 8, ()), (S("0101"), 8, ()),
                                     (S("0110"), 0, ()), (S("0110" * 250), 3_000_000, ()),
+                                    (S("0110" * 250), 8.0, ()),
                                     # max_lag is checked before any chunk is
                                     # read, so neither a read that would fail
                                     # nor an endless stream is read
@@ -490,7 +502,7 @@ class TestAnalyze:
                     analyze_parallel(seq, max_lag=max_lag, workers=workers)
                 assert parallel.type is serial.type
                 assert str(parallel.value) == str(serial.value)
-        for workers in (0, -1):
+        for workers in (0, -1, 1.5):
             with pytest.raises(EstimatorError):
                 analyze_parallel(S("01101001" * 4), workers=workers)
 

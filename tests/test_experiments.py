@@ -188,8 +188,9 @@ class TestConcatProperty:
         assert concat_property(SourceConfig.ideal(), [4, 4], seed=77)
 
     def test_rejects_negative_length(self):
-        with pytest.raises(ParameterError):
-            concat_property(SourceConfig.ideal(seed=1), [4, -1])
+        for lengths in ([4, -1], [2.5]):
+            with pytest.raises(ParameterError):
+                concat_property(SourceConfig.ideal(seed=1), lengths)
 
 
 class TestPrngDemo:

@@ -240,7 +240,7 @@ def test_window_counts_equal_accumulate(w, data):
             yield seq[a:b]
 
     # a few windows per batch, so a chunk's windows come in several
-    with mock.patch.object(windows, "_BLOCK_WORDS", data.draw(st.integers(1, 3))), \
+    with mock.patch.object(windows, "_PASS_WORDS", data.draw(st.integers(1, 3))), \
          mock.patch.object(windows, "_WINDOW_BATCH", data.draw(st.integers(1, 3))):
         for batch in windows._window_counts(chunks(), w):
             assert 0 < len(batch) <= windows._WINDOW_BATCH
