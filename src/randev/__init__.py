@@ -8,7 +8,11 @@ The package is organized as a pipeline:
                      dead-time-afflicted, and deterministic bit sources.
 * ``model``       -- closed-form expected statistics for every source;
                      needs only ``config``, so it loads no numpy.
-* ``estimators``  -- one-pass, mergeable measurements of real streams.
+* ``stats``       -- the arithmetic on a stream's counts: the pair counts,
+                     lag states and their merge, the entropies, deviation
+                     and report; needs only ``model``, so it loads no numpy.
+* ``estimators``  -- one-pass, mergeable counts of real streams' packed
+                     words, and ``analyze``.
 * ``windows``     -- the fixed-window counts ``randev monitor`` prints.
 * ``experiments`` -- reproducible sweeps and demos built on the above.
 * ``cli``         -- the ``randev`` command.
@@ -16,8 +20,8 @@ The package is organized as a pipeline:
 Each stage loads on first use: ``import randev`` imports no stage, and
 the first access to a public name, or to a stage itself, imports the
 module it lives in, so a program that only generates bits never loads
-the estimators, and one that only configures sources or evaluates the
-model never loads numpy.  The records (``SourceConfig``,
+the estimators, and one that only configures sources, evaluates the
+model or works on counts never loads numpy.  The records (``SourceConfig``,
 ``ModelPrediction``, ``AnalysisReport`` and the rest) are
 ``NamedTuple``s: ``_replace`` makes a changed copy, ``_asdict`` gives
 the fields in order, and a record equals the plain tuple of its fields.
@@ -35,11 +39,7 @@ _STAGES = {
     ),
     "bitstream": ("BitSequence", "concat", "from_raw_bytes", "read_file", "write_file"),
     "estimators": (
-        "AnalysisReport", "DegenerateSequenceError", "EmptyInputError", "EstimatorError",
-        "InsufficientDataError", "LagAccumulator", "LagEstimate", "PairCounts",
-        "accumulate", "analyze", "analyze_parallel", "autocorr", "bias_estimate",
-        "cond_entropy_lag1", "deviation_plugin", "marginal_entropy_lag1", "merge",
-        "mutual_information_lag1",
+        "LagAccumulator", "accumulate", "analyze", "analyze_parallel", "autocorr", "merge",
     ),
     "experiments": (
         "CurveRow", "GridResult", "GridRow", "PrngDemo", "concat_property", "fig2_curve",
@@ -51,6 +51,12 @@ _STAGES = {
         "predict_source",
     ),
     "sources": ("Source", "generate"),
+    "stats": (
+        "AnalysisReport", "DegenerateSequenceError", "EmptyInputError", "EstimatorError",
+        "InsufficientDataError", "LagEstimate", "PairCounts", "bias_estimate",
+        "cond_entropy_lag1", "deviation_plugin", "marginal_entropy_lag1",
+        "mutual_information_lag1",
+    ),
     "windows": (),
 }
 _HOME = {name: stage for stage, names in _STAGES.items() for name in names}

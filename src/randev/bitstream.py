@@ -6,7 +6,9 @@ final byte are always zero, so equal sequences are equal as (data, nbits)
 pairs and raw dumps are directly comparable.  Step-1 slices and
 ``concat`` cut and join the packed bytes at any bit offset; no other
 module cuts or joins them.  ``_pieces`` is the one cutter of a chunked
-stream into pieces of a fixed size, for the estimators' fold.
+stream into pieces of a fixed size, ``_PIECE_BITS`` for the estimators'
+fold, and ``_words`` the one view of packed bytes as the 64-bit words
+that ``estimators`` and ``windows`` count, in passes of ``_PASS_WORDS``.
 
 Two file formats are supported:
 
@@ -31,12 +33,22 @@ __all__ = ["BitSequence", "concat", "from_raw_bytes", "read_file", "read_stream"
            "write_file", "write_stream"]
 
 # the bits of one piece of a stream: what ``_pieces`` cuts for the
-# estimators' fold, and what ``generate`` makes and writes at a time
-_PIECE_BITS = 1 << 22
+# estimators' fold, and what ``generate`` makes and writes at a time.
+# At 2**20 bits a measure's temporaries take about 0.6 MiB, and ``randev
+# analyze`` of 2**26 bits has about half the page faults (5.1k against
+# 9.9k) and 1.9 MiB less peak memory than at 2**22
+_PIECE_BITS = 1 << 20
 
 # most bytes per read: one piece of raw bits, so a whole raw chunk passes
 # through the fold uncopied
 _READ_BYTES = _PIECE_BITS // 8
+
+# words of lag products the estimators make in one pass, and of lag-1
+# products ``windows`` makes at a time: 128 KiB, so a 2**14-bit stream
+# takes all the lags of a word offset at once and a piece of over 2**19
+# bits one lag per pass.  At 2**16 words, a piece of 2**17 to 2**21 bits
+# faulted both 512 KiB arrays in anew on every call and took twice as long
+_PASS_WORDS = 1 << 14
 
 
 class BitSequence:
@@ -283,6 +295,20 @@ def _chunks(source, format: str, nbits: int | None, whole: bool = False):
     while left and (block := read(size if left < 0 else min(left, size))):
         left -= len(block)
         yield BitSequence(block, 8 * len(block))
+
+
+def _words(data: bytes, out: np.ndarray | None = None) -> np.ndarray:
+    """Packed bytes as little-endian 64-bit words, the last one zero-padded,
+    and one spare zero word for the carry of a shift.  Without ``out`` they
+    view a padded copy of the bytes; with it, they are its first words,
+    written over."""
+    nw = -(-len(data) // 8) + 1
+    if out is None:
+        return np.frombuffer(data.ljust(8 * nw, b"\0"), dtype="<u8")
+    view = out[:nw].view(np.uint8)
+    view[:len(data)] = np.frombuffer(data, np.uint8)
+    view[len(data):] = 0
+    return out[:nw]
 
 
 def _pieces(chunks, bits: int):

@@ -193,8 +193,8 @@ def _monitor_stream(chunks, config: MonitorConfig) -> int:
     parallelism.  The lines of the windows each chunk completes are written
     and flushed in batches of ``windows._WINDOW_BATCH`` before the next is
     read, so a pipe reader sees a line once its window's bits arrive."""
-    from randev.estimators import deviation_plugin
     from randev.model import deviation_sigma
+    from randev.stats import deviation_plugin
     from randev.windows import _window_counts
 
     w = config.window_bits

@@ -1,35 +1,31 @@
-"""One-pass, mergeable measurements of a bit stream.
+"""One-pass, mergeable counts of a bit stream's packed words, and the
+analyses built on them.
 
 Everything a stream's quality is judged by comes from one lag state per
-stream piece: for lags k = 1..K, the bit count, the one-count, the lag-k
-products sum x[i]*x[i+k], and the first and last min(K, n) bits as
-little-endian ints.  The one-counts of the head window x[0 .. n-k) and
-tail window x[k .. n) are the one-count minus the ones among the last or
-first k edge bits.  A piece is counted on its packed bytes read as
-little-endian 64-bit words (``bitwise_count`` of each word ANDed with the
-stream shifted down by k bits) and nothing is unpacked; the one-count is
-the lag-0 row.  Every pass has one shape: consecutive lags that share a
-word offset k >> 6 are the rows of one 2-D broadcast pass, as many rows
-as fit a budget of 2**14 words.  A 2**14-bit stream takes its ones and 8
-default lags in one pass, and a 2**22-bit piece one lag per pass, as a
-pass of one row, so a short stream pays a few numpy calls, not a few per
-lag.  The edges are read from the piece's edge bytes.  States of
-consecutive pieces merge in integer arithmetic on their edge bits, and
-one Python loop makes every lag's estimate.
+stream piece (``randev.stats`` defines it, merges it and turns it into
+statistics): for lags k = 1..K, the bit count, the one-count, the lag-k
+products sum x[i]*x[i+k], and the first and last min(K, n) bits.  This
+module counts a piece on its packed bytes read as little-endian 64-bit
+words (``bitwise_count`` of each word ANDed with the stream shifted down
+by k bits), and nothing is unpacked; the one-count is the lag-0 row.
+Every pass has one shape: consecutive lags that share a word offset
+k >> 6 are the rows of one 2-D broadcast pass, as many rows as fit a
+budget of 2**14 words.  A 2**14-bit stream takes its ones and 8 default
+lags in one pass, and a 2**20-bit piece one lag per pass, as a pass of
+one row, so a short stream pays a few numpy calls, not a few per lag.
+The edges are read from the piece's edge bytes.
 
-``LagAccumulator(k)`` is the one-lag state.  ``PairCounts`` (bits,
-one-bits, the four adjacent-pair counts) is the lag-1 view: c11 is the
-lag-1 product, c10 and c01 the head and tail window sums minus c11, and
-c00 the rest of the n - 1 pairs; it gives bias, mutual information,
-conditional entropy and the plug-in deviation.
+``LagAccumulator(k)`` is the one-lag state, and ``accumulate`` folds a
+sequence into ``PairCounts``, the lag-1 view.
 
 Every field is an exact integer, so any partition of a stream measured
 piece by piece and merged in order reproduces the serial state field for
 field.  One fold cuts the stream, whatever its chunks, into pieces of
-2**22 bits, the last one shorter, so serial, chunked and parallel runs
+2**20 bits, the last one shorter, so serial, chunked and parallel runs
 measure the same pieces and are bit-identical.  A piece bounds a
 measure's temporaries, and a stream given as an iterable of chunks is
 read one piece at a time, so memory does not grow with its length.
+A ``max_lag`` is at most ``_MAX_LAG``, which bounds what the lags cost.
 
 The PairCounts of each fixed window of a chunked stream, as ``monitor``
 reports them, come from ``randev.windows``.
@@ -38,16 +34,21 @@ reports them, come from ``randev.windows``.
 from __future__ import annotations
 
 import itertools
-import math
 import os
-from collections import deque, namedtuple
-from typing import NamedTuple
+from collections import deque
 
 import numpy as np
 
-from randev.bitstream import _PIECE_BITS, BitSequence, _pieces
+from randev.bitstream import _PASS_WORDS, _PIECE_BITS, BitSequence, _pieces, _words
 from randev.config import _integer
-from randev.model import binary_entropy, deviation_quadratic, deviation_sigma, n_max
+from randev.model import deviation_quadratic
+# the arithmetic on counts; its public names are this module's too
+from randev.stats import (AnalysisReport, DegenerateSequenceError, EmptyInputError,
+                          EstimatorError, InsufficientDataError, LagEstimate, PairCounts,
+                          _analysis, _empty, _estimates, _lag1, _LagState, _merge_pairs,
+                          _merge_states, _pair_counts, _window_ones, bias_estimate,
+                          cond_entropy_lag1, deviation_plugin, marginal_entropy_lag1,
+                          mutual_information_lag1)
 
 __all__ = [
     "EstimatorError",
@@ -71,57 +72,12 @@ __all__ = [
     "analyze_parallel",
 ]
 
-
-class EstimatorError(ValueError):
-    """Base class for estimator input problems."""
-
-
-class EmptyInputError(EstimatorError):
-    """No bits were provided where at least one is required."""
-
-
-class InsufficientDataError(EstimatorError):
-    """Too few bits for the requested quantity."""
-
-
-class DegenerateSequenceError(EstimatorError):
-    """The sequence is constant, so normalized correlations are undefined."""
-
-
-class PairCounts(NamedTuple):
-    """Counts of bits, one-bits, and adjacent (previous, next) pairs.
-
-    ``first_bit`` and ``last_bit`` are the lag-1 state's edge bits, so
-    counts of consecutive stream pieces merge exactly as lag-1 states.
-    """
-
-    n: int = 0
-    ones: int = 0
-    c00: int = 0
-    c01: int = 0
-    c10: int = 0
-    c11: int = 0
-    first_bit: int | None = None
-    last_bit: int | None = None
-
-    @property
-    def pair_total(self) -> int:
-        return self.c00 + self.c01 + self.c10 + self.c11
-
-
-def _pair_counts(s: _LagState) -> PairCounts:
-    """The adjacent-pair view of a state whose first lag is 1."""
-    if s.n == 0:
-        return PairCounts()
-    return PairCounts(*_pair_cells(s.n, s.ones, *_window_ones(s, 1), s.prods[0]))
-
-
-def _pair_cells(n, ones, head_ones, tail_ones, c11):
-    """The PairCounts fields from n >= 1 bits' ones, the ones of x[0 .. n-1)
-    and x[1 .. n) and the lag-1 product, as ints or int64 arrays alike."""
-    c10, c01 = head_ones - c11, tail_ones - c11
-    return (n, ones, n - 1 - c01 - c10 - c11, c01, c10, c11,
-            ones - tail_ones, ones - head_ones)
+# the largest max_lag.  A report's work and memory grow with its lags, not
+# only with its bits: each piece's state and the lag tuple hold one int a
+# lag, and a merge walks them all (2**14 lags of 2**20 bits take about
+# 2 s of CPU and 46 MiB in ``randev analyze``).  A larger max_lag fails
+# before any read, whatever the stream's length
+_MAX_LAG = 1 << 14
 
 
 def accumulate(counts: PairCounts, seq: BitSequence) -> PairCounts:
@@ -129,49 +85,6 @@ def accumulate(counts: PairCounts, seq: BitSequence) -> PairCounts:
     boundary between previously accumulated data and seq."""
     return _pair_counts(_fold(_lag1(counts), [seq]))
 
-
-def _lag1(c: PairCounts) -> _LagState:
-    """The lag-1 state behind counts made by ``accumulate``."""
-    return _LagState((1,), c.n, c.ones, (c.c11,), c.first_bit or 0, c.last_bit or 0)
-
-
-# The sums of one stream piece for ascending lags: prods[i] is the sum of
-# x[j]*x[j+lags[i]]; head and tail are the first and last min(lags[-1], n)
-# bits as ints whose bit j is bit j of that edge.
-_LagState = namedtuple("_LagState", "lags n ones prods head tail")
-
-
-def _empty(lags: tuple[int, ...]) -> _LagState:
-    return _LagState(lags, 0, 0, (0,) * len(lags), 0, 0)
-
-
-def _window_ones(s: _LagState, k: int) -> tuple[int, int]:
-    """One-counts of the head window x[0 .. n-k) and tail window x[k .. n)."""
-    k = min(k, s.n)
-    return (s.ones - (s.tail >> (min(s.lags[-1], s.n) - k)).bit_count(),
-            s.ones - (s.head & ~(-1 << k)).bit_count())
-
-
-def _words(data: bytes, out: np.ndarray | None = None) -> np.ndarray:
-    """Packed bytes as little-endian 64-bit words, the last one zero-padded,
-    and one spare zero word for the carry of a shift.  Without ``out`` they
-    view a padded copy of the bytes; with it, they are its first words,
-    written over."""
-    nw = -(-len(data) // 8) + 1
-    if out is None:
-        return np.frombuffer(data.ljust(8 * nw, b"\0"), dtype="<u8")
-    view = out[:nw].view(np.uint8)
-    view[:len(data)] = np.frombuffer(data, np.uint8)
-    view[len(data):] = 0
-    return out[:nw]
-
-
-# words of lag products ``_measure`` makes in one pass, and of lag-1
-# products ``windows`` makes at a time: 128 KiB, so a 2**14-bit stream
-# takes all the lags of a word offset at once and a piece of over 2**19
-# bits one lag per pass.  At 2**16 words, a piece of 2**17 to 2**21 bits
-# faulted both 512 KiB arrays in anew on every call and took twice as long
-_PASS_WORDS = 1 << 14
 
 # the shift r = 0..63 of each row of a pass, and its carry's shift 64 - r,
 # as columns that every pass slices
@@ -226,28 +139,6 @@ def _lag_products(words: np.ndarray, lags: list[int]) -> list[int]:
             p &= words[:m]
             prods += np.bitwise_count(p).sum(axis=1).tolist()
     return prods
-
-
-def _merge_states(a: _LagState, b: _LagState) -> _LagState:
-    """The state of piece a followed by piece b."""
-    if a.n == 0:
-        return b
-    top = a.lags[-1]
-    ea, eb = min(top, a.n), min(top, b.n)
-    edge = min(top, a.n + b.n)
-    # a lag-k pair across the cut joins bit p of a's tail to bit
-    # p + k - ea of b's head, and every such pair lies in those edges;
-    # a lag of ea + eb or more has no pair there
-    prods = tuple(
-        pa + pb
-        + (((a.tail << k >> ea) & b.head).bit_count() if k < ea + eb else 0)
-        for k, pa, pb in zip(a.lags, a.prods, b.prods)
-    )
-    return _LagState(
-        a.lags, a.n + b.n, a.ones + b.ones, prods,
-        (a.head | b.head << ea) & ~(-1 << edge),
-        (a.tail | b.tail << ea) >> (ea + eb - edge),
-    )
 
 
 def _fold(state: _LagState, chunks, mapper=map) -> _LagState:
@@ -310,7 +201,7 @@ def merge(a, b):
     for field what serial accumulation over the joined stream produces.
     """
     if isinstance(a, PairCounts) and isinstance(b, PairCounts):
-        return _pair_counts(_merge_states(_lag1(a), _lag1(b)))
+        return _merge_pairs(a, b)
     if isinstance(a, LagAccumulator) and isinstance(b, LagAccumulator):
         if a.k != b.k:
             raise EstimatorError(f"lag mismatch: {a.k} vs {b.k}")
@@ -320,13 +211,6 @@ def merge(a, b):
     raise TypeError(
         f"cannot merge {type(a).__name__} with {type(b).__name__}"
     )
-
-
-def bias_estimate(counts: PairCounts) -> tuple[float, float]:
-    """Empirical bias 2*ones/n - 1 and its uncertainty 1/sqrt(n)."""
-    if counts.n == 0:
-        raise EmptyInputError("cannot estimate bias of an empty stream")
-    return 2.0 * counts.ones / counts.n - 1.0, 1.0 / math.sqrt(counts.n)
 
 
 def autocorr(data, k: int | None = None) -> tuple[float, float]:
@@ -354,138 +238,6 @@ def autocorr(data, k: int | None = None) -> tuple[float, float]:
     return estimate.value, estimate.sigma
 
 
-def _estimates(s: _LagState) -> tuple[LagEstimate, ...]:
-    """The autocorrelation and its 1/sqrt(n) sigma at every lag of a state
-    with n >= lags[-1] + 2 bits.
-
-    One loop in Python: numpy took more than twice as long for the 8
-    default lags."""
-    n, ones, head, tail = s.n, s.ones, s.head, s.tail
-    mean = ones / n
-    skew, sigma, edge = 1.0 - 2.0 * mean, 1.0 / math.sqrt(n), s.lags[-1]
-    estimates = []
-    for k, prod in zip(s.lags, s.prods):
-        # the one-counts of the head and tail windows, as ``_window_ones``
-        # gives them
-        sum_head = ones - (tail >> (edge - k)).bit_count()
-        sum_tail = ones - (head & ~(-1 << k)).bit_count()
-        terms = n - k
-        num = prod - mean * (sum_head + sum_tail) + terms * mean * mean
-        den = sum_head * skew + terms * mean * mean
-        if den == 0.0:
-            raise DegenerateSequenceError(
-                "constant sequence: autocorrelation is undefined"
-            )
-        estimates.append(LagEstimate(k, num / den, sigma))
-    return tuple(estimates)
-
-
-def _require_pairs(counts: PairCounts) -> int:
-    total = counts.pair_total
-    if counts.n < 2 or total < 1:
-        raise InsufficientDataError(
-            "pair statistics need at least 2 bits"
-        )
-    return total
-
-
-def mutual_information_lag1(counts: PairCounts) -> float:
-    """Plug-in mutual information in bits between adjacent bits.
-
-    Cell-wise sum over the empirical joint distribution against the
-    product of its own marginals; integer count ratios keep the
-    product-distribution case at exactly zero.
-    """
-    total = _require_pairs(counts)
-    row = (counts.c00 + counts.c01, counts.c10 + counts.c11)
-    col = (counts.c00 + counts.c10, counts.c01 + counts.c11)
-    mi = 0.0
-    for cell, r, c in (
-        (counts.c00, 0, 0),
-        (counts.c01, 0, 1),
-        (counts.c10, 1, 0),
-        (counts.c11, 1, 1),
-    ):
-        if cell:
-            mi += (cell / total) * math.log2(cell * total / (row[r] * col[c]))
-    return 0.0 if mi < 0.0 else mi
-
-
-def cond_entropy_lag1(counts: PairCounts) -> float:
-    """Plug-in conditional entropy in bits of the next bit given the
-    previous one: row-weighted binary entropies of the transition table."""
-    total = _require_pairs(counts)
-    ce = 0.0
-    for c_to0, c_to1 in ((counts.c00, counts.c01), (counts.c10, counts.c11)):
-        row_n = c_to0 + c_to1
-        if row_n:
-            ce += (row_n / total) * binary_entropy(c_to1 / row_n)
-    return ce
-
-
-def marginal_entropy_lag1(counts: PairCounts) -> float:
-    """Plug-in entropy in bits of the second element of an adjacent pair."""
-    total = _require_pairs(counts)
-    return binary_entropy((counts.c01 + counts.c11) / total)
-
-
-def deviation_plugin(counts: PairCounts) -> float:
-    """Empirical randomness deviation: 1 minus the plug-in conditional
-    entropy, clamped to [0, 1]."""
-    return _deviation(cond_entropy_lag1(counts))
-
-
-def _deviation(cond_entropy: float) -> float:
-    """1 - cond_entropy, clamped to [0, 1]."""
-    d = 1.0 - cond_entropy
-    if d < 0.0:
-        return 0.0
-    return 1.0 if d > 1.0 else d
-
-
-class LagEstimate(NamedTuple):
-    lag: int
-    value: float
-    sigma: float
-
-
-class AnalysisReport(NamedTuple):
-    """Every measured quantity for one stream.
-
-    ``deviation_plugin`` comes from the conditional-entropy route;
-    ``deviation_markov`` is the quadratic form evaluated at the measured
-    bias and lag-1 autocorrelation; ``n_max`` is math.inf when the
-    plug-in deviation is exactly zero.
-    """
-
-    n_bits: int
-    bias_hat: float
-    bias_sigma: float
-    autocorr: tuple[LagEstimate, ...]
-    mi_lag1_hat: float
-    cond_entropy_hat: float
-    deviation_plugin: float
-    deviation_markov: float
-    deviation_sigma: float
-    n_max: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_bits": self.n_bits,
-            "bias": {"value": self.bias_hat, "sigma": self.bias_sigma},
-            "autocorr": [
-                {"lag": e.lag, "value": e.value, "sigma": e.sigma}
-                for e in self.autocorr
-            ],
-            "mi_lag1": self.mi_lag1_hat,
-            "cond_entropy": self.cond_entropy_hat,
-            "deviation_plugin": self.deviation_plugin,
-            "deviation_markov": self.deviation_markov,
-            "deviation_sigma": self.deviation_sigma,
-            "n_max": "unbounded" if math.isinf(self.n_max) else self.n_max,
-        }
-
-
 def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     """The report of the chunks' lag state, measured through ``mapper``:
     the one check of max_lag, made before any chunk is read, and of the
@@ -493,6 +245,8 @@ def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     max_lag = _integer(max_lag, "max_lag", EstimatorError)
     if max_lag < 1:
         raise EstimatorError(f"max_lag={max_lag} must be at least 1")
+    if max_lag > _MAX_LAG:
+        raise EstimatorError(f"max_lag={max_lag} must be at most {_MAX_LAG}")
     # the chunks that hold the max_lag + 2 bits a report needs, or the
     # whole stream if it is shorter: it then fails before any measure
     chunks = iter(chunks)
@@ -505,24 +259,8 @@ def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     else:
         raise InsufficientDataError(
             f"analysis up to lag {max_lag} needs at least {max_lag + 2} bits, got {seen}")
-    state = _fold(_empty(tuple(range(1, max_lag + 1))), itertools.chain(ahead, chunks), mapper)
-    counts = _pair_counts(state)
-    bias_hat, bias_sigma = bias_estimate(counts)
-    estimates = _estimates(state)
-    cond_entropy = cond_entropy_lag1(counts)
-    dev = _deviation(cond_entropy)
-    return AnalysisReport(
-        n_bits=counts.n,
-        bias_hat=bias_hat,
-        bias_sigma=bias_sigma,
-        autocorr=estimates,
-        mi_lag1_hat=mutual_information_lag1(counts),
-        cond_entropy_hat=cond_entropy,
-        deviation_plugin=dev,
-        deviation_markov=deviation_quadratic(bias_hat, estimates[0].value),
-        deviation_sigma=deviation_sigma(dev, counts.n),
-        n_max=n_max(dev),
-    )
+    return _analysis(_fold(_empty(tuple(range(1, max_lag + 1))),
+                           itertools.chain(ahead, chunks), mapper))
 
 
 def analyze(data, max_lag: int = 8) -> AnalysisReport:
@@ -531,8 +269,8 @@ def analyze(data, max_lag: int = 8) -> AnalysisReport:
 
     ``data`` is one BitSequence or an iterable of BitSequence chunks in
     stream order, such as ``bitstream.read_stream`` of a file; chunked
-    input produces the identical report.  A max_lag below 1 fails before
-    any chunk is read.  An iterable is read once, a piece at a time, and
+    input produces the identical report.  A max_lag below 1 or above
+    ``_MAX_LAG`` fails before any chunk is read.  An iterable is read once, a piece at a time, and
     a too-short one fails once its end is read.
     """
     if isinstance(data, BitSequence):
@@ -544,7 +282,7 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
                      workers: int | None = None) -> AnalysisReport:
     """analyze() with its pieces measured on up to ``workers`` threads.
 
-    The pieces are analyze()'s own, at most 2**22 bits each, and no more
+    The pieces are analyze()'s own, at most 2**20 bits each, and no more
     threads start than there are pieces; at most two pieces per thread
     are cut and in flight at once.  The same ordered fold merges them, so
     the report equals analyze()'s field for field.

@@ -33,7 +33,7 @@ from randev.model import (
 )
 
 if TYPE_CHECKING:
-    from randev.estimators import AnalysisReport
+    from randev.stats import AnalysisReport
 
 __all__ = [
     "GridRow",
@@ -120,8 +120,9 @@ def validate_approx(grid_step: float, n_bits: int | None = None,
     side = 0.2 / grid_step + 1
     _check_rows(side * side - 1, f"grid_step={grid_step}")
     if n_bits is not None:
-        from randev.estimators import PairCounts, accumulate, deviation_plugin
+        from randev.estimators import accumulate
         from randev.sources import generate
+        from randev.stats import PairCounts, deviation_plugin
     span = math.floor(0.1 / grid_step + 1e-9)
     rows = []
     worst = 0.0
@@ -204,8 +205,9 @@ def concat_property(config: SourceConfig, lengths, seed: int | None = None) -> b
     the one in config.
     """
     from randev.bitstream import concat
-    from randev.estimators import PairCounts, accumulate, analyze
+    from randev.estimators import accumulate, analyze
     from randev.sources import Source, generate
+    from randev.stats import PairCounts
 
     lengths = [_integer(n, "partition length") for n in lengths]
     if any(n < 0 for n in lengths):

@@ -5,20 +5,23 @@ reports them.
 It counts all the windows of a chunk in one pass over the chunk's words:
 a window's one-count and lag-1 product are differences of running
 popcounts at its first and last bit, its pair cells are derived as
-``_pair_counts`` derives them (``estimators._pair_cells``), and a window
+``_pair_counts`` derives them (``stats._pair_cells``), and a window
 that spans chunks is merged from its parts.  The windows a chunk
 completes become PairCounts ``_WINDOW_BATCH`` at a time, so a read of
 many small windows holds few of them as Python objects.
 
-Kept apart from ``estimators`` so that ``analyze``, which imports that
-module, does not compile this one.
+The words come from ``bitstream._words`` and the counts' arithmetic
+from ``randev.stats``, so ``monitor`` does not compile the lag kernel of
+``estimators``, and ``analyze``, which imports that module, does not
+compile this one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from randev.estimators import _PASS_WORDS, PairCounts, _pair_cells, _words, merge
+from randev.bitstream import _PASS_WORDS, _words
+from randev.stats import PairCounts, _merge_pairs, _pair_cells
 
 
 # windows ``_window_counts`` turns into PairCounts at a time, so a read
@@ -60,7 +63,7 @@ def _window_counts(chunks, w: int):
         for i in range(0, starts.size, _WINDOW_BATCH):
             counts = list(map(PairCounts, *(a[i:i + _WINDOW_BATCH].tolist() for a in fields)))
             if not i and held.n:
-                counts[0] = merge(held, counts[0])
+                counts[0] = _merge_pairs(held, counts[0])
             if i + _WINDOW_BATCH >= starts.size:
                 held = counts.pop() if counts[-1].n < w else PairCounts()
             if counts:
@@ -80,8 +83,8 @@ def _window_sums(words: np.ndarray, pos: np.ndarray):
     ones_above = words[idx] >> shift  # the word of each position, from it up
     word_ones = np.bitwise_count(words)
     # a block's products need the words up to the next block's first,
-    # which is not yet replaced; a block of the estimators' pass budget
-    # bounds the temporaries
+    # which is not yet replaced; a block of the lag passes' budget bounds
+    # the temporaries
     n = len(words) - 1
     for j in range(0, n, _PASS_WORDS):
         e = min(j + _PASS_WORDS, n)

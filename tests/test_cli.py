@@ -21,7 +21,7 @@ import randev
 from randev import bitstream, cli, sources
 from randev.bitstream import BitSequence, read_file
 from randev.cli import MonitorConfig, main
-from randev.estimators import PairCounts, accumulate, analyze, deviation_plugin
+from randev.estimators import _MAX_LAG, PairCounts, accumulate, analyze, deviation_plugin
 from randev.model import deviation_sigma
 from randev.sources import ParameterError, SourceConfig, generate
 
@@ -292,6 +292,8 @@ class TestAnalyze:
         stdin = Endless()
         monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=stdin))
         for flags, message in ((("--max-lag", "0"), "max_lag=0 must be at least 1"),
+                               (("--max-lag", "30000000"),
+                                f"max_lag=30000000 must be at most {_MAX_LAG}"),
                                (("--nbits", "-1"), "nbits_override=-1 must be non-negative")):
             code, out, err = run(capsys, "analyze", "-", *flags)
             assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -302,7 +304,7 @@ class TestAnalyze:
         # max_lag fails at once and in the same form as a small one
         path = tmp_path / "k.bits"
         path.write_bytes(b"\x5a" * 125)
-        for max_lag in (1000, 3_000_000):
+        for max_lag in (1000, _MAX_LAG):
             start = time.monotonic()
             code, out, err = run(capsys, "analyze", str(path), "--max-lag", str(max_lag))
             assert time.monotonic() - start < 5.0
@@ -758,20 +760,22 @@ class TestImports:
 
     @pytest.mark.parametrize("argv, needs, shuns", [
         # the parser and the closed forms need no numpy
-        (["--help"], {"randev.config"}, {"numpy", "randev.bitstream", "randev.model"}),
+        (["--help"], {"randev.config"},
+         {"numpy", "randev.bitstream", "randev.model", "randev.stats"}),
         (["predict", "--source", "deadtime", "--tau", "1", "--dead-time", "0.5"],
          {"randev.model"}, {"numpy", "randev.bitstream"}),
         (["nmax", "--a1", "0.01"], {"randev.model"}, {"numpy", "randev.bitstream"}),
         # measuring a stream runs no generator
-        (["analyze", "{bits}"], {"randev.estimators"},
+        (["analyze", "{bits}"], {"randev.estimators", "randev.stats"},
          {"randev.sources", "randev.experiments", "randev.windows"}),
-        (["monitor", "{bits}", "--window-bits", "1024"], {"randev.windows"},
-         {"randev.sources", "randev.experiments"}),
+        # a window's statistics need its counts, not the lag kernel
+        (["monitor", "{bits}", "--window-bits", "1024"], {"randev.windows", "randev.stats"},
+         {"randev.sources", "randev.experiments", "randev.estimators"}),
         # generating one runs no estimator
         (["generate", "--source", "xorshift64", "--seed", "1", "--nbits", "1000",
           "--out", "{out}"], {"randev.sources"},
          {"randev.estimators", "randev.windows", "randev.model", "randev.experiments",
-          "concurrent.futures"}),
+          "randev.stats", "concurrent.futures"}),
         # the closed-form experiments generate and measure no stream
         (["fig2"], {"randev.experiments", "randev.model"},
          {"numpy", "randev.bitstream", "randev.sources", "randev.estimators"}),
@@ -787,9 +791,16 @@ class TestImports:
         # no record type is a dataclass, whose definition compiles code
         assert loaded & (shuns | {"dataclasses"}) == set()
 
+    def test_stats_loads_no_numpy(self):
+        # the arithmetic on counts needs only model and the standard library
+        assert "numpy" not in fresh("import json, sys\n"
+                                    "import randev.stats\n"
+                                    "print(json.dumps(sorted(sys.modules)))\n")
+
     def test_star_import_binds_all_from_home_modules(self):
         # a name's home is the stage whose __all__ lists it; model's
-        # deviation_quadratic is also listed by estimators, as one object
+        # deviation_quadratic and the names of stats are also listed by
+        # estimators, as one object each
         bound, names, mismatched = fresh(
             "import importlib, json, sys\n"
             "import randev\n"
@@ -797,8 +808,8 @@ class TestImports:
             "exec('from randev import *', bound)\n"
             "bound.pop('__builtins__')\n"
             "stages = [importlib.import_module('randev.' + s) for s in\n"
-            "          ('config', 'bitstream', 'sources', 'model', 'estimators',\n"
-            "           'experiments')]\n"
+            "          ('config', 'bitstream', 'sources', 'model', 'stats',\n"
+            "           'estimators', 'experiments')]\n"
             "mismatched = [n for n in randev.__all__\n"
             "              if not any(n in m.__all__ for m in stages)\n"
             "              or any(n in m.__all__ and bound[n] is not getattr(m, n)\n"

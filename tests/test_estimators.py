@@ -352,11 +352,11 @@ class TestAnalyze:
         assert seen == [1]
 
     def test_short_chunks_are_measured_as_one_piece(self, monkeypatch):
-        # the fold cuts the stream, not each chunk: 100 chunks of 1000 bits
+        # the fold cuts the stream, not each chunk: 100 chunks of 100 bits
         # are one piece, so a long max_lag costs what it costs on the whole
-        seq = generate(SourceConfig.markov(0.0, 0.1, seed=5), 100_000)
-        chunks = [seq[i:i + 1000] for i in range(0, seq.nbits, 1000)]
-        whole = analyze(seq, max_lag=5000)
+        seq = generate(SourceConfig.markov(0.0, 0.1, seed=5), 10_000)
+        chunks = [seq[i:i + 100] for i in range(0, seq.nbits, 100)]
+        whole = analyze(seq, max_lag=500)
         measured = []
 
         def spy(piece, lags):
@@ -365,13 +365,13 @@ class TestAnalyze:
 
         measure = estimators._measure
         monkeypatch.setattr(estimators, "_measure", spy)
-        assert analyze(chunks, max_lag=5000) == whole
-        assert measured == [100_000]
+        assert analyze(chunks, max_lag=500) == whole
+        assert measured == [10_000]
         # a max_lag past the chunks' end fails on the one piece ahead of
         # the fold, before any lag is measured
         measured.clear()
-        with pytest.raises(InsufficientDataError, match="got 100000$"):
-            analyze(iter(chunks), max_lag=300_000)
+        with pytest.raises(InsufficientDataError, match="got 10000$"):
+            analyze(iter(chunks), max_lag=estimators._MAX_LAG)
         assert measured == []
 
     def test_temporaries_stay_below_the_input(self):
@@ -486,7 +486,10 @@ class TestAnalyze:
                                     # read, so neither a read that would fail
                                     # nor an endless stream is read
                                     (S("0110" * 250), 0, bad_read()),
-                                    (S("0110" * 250), -1, endless())):
+                                    (S("0110" * 250), -1, endless()),
+                                    # so is a max_lag above the cap, whose
+                                    # look-ahead would read 30 million bits
+                                    (S("0110" * 250), 30_000_000, endless())):
             with pytest.raises(EstimatorError) as serial:
                 analyze(seq, max_lag=max_lag)
             # chunks have no length up front; lags past the end must still
