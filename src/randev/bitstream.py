@@ -34,9 +34,10 @@ __all__ = ["BitSequence", "concat", "from_raw_bytes", "read_file", "read_stream"
 
 # the bits of one piece of a stream: what ``_pieces`` cuts for the
 # estimators' fold, and what ``generate`` makes and writes at a time.
-# At 2**20 bits a measure's temporaries take about 0.6 MiB, and ``randev
-# analyze`` of 2**26 bits has about half the page faults (5.1k against
-# 9.9k) and 1.9 MiB less peak memory than at 2**22
+# At 2**20 bits a measure's temporaries take about 0.6 MiB.  Against
+# 2**22, ``randev analyze`` of 2**26 bits has about half the page faults
+# (5.1k against 9.9k) and 1.9 MiB less peak memory, and ``monitor`` a
+# lower peak; ``generate`` has more faults, though a lower peak
 _PIECE_BITS = 1 << 20
 
 # most bytes per read: one piece of raw bits, so a whole raw chunk passes

@@ -13,7 +13,7 @@ k >> 6 are the rows of one 2-D broadcast pass, as many rows as fit a
 budget of 2**14 words.  A 2**14-bit stream takes its ones and 8 default
 lags in one pass, and a 2**20-bit piece one lag per pass, as a pass of
 one row, so a short stream pays a few numpy calls, not a few per lag.
-The edges are read from the piece's edge bytes.
+``randev.stats`` reads the edges from the piece's edge bytes.
 
 ``LagAccumulator(k)`` is the one-lag state, and ``accumulate`` folds a
 sequence into ``PairCounts``, the lag-1 view.
@@ -46,7 +46,7 @@ from randev.model import deviation_quadratic
 from randev.stats import (AnalysisReport, DegenerateSequenceError, EmptyInputError,
                           EstimatorError, InsufficientDataError, LagEstimate, PairCounts,
                           _analysis, _empty, _estimates, _lag1, _LagState, _merge_pairs,
-                          _merge_states, _pair_counts, _window_ones, bias_estimate,
+                          _merge_states, _pair_counts, _state, _window_ones, bias_estimate,
                           cond_entropy_lag1, deviation_plugin, marginal_entropy_lag1,
                           mutual_information_lag1)
 
@@ -97,15 +97,7 @@ def _measure(seq: BitSequence, lags: tuple[int, ...]) -> _LagState:
     are the lag-0 products, the first row of the first pass."""
     n, data = seq.nbits, seq.data
     # no lag-k pair fits in n bits when k >= n; lags ascend
-    sums = _lag_products(_words(data), [k for k in (0, *lags) if k < n])
-    sums += [0] * (len(lags) + 1 - len(sums))
-    edge = min(lags[-1], n)
-    start = n - edge
-    return _LagState(
-        lags, n, sums[0], tuple(sums[1:]),
-        int.from_bytes(data[:-(-edge // 8)], "little") & ~(-1 << edge),
-        int.from_bytes(data[start >> 3:], "little") >> (start & 7),
-    )
+    return _state(lags, n, _lag_products(_words(data), [k for k in (0, *lags) if k < n]), data)
 
 
 def _lag_products(words: np.ndarray, lags: list[int]) -> list[int]:

@@ -117,6 +117,19 @@ def _empty(lags: tuple[int, ...]) -> _LagState:
     return _LagState(lags, 0, 0, (0,) * len(lags), 0, 0)
 
 
+def _state(lags: tuple[int, ...], n: int, sums: list[int], data: bytes) -> _LagState:
+    """The state of a piece of n bits packed little-endian in ``data``,
+    from its ones and the products of the lags below n (``sums``)."""
+    sums = (*sums, *(0,) * (len(lags) + 1 - len(sums)))
+    edge = min(lags[-1], n)
+    start = n - edge
+    return _LagState(
+        lags, n, sums[0], sums[1:],
+        int.from_bytes(data[:-(-edge // 8)], "little") & ~(-1 << edge),
+        int.from_bytes(data[start >> 3:], "little") >> (start & 7),
+    )
+
+
 def _window_ones(s: _LagState, k: int) -> tuple[int, int]:
     """One-counts of the head window x[0 .. n-k) and tail window x[k .. n)."""
     k = min(k, s.n)

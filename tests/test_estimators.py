@@ -356,7 +356,7 @@ class TestAnalyze:
         # are one piece, so a long max_lag costs what it costs on the whole
         seq = generate(SourceConfig.markov(0.0, 0.1, seed=5), 10_000)
         chunks = [seq[i:i + 100] for i in range(0, seq.nbits, 100)]
-        whole = analyze(seq, max_lag=500)
+        whole = analyze(seq, max_lag=5000)
         measured = []
 
         def spy(piece, lags):
@@ -365,7 +365,7 @@ class TestAnalyze:
 
         measure = estimators._measure
         monkeypatch.setattr(estimators, "_measure", spy)
-        assert analyze(chunks, max_lag=500) == whole
+        assert analyze(chunks, max_lag=5000) == whole
         assert measured == [10_000]
         # a max_lag past the chunks' end fails on the one piece ahead of
         # the fold, before any lag is measured
@@ -480,7 +480,7 @@ class TestAnalyze:
             pytest.fail("an endless stream was read to no end")
 
         for seq, max_lag, later in ((BitSequence(b"", 0), 8, ()), (S("0101"), 8, ()),
-                                    (S("0110"), 0, ()), (S("0110" * 250), 3_000_000, ()),
+                                    (S("0110"), 0, ()), (S("0110" * 250), estimators._MAX_LAG, ()),
                                     (S("0110" * 250), 8.0, ()),
                                     # max_lag is checked before any chunk is
                                     # read, so neither a read that would fail
