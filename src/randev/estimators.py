@@ -33,6 +33,7 @@ reports them, come from ``randev.windows``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import deque
@@ -251,8 +252,14 @@ def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
     else:
         raise InsufficientDataError(
             f"analysis up to lag {max_lag} needs at least {max_lag + 2} bits, got {seen}")
-    return _analysis(_fold(_empty(tuple(range(1, max_lag + 1))),
-                           itertools.chain(ahead, chunks), mapper))
+    return _analysis(_fold(_start(max_lag), itertools.chain(ahead, chunks), mapper))
+
+
+@functools.lru_cache(maxsize=16)
+def _start(max_lag: int) -> _LagState:
+    """The empty state of lags 1..max_lag, built once per max_lag: a state
+    is an immutable tuple."""
+    return _empty(tuple(range(1, max_lag + 1)))
 
 
 def analyze(data, max_lag: int = 8) -> AnalysisReport:

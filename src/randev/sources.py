@@ -18,9 +18,10 @@ xorshift64 is linear over GF(2): one step is a fixed 64x64 bit matrix M,
 and word i + 2**k of the stream is M**(2**k) applied to word i.  Each
 2**16-bit chunk is made by such jumps, one table lookup per byte of each
 word, from tables of M**(2**k) for k = 0..10 (16 KiB each) built once per
-process on first use; only the first 32 words of a call are stepped one
-at a time.  That makes 1.3-1.7e9 bits/s on a 2-core Xeon VM, where a
-Python loop over the words made 1.3-1.6e8.
+process on first use; only the first 32 words of a source, and of a
+chunk after one shorter than 2**16 bits, are stepped one at a time.
+That makes 1.3-1.7e9 bits/s on a 2-core Xeon VM, where a Python loop
+over the words made 1.3-1.6e8.
 
 All sources are driven by the same fully specified 64-bit base generator
 (SplitMix64) so that identical (config, n) pairs yield identical bit
@@ -33,9 +34,8 @@ below p compares z itself with ``_threshold(p) << 11``, so no draw is
 shifted first.
 
 A markov chunk is made packed: its resets (the draws that fix a bit
-whatever the bit before) are filled forward on 64-bit words, within a
-word in six doubling steps and across words by a running maximum over
-the words, so its cost does not depend on a1.
+whatever the bit before) are filled forward by one carry through the
+chunk read as a Python int, so its cost does not depend on a1.
 
 The SplitMix64 step offsets d*GAMMA of a chunk are a table built like
 the xorshift64 tables: once per process, read-only, and only by the
@@ -63,8 +63,9 @@ from randev.config import _MASK64, ParameterError, SourceConfig, _integer, marko
 __all__ = ["Source", "generate"]
 
 _GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+# SplitMix64's output mix, as numpy scalars built once
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 # photons per dead-time chunk; a chunk always simulates a whole block,
 # so the detector state changes only at block ends, and takes two draws
@@ -72,18 +73,18 @@ _MIX2 = 0x94D049BB133111EB
 _PHOTON_BLOCK = 1 << 15
 
 # bits per internal chunk; each chunk is packed as soon as it is made, and
-# its temporaries live in buffers allocated once per generate() call
+# its temporaries live in buffers a Source allocates once, and again only
+# for a call that needs larger ones
 _GEN_CHUNK = 1 << 16
 
 # the offset of byte b's row in a flattened (8, 256) jump table, as a
 # column; a uint8 byte plus a uint16 offset stays a uint16 index
 _BYTE_ROWS = np.arange(0, 8 * 256, 256, dtype=np.uint16)[:, None]
 
+_EMPTY = BitSequence(b"", 0)
+
 # the dead-time value of a lost photon, beside the bits 0 and 1
 _LOST = 2
-
-# (i + 1) & 1 for the bits i of a word, least-significant first
-_ODD_BITS = 0x5555555555555555
 
 
 def _threshold(p: float) -> int:
@@ -109,9 +110,15 @@ class Source:
 
     def __init__(self, config: SourceConfig):
         config.validate()
-        self.config = config._replace(seed=int(config.seed))  # a numpy seed as an int
+        if type(config.seed) is not int:
+            config = config._replace(seed=int(config.seed))  # a numpy seed as an int
+        self.config = config
         self._draws = 0  # SplitMix64 draws consumed (all kinds but xorshift64)
-        self._pending = BitSequence(b"", 0)  # made, not yet emitted
+        self._pending = _EMPTY  # made, not yet emitted
+        # the chunk function of the largest call so far, and its size; it
+        # takes the source it advances and holds none, so a dropped Source
+        # frees its buffers at once, not at the next garbage collection
+        self._chunk, self._size = None, 0
         kind = config.kind
         if kind == "markov":
             self._tm = markov_transition_matrix(config.b, config.a1)
@@ -128,18 +135,19 @@ class Source:
         if (n := _integer(n, "bit count")) < 0:
             raise ParameterError(f"bit count must be non-negative, got {n}")
         part, parts, owed = self._pending, [], n
-        if part.nbits < n:
-            chunk = self._chunks(min(n - part.nbits, _GEN_CHUNK))
+        if part.nbits < n and (size := min(n - part.nbits, _GEN_CHUNK)) > self._size:
+            self._chunk, self._size = self._chunks(size), size
         while part.nbits < owed:
-            parts.append(part)
+            if part.nbits:
+                parts.append(part)
             owed -= part.nbits
-            part = chunk(min(_GEN_CHUNK, owed))
-        parts.append(part[:owed])
-        self._pending = part[owed:]
-        return concat(*parts)
+            part = self._chunk(self, min(_GEN_CHUNK, owed))
+        self._pending = part[owed:] if part.nbits > owed else _EMPTY
+        part = part[:owed]
+        return concat(*parts, part) if parts else part
 
     def _chunks(self, size: int):
-        """A function m -> this source's next bits, packed, for m <= size:
+        """A function (src, m) -> source src's next bits, packed, for m <= size:
         exactly m bits for ideal, bernoulli, splitter and markov, whole
         64-bit state words for xorshift64, and one whole photon block,
         however many bits it emits, for dead time.  Its buffers are
@@ -159,16 +167,16 @@ class Source:
         draw = self._drawer(size)
         below = np.empty(size, dtype=bool)
 
-        def chunk(m):
-            ones = np.less(draw(m), threshold, out=below[:m])
+        def chunk(src, m):
+            ones = np.less(draw(src, m), threshold, out=below[:m])
             return BitSequence(np.packbits(ones, bitorder="little").tobytes(), m)
         return chunk
 
     # ---- base generator ----
 
     def _drawer(self, size: int):
-        """A function m -> the SplitMix64 outputs z of this source's next
-        m <= size draws; it advances ``self._draws``.  A caller compares
+        """A function (src, m) -> the SplitMix64 outputs z of source src's
+        next m <= size draws; it advances ``src._draws``.  A caller compares
         z with ``_threshold(p) << 11``: ``(z >> 11) < T`` exactly when
         ``z < T * 2**11``, so no draw is shifted to be compared.
 
@@ -181,17 +189,17 @@ class Source:
         out = np.empty(size, dtype=np.uint64)
         tmp = np.empty(size, dtype=np.uint64)
 
-        def draw(m: int) -> np.ndarray:
+        def draw(src: Source, m: int) -> np.ndarray:
             z, t = out[:m], tmp[:m]
-            base = (self.config.seed + (self._draws + 1) * _GAMMA) & _MASK64
-            self._draws += m
-            np.add(steps[:m], np.uint64(base), out=z)
+            base = (src.config.seed + (src._draws + 1) * _GAMMA) & _MASK64
+            src._draws += m
+            np.add(steps[:m], base, out=z)
             # the output mix; uint64 arithmetic wraps mod 2**64
-            np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=t), out=z)
-            np.multiply(z, np.uint64(_MIX1), out=z)
-            np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=t), out=z)
-            np.multiply(z, np.uint64(_MIX2), out=z)
-            return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
+            np.bitwise_xor(z, np.right_shift(z, _S30, out=t), out=z)
+            np.multiply(z, _MIX1, out=z)
+            np.bitwise_xor(z, np.right_shift(z, _S27, out=t), out=z)
+            np.multiply(z, _MIX2, out=z)
+            return np.bitwise_xor(z, np.right_shift(z, _S31, out=t), out=z)
         return draw
 
     # ---- markov ----
@@ -203,71 +211,37 @@ class Source:
         # same way from both states: a "reset"), or carries/flips the
         # previous bit.  A draw below both thresholds is a reset to 1, one
         # between them a carry (a1 >= 0) or a flip (a1 < 0), so a chunk is
-        # its resets filled forward.  The fill runs on packed 64-bit words:
-        # within a word in six doubling steps, and across words by one
-        # running maximum over the words that hold a reset.
+        # its resets filled forward, on Python ints: a 1 added just above
+        # each reset to 1, or at bit 0 when the bit before the chunk is 1,
+        # carries up its run of free bits and stops at the next reset.
         tm = self._tm
         lo, hi = sorted(_threshold(p) << 11 for p in (tm.p1_given_0, tm.p1_given_1))
         stationary = _threshold(tm.pi1) << 11
         draw = self._drawer(size)
-        nw = -(-size // 64)
-        below_lo = np.empty(64 * nw, dtype=bool)
-        below_hi = np.empty(64 * nw, dtype=bool)
-        before = np.empty(nw, dtype=np.uint64)
-        tmp = np.empty(nw, dtype=np.uint64)
-        # key[0] is the bit before the chunk, key[w + 1] word w's last bit
-        # plus rank[w] = 2(w + 1) if word w holds a reset, else 0
-        key = np.empty(nw + 1, dtype=np.uint64)
-        rank = np.arange(2, 2 * nw + 2, 2, dtype=np.uint64)
+        below_lo = np.empty(size, dtype=bool)
+        below_hi = np.empty(size, dtype=bool)
         # a flip chain's bit i is its last reset's value xor the parity of
         # the steps since; each position's parity, (i + 1) & 1, is xored
-        # in before the fill and out after it
-        flip = self.config.a1 < 0
+        # into the resets before the fill and into every bit after it
+        odd = int.from_bytes(b"\x55" * -(-size // 8), "little") if self.config.a1 < 0 else 0
 
-        def chunk(m):
-            z = draw(m)
-            k = -(-m // 64)
-            lo_bits, hi_bits = below_lo[:64 * k], below_hi[:64 * k]
-            np.less(z, lo, out=lo_bits[:m])
-            np.less(z, hi, out=hi_bits[:m])
-            lo_bits[m:] = hi_bits[m:] = False  # the bits past m: resets to 0
-            if self._prev is None:
+        def chunk(src, m):
+            z = draw(src, m)
+            lo_bits = np.less(z, lo, out=below_lo[:m])
+            hi_bits = np.less(z, hi, out=below_hi[:m])
+            if src._prev is None:
                 # very first bit of the stream draws from the stationary law
                 lo_bits[0] = hi_bits[0] = int(z[0]) < stationary
-            # f: 1 at the resets to 1, free: 1 at the bits that are no reset
-            out = np.packbits(lo_bits, bitorder="little")
-            f, free = out.view("<u8"), np.packbits(hi_bits, bitorder="little").view("<u8")
-            free ^= f
-            b, t = before[:k], tmp[:k]
-            np.invert(free, out=b)  # the resets
-            if flip:
-                f ^= np.bitwise_and(b, _ODD_BITS, out=t)
-            # the bits of a word before its first reset: (r & -r) - 1 for
-            # the word's resets r
-            b &= np.negative(b, out=t)
-            b -= 1
-            # after the step by s, free[i] is 1 where bits i - 2s + 1 .. i
-            # hold no reset, or 0 near the word's start, where f gains
-            # nothing from the next shift
-            for s in (1, 2, 4, 8, 16, 32):
-                f |= np.bitwise_and(np.left_shift(f, s, out=t), free, out=t)
-                if s < 32:
-                    free &= np.left_shift(free, s, out=t)
-            # the bits before a word's first reset take its carry: the last
-            # bit of the nearest earlier word with a reset, or the bit
-            # before the chunk
-            kw = key[1:k + 1]
-            np.right_shift(f, 63, out=kw)
-            kw |= rank[:k]
-            kw &= np.subtract(np.right_shift(b, 63, out=t), 1, out=t)
-            key[0] = self._prev or 0
-            np.maximum.accumulate(key[:k + 1], out=key[:k + 1])
-            f |= np.multiply(b, np.bitwise_and(key[:k], 1, out=t), out=t)
-            if flip:
-                f ^= _ODD_BITS
-            out = out[:-(-m // 8)]
-            self._prev = int(out[-1]) >> ((m - 1) & 7) & 1
-            return BitSequence(out.tobytes(), m)
+            # ones: 1 at the resets to 1, free: 1 at the bits that are no reset
+            ones = int.from_bytes(np.packbits(lo_bits, bitorder="little"), "little")
+            free = int.from_bytes(np.packbits(hi_bits, bitorder="little"), "little") ^ ones
+            ones ^= odd & ~free
+            bits = ones | ((free + (ones << 1 | (src._prev or 0))) ^ free) & free
+            # no bit at or above m is set, so none is masked: & free drops
+            # the carry out of the top run, and there the two xors cancel
+            bits ^= odd
+            src._prev = bits >> (m - 1)
+            return BitSequence(bits.to_bytes(-(-m // 8), "little"), m)
         return chunk
 
     # ---- dead-time detector pair ----
@@ -281,7 +255,7 @@ class Source:
         # renewal fixes: that renewal's detector dead until its t + tau_d,
         # the other live; a cluster at the start of a block starts from
         # the carried dead-until times.
-        tau_d = self.config.tau_d
+        tau, tau_d = self.config.tau, self.config.tau_d
         draw = self._drawer(2 * _PHOTON_BLOCK)
         times = np.empty(_PHOTON_BLOCK + 1)   # the clock before and at each photon
         until = np.empty(_PHOTON_BLOCK + 1)   # times + tau_d
@@ -289,25 +263,25 @@ class Source:
         value = np.empty(_PHOTON_BLOCK, dtype=np.uint8)  # bit emitted, or _LOST
         hit = np.empty(_PHOTON_BLOCK, dtype=bool)
 
-        def chunk(m):
+        def chunk(src, m):
             # one whole block, however many bits are owed: photon j of
             # the stream takes draws 2j+1 (inter-arrival) and 2j+2 (route)
             # (z >> 11) * 2**-53 is the uniform of z; all the draws are
             # shifted, as one contiguous pass took less time than a strided
             # pass over the inter-arrival half
-            z = draw(2 * _PHOTON_BLOCK)
+            z = draw(src, 2 * _PHOTON_BLOCK)
             np.right_shift(z, 11, out=z)
             dts = times[1:]
             np.multiply(z[0::2], 2.0**-53, out=dts)
             np.negative(dts, out=dts)
             np.log1p(dts, out=dts)
-            np.multiply(dts, -self.config.tau, out=dts)
+            np.multiply(dts, -tau, out=dts)
             np.less(z[1::2], _threshold(0.5), out=value)
-            times[0] = self._t
+            times[0] = src._t
             np.add.accumulate(times, out=times)
             np.add(times, tau_d, out=until)
             np.greater_equal(times[1:], until[:-1], out=renew)
-            self._clusters(times, until, renew, value)
+            src._clusters(times, until, renew, value)
             bits = value[np.not_equal(value, _LOST, out=hit)]
             # the carried state: the clock, and each detector's last
             # detection time plus tau_d
@@ -315,8 +289,8 @@ class Source:
                 np.equal(value, k, out=hit)
                 j = _PHOTON_BLOCK - 1 - int(np.argmax(hit[::-1]))
                 if hit[j]:
-                    self._dead[k] = float(until[j + 1])
-            self._t = float(times[-1])
+                    src._dead[k] = float(until[j + 1])
+            src._t = float(times[-1])
             return BitSequence(np.packbits(bits, bitorder="little").tobytes(), bits.size)
         return chunk
 
@@ -364,34 +338,36 @@ class Source:
     def _xorshift_chunks(self, size: int):
         # words[i] is M**(i + 1) applied to the word before the chunk, for
         # one xorshift step M, and word i + 2**k is M**(2**k) applied to
-        # word i.  The first chunk of a call steps 32 words on from the
-        # carried word and doubles from there; each later chunk is one
-        # jump by M**1024 from the whole chunk before it
+        # word i.  A chunk that follows a whole 2**16-bit chunk is one jump
+        # by M**1024 from it; any other steps 32 words on from the carried
+        # word and doubles from there
         tables = _xorshift_tables()
         words = np.empty((size + 63) // 64, dtype="<u8")
         made = 0  # words[:made] hold the chunk made last
 
-        def chunk(m):
+        def chunk(src, m):
             nonlocal made
             k = (m + 63) // 64
-            if made:
+            if made == _GEN_CHUNK // 64:
                 _jump(tables[-1], words[:k], words[:k])
             else:
                 # a jump costs the numpy overhead of about 16 steps, so
                 # doubling pays from about 32 words on
-                x = self._x
-                made = min(k, 32)
-                for i in range(made):
+                x, stepped = src._x, []
+                for _ in range(min(k, 32)):
                     x ^= (x << 13) & _MASK64
                     x ^= x >> 7
                     x ^= (x << 17) & _MASK64
-                    words[i] = x
+                    stepped.append(x)
+                made = len(stepped)
+                words[:made] = stepped
                 while made < k:
                     step = min(made, k - made)
                     _jump(tables[made.bit_length() - 1], words[:step],
                           words[made:made + step])
                     made += step
-            self._x = int(words[k - 1])
+            made = k
+            src._x = int(words[k - 1])
             return BitSequence(words[:k].tobytes(), 64 * k)
         return chunk
 
@@ -437,7 +413,7 @@ def _jump(table: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:
     """out = the linear map of ``table`` (see _xorshift_tables) applied to
     each of ``words``, little-endian uint64 arrays of one length."""
     idx = np.add(words.view(np.uint8).reshape(-1, 8).T, _BYTE_ROWS)
-    np.bitwise_xor.reduce(np.take(table, idx), axis=0, out=out)
+    np.bitwise_xor.reduce(table.take(idx), axis=0, out=out)
 
 
 def generate(config: SourceConfig, n: int) -> BitSequence:

@@ -175,7 +175,8 @@ def _estimates(s: _LagState) -> tuple[LagEstimate, ...]:
     n, ones, head, tail = s.n, s.ones, s.head, s.tail
     mean = ones / n
     skew, sigma, edge = 1.0 - 2.0 * mean, 1.0 / math.sqrt(n), s.lags[-1]
-    estimates = []
+    # tuple.__new__ builds a LagEstimate in half the time of its Python __new__
+    estimates, new = [], tuple.__new__
     for k, prod in zip(s.lags, s.prods):
         # the one-counts of the head and tail windows, as ``_window_ones``
         # gives them
@@ -188,7 +189,7 @@ def _estimates(s: _LagState) -> tuple[LagEstimate, ...]:
             raise DegenerateSequenceError(
                 "constant sequence: autocorrelation is undefined"
             )
-        estimates.append(LagEstimate(k, num / den, sigma))
+        estimates.append(new(LagEstimate, (k, num / den, sigma)))
     return tuple(estimates)
 
 

@@ -20,6 +20,7 @@ from randev.estimators import (EstimatorError, LagAccumulator, analyze, analyze_
 from randev.sources import (Source, SourceConfig, _threshold, generate,
                             markov_transition_matrix)
 from splitmix_oracle import RngState, splitmix_next, uniform_from_output
+from test_sources import markov_reference
 
 FEW = settings(max_examples=60, deadline=None)
 
@@ -306,6 +307,24 @@ def test_markov_thresholds_are_the_float_comparisons(case):
         bits.append(x)
     want = np.packbits(bits, bitorder="little").tobytes()
     assert generate(SourceConfig.markov(b, a1, seed=4), UNIFORM_BITS).data == want
+
+
+@FEW
+@given(admissible_markov(), st.integers(0, 2**64 - 1), st.integers(1, 700),
+       st.lists(st.integers(0, 2**16 + 700), max_size=6))
+@example((0.0, 1.0), 5, 700, [2**16 + 1, 3])
+@example((0.0, -1.0), 5, 700, [2**16 - 1, 2**16 + 3])
+@example((0.0, 0.999), 6, 64, [1, 2**16 + 63])
+@example((0.0, -0.999), 6, 64, [2**16, 7])
+def test_live_markov_matches_sequential_definition(case, seed, extra, cuts):
+    # one live source cut anywhere, in calls that cross 2**16-bit chunks,
+    # grow past the chunk function built before them or reuse it
+    b, a1 = case
+    n = 2**16 + extra
+    src = Source(SourceConfig.markov(b, a1, seed=seed))
+    ends = [0, *sorted(min(c, n) for c in cuts), n]
+    got = concat(*(src.generate(j - i) for i, j in zip(ends, ends[1:])))
+    assert got.to_array().tolist() == markov_reference(b, a1, seed, n)
 
 
 # ----------------------------------------------- dead time, photon by photon

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -452,14 +454,21 @@ ALL_KIND_CONFIGS = [
 @pytest.mark.parametrize("cfg", ALL_KIND_CONFIGS, ids=lambda c: f"{c.kind}-{c.deadtime_mode}")
 def test_live_source_concatenability(cfg):
     # the total and the largest take cross 2**16-bit chunks and, for dead
-    # time at 0.04 tau, photon blocks, with bits left pending
+    # time at 0.04 tau, photon blocks, with bits left pending.  The first
+    # run's takes grow, so each call larger than any before it builds a
+    # new chunk function, then shrink and grow again, so later calls reuse
+    # the one of the largest size, 2**16 bits: xorshift64 then makes a
+    # chunk by a jump from a whole chunk, and one after a shorter chunk by
+    # steps
     total = 3 * 2**16 + 5
     whole = generate(cfg, total)
     rng = random.Random(cfg.seed)
-    for _ in range(5):
+    grow_then_shrink = [1, 7, 64, 1024, 2**17 + 3, 333, 1, 2**15, 64]
+    for run in range(6):
+        takes = grow_then_shrink if run == 0 else []
         src = Source(cfg)
-        pieces = []
-        left = total
+        pieces = [src.generate(take) for take in takes]
+        left = total - sum(takes)
         while left:
             take = min(left, rng.choice([0, 1, 7, 64, 333, 1024, 2**16 + 3]))
             pieces.append(src.generate(take))
@@ -468,6 +477,22 @@ def test_live_source_concatenability(cfg):
         for p in pieces:
             acc = concat(acc, p)
         assert acc == whole
+
+
+def test_dropped_source_frees_its_chunk_buffers():
+    # a Source keeps the chunk function of its largest call; that function
+    # must not refer back to it, or the cycle would hold its buffers until
+    # a garbage collection
+    gc.disable()
+    try:
+        for cfg in ALL_KIND_CONFIGS:
+            src = Source(cfg)
+            src.generate(2**16 + 3)
+            ref = weakref.ref(src)
+            del src
+            assert ref() is None, cfg.kind
+    finally:
+        gc.enable()
 
 
 def test_deadtime_few_bits_at_the_largest_ratio():
