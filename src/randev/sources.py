@@ -28,19 +28,27 @@ All sources are driven by the same fully specified 64-bit base generator
 streams on any platform.  ``Source._draws`` is a source's SplitMix64
 position, the draws it has consumed, for every kind but xorshift64: one
 per bit for ideal, bernoulli, splitter and markov, two per photon for
-dead time, all made by ``Source._drawer``.  A draw z stands for the
-uniform (z >> 11) * 2**-53, and a bit that is 1 when that uniform is
-below p compares z itself with ``_threshold(p) << 11``, so no draw is
-shifted first.
+dead time, all made by ``Source._drawer`` in blocks of at most
+``_DRAWS`` = 2**15 draws, so the draws of a 2**16-bit chunk take 256 KiB
+and are compared into the chunk's bool buffers a block at a time.  A
+draw z stands for the uniform (z >> 11) * 2**-53, and a bit that is 1
+when that uniform is below p compares z itself with
+``_threshold(p) << 11``, so no draw is shifted first.
 
 A markov chunk is made packed: its resets (the draws that fix a bit
 whatever the bit before) are filled forward by one carry through the
 chunk read as a Python int, so its cost does not depend on a1.
 
-The SplitMix64 step offsets d*GAMMA of a chunk are a table built like
-the xorshift64 tables: once per process, read-only, and only by the
-kinds that use it.  Each call slices it, so a 2**14-bit ``generate``
-after the first builds none.
+A dead-time chunk is one block of 2**14 photons, one draw block.  Once
+its draws are read, the block's clock lives in the drawer's scratch
+buffer and its dead-until times over the spent draws.  Renewal photons
+and the photon right after each renewal get their bits in vector form;
+Python runs the photon-by-photon rule only for the rest of each cluster.
+
+The SplitMix64 step offsets d*GAMMA of a draw block are a table built
+like the xorshift64 tables: once per process, read-only, and only by
+the kinds that use it.  Each call slices it, so a 2**14-bit
+``generate`` after the first builds none.
 
 A live Source carries its state across calls: generate(n1) followed by
 generate(n2) emits exactly the bits of a fresh identically-configured
@@ -67,15 +75,20 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
-# photons per dead-time chunk; a chunk always simulates a whole block,
-# so the detector state changes only at block ends, and takes two draws
-# per photon, _GEN_CHUNK in all
-_PHOTON_BLOCK = 1 << 15
-
 # bits per internal chunk; each chunk is packed as soon as it is made, and
 # its temporaries live in buffers a Source allocates once, and again only
 # for a call that needs larger ones
 _GEN_CHUNK = 1 << 16
+
+# SplitMix64 draws per block: a chunk draws and compares its bits a block
+# at a time, so the drawer's two uint64 buffers and the step table hold
+# 256 KiB each, where a chunk's draws would take 512 KiB each
+_DRAWS = 1 << 15
+
+# photons per dead-time chunk; a chunk always simulates a whole block,
+# so the detector state changes only at block ends, and takes two draws
+# per photon, one draw block in all
+_PHOTON_BLOCK = _DRAWS // 2
 
 # the offset of byte b's row in a flattened (8, 256) jump table, as a
 # column; a uint8 byte plus a uint16 offset stays a uint16 index
@@ -164,20 +177,23 @@ class Source:
         p = (0.5 if cfg.kind == "ideal" else
              cfg.p if cfg.kind == "bernoulli" else (1.0 + cfg.b) / 2.0)
         threshold = _threshold(p) << 11
-        draw = self._drawer(size)
+        draw, _ = self._drawer(size)
         below = np.empty(size, dtype=bool)
 
         def chunk(src, m):
-            ones = np.less(draw(src, m), threshold, out=below[:m])
-            return BitSequence(np.packbits(ones, bitorder="little").tobytes(), m)
+            for i in range(0, m, _DRAWS):
+                z = draw(src, min(_DRAWS, m - i))
+                np.less(z, threshold, out=below[i:i + z.size])
+            return BitSequence(np.packbits(below[:m], bitorder="little").tobytes(), m)
         return chunk
 
     # ---- base generator ----
 
     def _drawer(self, size: int):
         """A function (src, m) -> the SplitMix64 outputs z of source src's
-        next m <= size draws; it advances ``src._draws``.  A caller compares
-        z with ``_threshold(p) << 11``: ``(z >> 11) < T`` exactly when
+        next m <= min(size, _DRAWS) draws, which advances ``src._draws``,
+        and its scratch buffer, free between calls.  A caller compares z
+        with ``_threshold(p) << 11``: ``(z >> 11) < T`` exactly when
         ``z < T * 2**11``, so no draw is shifted to be compared.
 
         SplitMix64's state after d draws is seed + d*GAMMA mod 2**64, so
@@ -185,6 +201,7 @@ class Source:
         built once per process.  Every call writes into the same buffers,
         allocated here once, and returns a view of them.
         """
+        size = min(size, _DRAWS)
         steps = _gamma_steps()
         out = np.empty(size, dtype=np.uint64)
         tmp = np.empty(size, dtype=np.uint64)
@@ -200,7 +217,7 @@ class Source:
             np.bitwise_xor(z, np.right_shift(z, _S27, out=t), out=z)
             np.multiply(z, _MIX2, out=z)
             return np.bitwise_xor(z, np.right_shift(z, _S31, out=t), out=z)
-        return draw
+        return draw, tmp
 
     # ---- markov ----
 
@@ -217,7 +234,7 @@ class Source:
         tm = self._tm
         lo, hi = sorted(_threshold(p) << 11 for p in (tm.p1_given_0, tm.p1_given_1))
         stationary = _threshold(tm.pi1) << 11
-        draw = self._drawer(size)
+        draw, _ = self._drawer(size)
         below_lo = np.empty(size, dtype=bool)
         below_hi = np.empty(size, dtype=bool)
         # a flip chain's bit i is its last reset's value xor the parity of
@@ -226,15 +243,16 @@ class Source:
         odd = int.from_bytes(b"\x55" * -(-size // 8), "little") if self.config.a1 < 0 else 0
 
         def chunk(src, m):
-            z = draw(src, m)
-            lo_bits = np.less(z, lo, out=below_lo[:m])
-            hi_bits = np.less(z, hi, out=below_hi[:m])
-            if src._prev is None:
-                # very first bit of the stream draws from the stationary law
-                lo_bits[0] = hi_bits[0] = int(z[0]) < stationary
+            for i in range(0, m, _DRAWS):
+                z = draw(src, min(_DRAWS, m - i))
+                np.less(z, lo, out=below_lo[i:i + z.size])
+                np.less(z, hi, out=below_hi[i:i + z.size])
+                if not i and src._prev is None:
+                    # very first bit of the stream draws from the stationary law
+                    below_lo[0] = below_hi[0] = int(z[0]) < stationary
             # ones: 1 at the resets to 1, free: 1 at the bits that are no reset
-            ones = int.from_bytes(np.packbits(lo_bits, bitorder="little"), "little")
-            free = int.from_bytes(np.packbits(hi_bits, bitorder="little"), "little") ^ ones
+            ones = int.from_bytes(np.packbits(below_lo[:m], bitorder="little"), "little")
+            free = int.from_bytes(np.packbits(below_hi[:m], bitorder="little"), "little") ^ ones
             ones ^= odd & ~free
             bits = ones | ((free + (ones << 1 | (src._prev or 0))) ^ free) & free
             # no bit at or above m is set, so none is masked: & free drops
@@ -250,18 +268,14 @@ class Source:
         # A photon with t_i >= t_{i-1} + tau_d is a renewal point: every
         # dead-until time is some earlier t + tau_d <= t_{i-1} + tau_d
         # (float addition is monotone), so both detectors are live and it
-        # emits its route bit.  Only the other photons run the sequential
-        # rule.  Each cluster of them starts from the state its preceding
-        # renewal fixes: that renewal's detector dead until its t + tau_d,
-        # the other live; a cluster at the start of a block starts from
-        # the carried dead-until times.
+        # emits its route bit.  Only the other photons, the clusters, need
+        # the detector state (see _clusters).
         tau, tau_d = self.config.tau, self.config.tau_d
-        draw = self._drawer(2 * _PHOTON_BLOCK)
-        times = np.empty(_PHOTON_BLOCK + 1)   # the clock before and at each photon
-        until = np.empty(_PHOTON_BLOCK + 1)   # times + tau_d
-        renew = np.empty(_PHOTON_BLOCK, dtype=bool)
+        draw, scratch = self._drawer(_DRAWS)
+        # the clock before and at each photon, in the drawer's scratch
+        # buffer, which is free once a block's draws are made
+        times = scratch.view(np.float64)[:_PHOTON_BLOCK + 1]
         value = np.empty(_PHOTON_BLOCK, dtype=np.uint8)  # bit emitted, or _LOST
-        hit = np.empty(_PHOTON_BLOCK, dtype=bool)
 
         def chunk(src, m):
             # one whole block, however many bits are owed: photon j of
@@ -269,51 +283,75 @@ class Source:
             # (z >> 11) * 2**-53 is the uniform of z; all the draws are
             # shifted, as one contiguous pass took less time than a strided
             # pass over the inter-arrival half
-            z = draw(src, 2 * _PHOTON_BLOCK)
+            z = draw(src, _DRAWS)
             np.right_shift(z, 11, out=z)
             dts = times[1:]
-            np.multiply(z[0::2], 2.0**-53, out=dts)
-            np.negative(dts, out=dts)
+            np.multiply(z[0::2], -2.0**-53, out=dts)  # minus the uniform, exactly
             np.log1p(dts, out=dts)
             np.multiply(dts, -tau, out=dts)
             np.less(z[1::2], _threshold(0.5), out=value)
+            # the draws are read: the dead-until times, times + tau_d, go
+            # over them
+            until = z.view(np.float64)[:_PHOTON_BLOCK + 1]
             times[0] = src._t
             np.add.accumulate(times, out=times)
             np.add(times, tau_d, out=until)
-            np.greater_equal(times[1:], until[:-1], out=renew)
-            src._clusters(times, until, renew, value)
-            bits = value[np.not_equal(value, _LOST, out=hit)]
+            src._clusters(times, until, value)
+            codes = value.tobytes()
             # the carried state: the clock, and each detector's last
             # detection time plus tau_d
             for k in (0, 1):
-                np.equal(value, k, out=hit)
-                j = _PHOTON_BLOCK - 1 - int(np.argmax(hit[::-1]))
-                if hit[j]:
+                if (j := codes.rfind(k)) >= 0:
                     src._dead[k] = float(until[j + 1])
             src._t = float(times[-1])
+            # the bits: the codes of every photon that was not lost
+            bits = np.frombuffer(codes.replace(bytes([_LOST]), b""), dtype=np.uint8)
             return BitSequence(np.packbits(bits, bitorder="little").tobytes(), bits.size)
         return chunk
 
-    def _clusters(self, t, until, renew, value):
-        # the sequential rule, run for the photons that are not renewals;
-        # value holds every photon's route and gets their emitted bits
-        late = ~renew
-        if not late.any():
-            return
+    def _clusters(self, t, until, value):
+        # value holds every photon's route and gets the bits of those that
+        # are not renewals.  A renewal leaves its own detector dead until
+        # its t + tau_d and the other live, so the photon after it, if no
+        # renewal, has a closed-form bit: under reroute the bit the renewal
+        # did not emit, under loss its route, or lost if routed to the
+        # renewal's detector.  The sequential rule runs for the later
+        # photons of a cluster, from the state that renewal and the photon
+        # after it leave, and for a cluster that opens the block, from the
+        # carried dead-until times.
+        # was_late[i + 1]: photon i is no renewal.  was_late[0] stands for
+        # photon 0's predecessor, in the block before, whose state is not
+        # known here: set, so photon 0 is never taken for a first photon
+        was_late = np.empty(value.size + 1, dtype=bool)
+        was_late[0] = True
+        late = np.flatnonzero(np.less(t[1:], until[:-1], out=was_late[1:]))
+        after_late = was_late[late]
+        after_renewal = ~after_late
+        first = late[after_renewal]
+        starts = late[1:][after_late[1:] & after_renewal[:-1]]  # right after a first photon
+        late = late[after_late]
+        bit = value[first - 1]  # each renewal's bit
+        if self.config.deadtime_mode == "reroute":
+            value[first] = bit ^ 1
+        else:
+            value[first[value[first] == bit]] = _LOST
+        # per start: the renewal's bit and dead-until time, the first
+        # photon's value and dead-until time, and the start's route
+        restart = iter(zip(value[starts - 2].tolist(), until[starts - 1].tolist(),
+                           value[starts - 1].tolist(), until[starts].tolist(),
+                           value[starts].tolist()))
+        value[starts] = _LOST + 1  # the code that restarts the rule
         tau_d = self.config.tau_d
         reroute = self.config.deadtime_mode == "reroute"
-        # after[i]: 1 + the route of photon i-1 if that is a renewal, else 0
-        after = np.zeros(late.size, dtype=np.uint8)
-        np.multiply(renew[:-1], value[:-1] + 1, out=after[1:])
         d0, d1 = self._dead
         out = []
         append = out.append
-        for ti, r, a, u in zip(t[1:][late].tolist(), value[late].tolist(),
-                               after[late].tolist(), until[:-1][late].tolist()):
-            if a:
-                # photon i-1 was a renewal: its detector is dead until u
-                # and the other one is live
-                d0, d1 = (u, -math.inf) if a == 1 else (-math.inf, u)
+        for ti, r in zip(t[late + 1].tolist(), value[late].tolist()):
+            if r > _LOST:
+                b, renewed, v, after, r = next(restart)
+                if v == _LOST:
+                    after = -math.inf
+                d0, d1 = (after, renewed) if b else (renewed, after)
             if r:
                 if ti >= d1:
                     d1 = ti + tau_d
@@ -381,8 +419,8 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _gamma_steps() -> np.ndarray:
-    """d*GAMMA mod 2**64 for the draws d = 0 .. _GEN_CHUNK - 1 of a chunk."""
-    steps = np.arange(_GEN_CHUNK, dtype=np.uint64)
+    """d*GAMMA mod 2**64 for the draws d = 0 .. _DRAWS - 1 of a block."""
+    steps = np.arange(_DRAWS, dtype=np.uint64)
     steps *= np.uint64(_GAMMA)
     return _read_only(steps)
 

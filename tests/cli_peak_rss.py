@@ -17,7 +17,10 @@ window, nor with the number of windows, either.
 First it runs ``randev --help`` and ``randev predict``, which load no
 numpy, and a bare ``import numpy``; it exits 1 unless each of the two
 commands peaks below the bare import, so a stray numpy import on their
-path fails.
+path fails.  Then it generates KIND_BITS bits of each source kind whose
+chunks keep other buffers than ideal's (bernoulli, markov with a1 < 0,
+dead time in both modes, xorshift64) and exits 1 if one of them peaks
+more than KIND_TOLERANCE_MIB above ideal at that length.
 
 A child's ``ru_maxrss`` also counts the process it was forked from, so
 this script forks the children itself and imports nothing large: run it
@@ -30,6 +33,20 @@ import sys
 import tempfile
 
 TOLERANCE_MIB = 4.0
+
+KIND_BITS = 2_000_000
+KIND_TOLERANCE_MIB = 1.0
+# generate flags of each kind; ideal, first, is the one the others are held to
+KINDS = {
+    "ideal": ["--source", "ideal"],
+    "bernoulli": ["--source", "bernoulli", "--p", "0.3"],
+    "markov a1<0": ["--source", "markov", "--bias", "0.02", "--a1", "-0.1"],
+    "deadtime reroute": ["--source", "deadtime", "--tau", "1000", "--dead-time", "25",
+                         "--dead-mode", "reroute"],
+    "deadtime loss": ["--source", "deadtime", "--tau", "1000", "--dead-time", "25",
+                      "--dead-mode", "loss"],
+    "xorshift64": ["--source", "xorshift64"],
+}
 
 
 def child(argv: list, ok_codes=(0,), python=("-m", "randev.cli")) -> dict:
@@ -67,6 +84,15 @@ def main(lengths: list) -> int:
         print(json.dumps(row))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ideal.bits")
+        ideal_peak = None
+        for kind, flags in KINDS.items():
+            row = {"command": f"generate {kind}", "nbits": KIND_BITS,
+                   **child(["generate", *flags, "--seed", "1", "--nbits", str(KIND_BITS),
+                            "--out", path])}
+            ideal_peak = ideal_peak or row["peak_mib"]
+            row["ok"] = row["peak_mib"] - ideal_peak <= KIND_TOLERANCE_MIB
+            failed |= not row["ok"]
+            print(json.dumps(row))
         for nbits in lengths:
             for command, argv in (
                 ("generate", ["generate", "--source", "ideal", "--seed", "1",

@@ -715,14 +715,18 @@ class TestMemory:
         # forked generate, analyze and monitor children at 2^23 and 2^27
         # bits, monitor also with 1024-bit windows and with one window
         # longer than either stream: the script checks each command's peaks
-        # are within 4 MiB of each other, and that --help and predict peak
-        # below a bare numpy import
+        # are within 4 MiB of each other, that --help and predict peak
+        # below a bare numpy import, and that no source kind's generate
+        # peaks more than 1 MiB above ideal's at 2*10^6 bits
         script = Path(__file__).with_name("cli_peak_rss.py")
         done = subprocess.run([sys.executable, str(script), str(2**23), str(2**27)],
                               capture_output=True, text=True, timeout=300)
         rows = [json.loads(line) for line in done.stdout.splitlines()]
         assert [(r["command"], r["nbits"]) for r in rows] == [
             ("import numpy", None), ("--help", None), ("predict", None)] + [
+            (f"generate {kind}", 2_000_000) for kind in (
+                "ideal", "bernoulli", "markov a1<0", "deadtime reroute", "deadtime loss",
+                "xorshift64")] + [
             (command, nbits) for nbits in (2**23, 2**27)
             for command in ("generate", "analyze", "monitor", "monitor --window-bits 1024",
                             "monitor --window-bits 2**30")]

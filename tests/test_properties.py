@@ -24,6 +24,15 @@ from test_sources import markov_reference
 
 FEW = settings(max_examples=60, deadline=None)
 
+# a chunk's bits, and the SplitMix64 draws made and compared at a time
+CHUNK, DRAWS = sources._GEN_CHUNK, sources._DRAWS
+PHOTON_BLOCK = sources._PHOTON_BLOCK
+
+
+def near(unit):
+    """Lengths on and beside the multiples of unit."""
+    return st.builds(lambda k, d: max(0, k * unit + d), st.integers(0, 3), st.integers(-1, 1))
+
 
 @st.composite
 def bits_and_cuts(draw, max_bits=300, max_cuts=5, min_bits=0):
@@ -311,16 +320,22 @@ def test_markov_thresholds_are_the_float_comparisons(case):
 
 @FEW
 @given(admissible_markov(), st.integers(0, 2**64 - 1), st.integers(1, 700),
-       st.lists(st.integers(0, 2**16 + 700), max_size=6))
-@example((0.0, 1.0), 5, 700, [2**16 + 1, 3])
-@example((0.0, -1.0), 5, 700, [2**16 - 1, 2**16 + 3])
-@example((0.0, 0.999), 6, 64, [1, 2**16 + 63])
-@example((0.0, -0.999), 6, 64, [2**16, 7])
+       st.lists(st.one_of(st.integers(0, CHUNK + 700), near(DRAWS)), max_size=6))
+@example((0.0, 1.0), 5, 700, [CHUNK + 1, 3])
+@example((0.0, -1.0), 5, 700, [CHUNK - 1, CHUNK + 3])
+@example((0.0, 0.999), 6, 64, [1, CHUNK + 63])
+@example((0.0, -0.999), 6, 64, [CHUNK, 7])
+# each first call draws the stationary first bit and then a second draw
+# block, of one draw or of DRAWS - 1; a later call makes a chunk of
+# DRAWS - 1 bits or of a single bit
+@example((0.0, 1.0), 5, 1, [DRAWS + 1, CHUNK])
+@example((0.0, -1.0), 5, 1, [DRAWS + 1, DRAWS + 2])
+@example((0.1, 0.999), 5, 700, [2 * DRAWS - 1])
 def test_live_markov_matches_sequential_definition(case, seed, extra, cuts):
-    # one live source cut anywhere, in calls that cross 2**16-bit chunks,
-    # grow past the chunk function built before them or reuse it
+    # one live source cut anywhere, in calls that cross chunks and draw
+    # blocks, grow past the chunk function built before them or reuse it
     b, a1 = case
-    n = 2**16 + extra
+    n = CHUNK + extra
     src = Source(SourceConfig.markov(b, a1, seed=seed))
     ends = [0, *sorted(min(c, n) for c in cuts), n]
     got = concat(*(src.generate(j - i) for i, j in zip(ends, ends[1:])))
@@ -404,15 +419,30 @@ class ScalarDeadtime:
         return self.t, self.dead
 
 
+@st.composite
+def deadtime_cases(draw):
+    """(tau_d/tau, mode, seed, n, cuts): up to 40 000 bits, a tenth of that
+    at ratios of 1 and more, and up to 4 cuts anywhere in them."""
+    ratio = draw(st.sampled_from([0.0, 0.04, 1.0, 30.0]))
+    mode = draw(st.sampled_from(["reroute", "loss"]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    n = draw(st.integers(0, 40_000)) // (10 if ratio >= 1.0 else 1)
+    return ratio, mode, seed, n, sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([0.0, 0.04, 1.0, 30.0]), st.sampled_from(["reroute", "loss"]),
-       st.integers(0, 2**64 - 1), st.integers(0, 40_000), st.data())
-def test_deadtime_matches_scalar_rule(ratio, mode, seed, n, data):
+@given(deadtime_cases())
+# three photon blocks, cut at their ends; with these seeds photon
+# PHOTON_BLOCK (56) or 2 * PHOTON_BLOCK (166, 16, 253) arrives within
+# tau_d of the photon before it, so a block opens inside a cluster
+@example((0.01, "reroute", 56, 3 * PHOTON_BLOCK + 1, [PHOTON_BLOCK, 2 * PHOTON_BLOCK]))
+@example((0.01, "loss", 166, 3 * PHOTON_BLOCK + 1, [PHOTON_BLOCK, 2 * PHOTON_BLOCK]))
+@example((0.04, "reroute", 16, 3 * PHOTON_BLOCK + 1, [PHOTON_BLOCK, 2 * PHOTON_BLOCK]))
+@example((0.04, "loss", 253, 3 * PHOTON_BLOCK + 1, [PHOTON_BLOCK, 2 * PHOTON_BLOCK]))
+def test_deadtime_matches_scalar_rule(case):
     # at tau_d/tau = 30 nearly every photon is in a long cluster; the
     # cuts put call boundaries inside clusters and photon blocks
-    if ratio >= 1.0:
-        n //= 10
-    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    ratio, mode, seed, n, cuts = case
     cfg = SourceConfig.deadtime(1000.0, 1000.0 * ratio, seed=seed, mode=mode)
     src, oracle = Source(cfg), ScalarDeadtime(cfg)
     for a, b in zip([0, *cuts], [*cuts, n]):
@@ -448,11 +478,6 @@ class ScalarXorshift:
 
 
 XORSHIFT_MAX_BITS = 3 * 2**16 + 70
-
-
-def near(unit):
-    """Lengths on and beside the multiples of unit."""
-    return st.builds(lambda k, d: max(0, k * unit + d), st.integers(0, 3), st.integers(-1, 1))
 
 
 @FEW

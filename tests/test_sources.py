@@ -16,6 +16,7 @@ import randev
 from randev.bitstream import BitSequence, concat
 from randev.model import deadtime_a1
 from randev.sources import (
+    _DRAWS,
     ParameterError,
     Source,
     SourceConfig,
@@ -459,11 +460,12 @@ def test_live_source_concatenability(cfg):
     # new chunk function, then shrink and grow again, so later calls reuse
     # the one of the largest size, 2**16 bits: xorshift64 then makes a
     # chunk by a jump from a whole chunk, and one after a shorter chunk by
-    # steps
+    # steps.  The take of _DRAWS + 1 bits makes a chunk of one whole draw
+    # block and one of a single draw
     total = 3 * 2**16 + 5
     whole = generate(cfg, total)
     rng = random.Random(cfg.seed)
-    grow_then_shrink = [1, 7, 64, 1024, 2**17 + 3, 333, 1, 2**15, 64]
+    grow_then_shrink = [1, 7, 64, 1024, 2**17 + 3, 333, 1, _DRAWS + 1, 64]
     for run in range(6):
         takes = grow_then_shrink if run == 0 else []
         src = Source(cfg)
