@@ -20,12 +20,14 @@ sequence into ``PairCounts``, the lag-1 view.
 
 Every field is an exact integer, so any partition of a stream measured
 piece by piece and merged in order reproduces the serial state field for
-field.  One fold cuts the stream, whatever its chunks, into pieces of
-2**20 bits, the last one shorter, so serial, chunked and parallel runs
-measure the same pieces and are bit-identical.  A piece bounds a
-measure's temporaries, and a stream given as an iterable of chunks is
-read one piece at a time, so memory does not grow with its length.
-A ``max_lag`` is at most ``_MAX_LAG``, which bounds what the lags cost.
+field, wherever the cuts fall: serial, chunked and parallel reports are
+identical.  One fold cuts a stream, whatever its chunks, into pieces of
+2**20 bits, the last one shorter; ``analyze_parallel`` gives each thread
+one contiguous span, measured in pieces of ``_SPAN_BITS``.  A piece
+bounds a measure's temporaries, and a stream given as an iterable of
+chunks is read one piece at a time, so memory does not grow with its
+length.  A ``max_lag`` is at most ``_MAX_LAG``, which bounds what the
+lags cost; the stream's length is checked once it is measured.
 
 The PairCounts of each fixed window of a chunked stream, as ``monitor``
 reports them, come from ``randev.windows``.
@@ -36,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from collections import deque
 
 import numpy as np
 
@@ -134,13 +135,12 @@ def _lag_products(words: np.ndarray, lags: list[int]) -> list[int]:
     return prods
 
 
-def _fold(state: _LagState, chunks, mapper=map) -> _LagState:
+def _fold(state: _LagState, chunks) -> _LagState:
     """``state`` followed by the chunks, cut into pieces of _PIECE_BITS
-    bits (which bounds a measure's numpy temporaries) and measured
-    through ``mapper``."""
-    lags = state.lags
-    for part in mapper(lambda piece: _measure(piece, lags), _pieces(chunks, _PIECE_BITS)):
-        state = _merge_states(state, part)
+    bits (which bounds a measure's numpy temporaries), each measured and
+    merged in order."""
+    for piece in _pieces(chunks, _PIECE_BITS):
+        state = _merge_states(state, _measure(piece, state.lags))
     return state
 
 
@@ -231,28 +231,21 @@ def autocorr(data, k: int | None = None) -> tuple[float, float]:
     return estimate.value, estimate.sigma
 
 
-def _report(chunks, max_lag: int, mapper) -> AnalysisReport:
-    """The report of the chunks' lag state, measured through ``mapper``:
-    the one check of max_lag, made before any chunk is read, and of the
-    stream's length."""
+def _report(max_lag: int, fold) -> AnalysisReport:
+    """The report of ``fold(state)``, the stream's lag state built on the
+    empty state of lags 1..max_lag: the one check of max_lag, made before
+    any chunk is read, and of the stream's length, made before any
+    statistic."""
     max_lag = _integer(max_lag, "max_lag", EstimatorError)
     if max_lag < 1:
         raise EstimatorError(f"max_lag={max_lag} must be at least 1")
     if max_lag > _MAX_LAG:
         raise EstimatorError(f"max_lag={max_lag} must be at most {_MAX_LAG}")
-    # the chunks that hold the max_lag + 2 bits a report needs, or the
-    # whole stream if it is shorter: it then fails before any measure
-    chunks = iter(chunks)
-    ahead, seen = [], 0
-    for chunk in chunks:
-        ahead.append(chunk)
-        seen += chunk.nbits
-        if seen >= max_lag + 2:
-            break
-    else:
+    state = fold(_start(max_lag))
+    if state.n < max_lag + 2:
         raise InsufficientDataError(
-            f"analysis up to lag {max_lag} needs at least {max_lag + 2} bits, got {seen}")
-    return _analysis(_fold(_start(max_lag), itertools.chain(ahead, chunks), mapper))
+            f"analysis up to lag {max_lag} needs at least {max_lag + 2} bits, got {state.n}")
+    return _analysis(state)
 
 
 @functools.lru_cache(maxsize=16)
@@ -269,22 +262,29 @@ def analyze(data, max_lag: int = 8) -> AnalysisReport:
     ``data`` is one BitSequence or an iterable of BitSequence chunks in
     stream order, such as ``bitstream.read_stream`` of a file; chunked
     input produces the identical report.  A max_lag below 1 or above
-    ``_MAX_LAG`` fails before any chunk is read.  An iterable is read once, a piece at a time, and
-    a too-short one fails once its end is read.
+    ``_MAX_LAG`` fails before any chunk is read.  An iterable is read once,
+    a piece at a time, and a too-short one fails once it is measured.
     """
     if isinstance(data, BitSequence):
         data = [data]
-    return _report(data, max_lag, map)
+    return _report(max_lag, lambda state: _fold(state, data))
+
+
+# the bits a thread of analyze_parallel measures at a time.  Each pass's
+# Python and numpy dispatch holds the GIL, so two threads measuring 2**20-bit
+# pieces took twice as long as one; at 2**22 bits they outrun it
+_SPAN_BITS = 4 * _PIECE_BITS
 
 
 def analyze_parallel(seq: BitSequence, max_lag: int = 8,
                      workers: int | None = None) -> AnalysisReport:
-    """analyze() with its pieces measured on up to ``workers`` threads.
+    """analyze() with the sequence cut into one contiguous span per thread,
+    on up to ``workers`` threads.
 
-    The pieces are analyze()'s own, at most 2**20 bits each, and no more
-    threads start than there are pieces; at most two pieces per thread
-    are cut and in flight at once.  The same ordered fold merges them, so
-    the report equals analyze()'s field for field.
+    No more threads start than there are pieces of ``_SPAN_BITS`` bits.
+    Each thread measures its span a piece at a time and merges the pieces
+    in order, and the spans' states are merged in order.  Every count is
+    an exact integer, so the report equals analyze()'s field for field.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -294,25 +294,18 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
     # imported here: its logging import would cost every other call
     from concurrent.futures import ThreadPoolExecutor
 
-    # at least one thread, as a pool needs; it starts them only as work is
-    # submitted, so an input that fails its checks starts none
-    threads = max(1, min(workers, -(-seq.nbits // _PIECE_BITS)))
-    with ThreadPoolExecutor(threads) as pool:
-        return _report([seq], max_lag,
-                       lambda fn, pieces: _map_ahead(pool, 2 * threads, fn, pieces))
+    # at least one thread, as a pool needs, and spans of whole pieces
+    pieces = max(1, -(-seq.nbits // _SPAN_BITS))
+    threads = min(workers, pieces)
+    width = -(-pieces // threads) * _SPAN_BITS
 
+    def fold(state):
+        def span(start):
+            cuts = range(start, min(start + width, seq.nbits), _SPAN_BITS)
+            return functools.reduce(
+                _merge_states, (_measure(seq[i:i + _SPAN_BITS], state.lags) for i in cuts), state)
 
-def _map_ahead(pool, ahead: int, fn, items):
-    """``pool.map(fn, items)`` that submits at most ``ahead`` items before
-    their results are read, so only that many pieces are cut at once."""
-    pending = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
+        with ThreadPoolExecutor(threads) as pool:
+            return functools.reduce(_merge_states, pool.map(span, range(0, seq.nbits, width)), state)
+
+    return _report(max_lag, fold)

@@ -350,6 +350,22 @@ class TestAnalyze:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
         assert analyze_parallel(seq, workers=64) == serial
         assert seen == [1]
+        # each thread measures its own span in pieces of 2**22 bits, while
+        # the serial fold cuts 2**20-bit pieces; exact counts merge alike
+        seq = generate(SourceConfig.markov(0.05, -0.2, seed=3), 2**22 + 37)
+        measured = []
+
+        def measure_spy(piece, lags):
+            measured.append(piece.nbits)
+            return measure(piece, lags)
+
+        measure = estimators._measure
+        monkeypatch.setattr(estimators, "_measure", measure_spy)
+        parallel = analyze_parallel(seq, workers=2)
+        assert sorted(measured) == [37, 2**22]
+        measured.clear()
+        assert analyze(seq) == parallel
+        assert measured == [2**20] * 4 + [37]
 
     def test_short_chunks_are_measured_as_one_piece(self, monkeypatch):
         # the fold cuts the stream, not each chunk: 100 chunks of 100 bits
@@ -367,12 +383,12 @@ class TestAnalyze:
         monkeypatch.setattr(estimators, "_measure", spy)
         assert analyze(chunks, max_lag=5000) == whole
         assert measured == [10_000]
-        # a max_lag past the chunks' end fails on the one piece ahead of
-        # the fold, before any lag is measured
+        # a max_lag past the chunks' end fails once the one piece is
+        # measured, on the length the fold counted
         measured.clear()
         with pytest.raises(InsufficientDataError, match="got 10000$"):
             analyze(iter(chunks), max_lag=estimators._MAX_LAG)
-        assert measured == []
+        assert measured == [10_000]
 
     def test_temporaries_stay_below_the_input(self):
         # pieces bound what a measure allocates: below the 4 MiB packed
@@ -387,8 +403,8 @@ class TestAnalyze:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2**20
-        # analyze_parallel keeps two pieces per thread in flight, so its
-        # peak does not grow with the input either
+        # each analyze_parallel thread cuts and measures one piece of its
+        # span at a time, so its peak does not grow with the input either
         data = np.random.default_rng(8).integers(0, 256, 2**23, dtype=np.uint8)
         seq = BitSequence(data.tobytes(), 2**26)
         tracemalloc.start()
@@ -482,6 +498,9 @@ class TestAnalyze:
         for seq, max_lag, later in ((BitSequence(b"", 0), 8, ()), (S("0101"), 8, ()),
                                     (S("0110"), 0, ()), (S("0110" * 250), estimators._MAX_LAG, ()),
                                     (S("0110" * 250), 8.0, ()),
+                                    # too short, and constant: the length
+                                    # is checked before any statistic
+                                    (BitSequence(bytes(125), 1000), estimators._MAX_LAG, ()),
                                     # max_lag is checked before any chunk is
                                     # read, so neither a read that would fail
                                     # nor an endless stream is read
@@ -505,6 +524,8 @@ class TestAnalyze:
                     analyze_parallel(seq, max_lag=max_lag, workers=workers)
                 assert parallel.type is serial.type
                 assert str(parallel.value) == str(serial.value)
+        with pytest.raises(InsufficientDataError, match="got 1000$"):
+            analyze(BitSequence(bytes(125), 1000), max_lag=estimators._MAX_LAG)
         for workers in (0, -1, 1.5):
             with pytest.raises(EstimatorError):
                 analyze_parallel(S("01101001" * 4), workers=workers)
