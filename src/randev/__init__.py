@@ -2,7 +2,8 @@
 
 The package is organized as a pipeline:
 
-* ``config``      -- source configurations and their checks; no numpy.
+* ``config``      -- source and monitor configurations and their checks;
+                     no numpy.
 * ``bitstream``   -- packed bit sequences and file I/O.
 * ``sources``     -- seeded simulators of ideal, biased, correlated,
                      dead-time-afflicted, and deterministic bit sources.
@@ -13,7 +14,8 @@ The package is organized as a pipeline:
                      and report; needs only ``model``, so it loads no numpy.
 * ``estimators``  -- one-pass, mergeable counts of real streams' packed
                      words, and ``analyze``.
-* ``windows``     -- the fixed-window counts ``randev monitor`` prints.
+* ``windows``     -- the stream monitor: fixed-window counts, the alarm
+                     rule and the line ``randev monitor`` prints.
 * ``experiments`` -- reproducible sweeps and demos built on the above.
 * ``cli``         -- the ``randev`` command.
 

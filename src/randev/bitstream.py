@@ -21,9 +21,14 @@ writer of each format.  They move a file a chunk at a time, so memory
 stays at one chunk whatever the file's length; ``read_file``,
 ``from_raw_bytes`` and ``write_file`` are the same code on one whole
 sequence, which a raw read without an override takes in one read.
+``write_stream`` is also the one rule for writing a path: a new file
+beside it, renamed over it once complete, so a failed write leaves the
+old file whole.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -200,11 +205,39 @@ def write_stream(chunks, target, format: str = "raw") -> int:
 
     Each chunk is written as it comes.  A raw chunk that ends inside a
     byte holds that byte back to be joined to the next chunk's bits.
+
+    A path is written to a new file beside it (or beside the file a link
+    at it names), which takes the old file's mode and is renamed over it
+    once complete.  So a failed or interrupted write leaves the path as it
+    was, and chunks read from the path are read whole before it is
+    replaced.  A path that names no regular file, such as a device or a
+    pipe, is written in place: there is nothing to replace.
     """
     _check_format(format)
     if not hasattr(target, "write"):
-        with open(target, "wb") as fh:
-            return write_stream(chunks, fh, format)
+        target = os.fsdecode(target)
+        path = os.path.realpath(target)
+        exists = os.path.exists(path)
+        if exists and not os.path.isfile(path):
+            with open(target, "wb") as fh:
+                return write_stream(chunks, fh, format)
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        try:
+            fh = open(tmp, "xb")
+        except OSError as exc:
+            exc.filename = target  # name the file asked for, not the temporary one
+            raise
+        try:
+            with fh:
+                nbits = write_stream(chunks, fh, format)
+            if exists:
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        return nbits
     held, nbits = BitSequence(b"", 0), 0
     for chunk in chunks:
         nbits += chunk.nbits

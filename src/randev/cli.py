@@ -13,10 +13,7 @@ Subcommands:
 
 ``generate``, ``analyze``, ``concat`` and ``monitor`` move their bits a
 piece at a time (see ``bitstream.read_stream`` and ``write_stream``), so
-their memory does not grow with the stream.  ``monitor`` counts every
-window of a read in one vector pass (``windows._window_counts``),
-merges a window that spans reads from its parts, and prints the lines of
-the windows each read completes as that read is counted.
+their memory does not grow with the stream.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 monitor alarm,
 3 I/O error, 130 interrupted (as a shell reports SIGINT).
@@ -26,22 +23,16 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from typing import NamedTuple
 
 # the parser needs only the numpy-free config layer; each command imports
 # the stages it runs, so ``--help``, ``predict``, ``nmax``, ``fig2`` and
 # ``validate-approx`` load no numpy, ``analyze`` and ``monitor`` no
 # generators, and ``generate`` no estimators
-from randev.config import (_FORMATS, DEADTIME_MODES, SOURCE_KINDS, ParameterError, SourceConfig,
-                           _integer)
+from randev.config import (_FORMATS, DEADTIME_MODES, SOURCE_KINDS, MonitorConfig, ParameterError,
+                           SourceConfig)
 
 __all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
-
-# monitor holds no window whole, only the counts of its parts read so far,
-# so its memory does not depend on the window; the cap keeps the interface
-_MAX_WINDOW_BITS = 1 << 32
 
 
 class _UsageError(ValueError):
@@ -52,26 +43,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 by default; 2 is reserved for monitor alarms
     def error(self, message: str):
         raise _UsageError(message)
-
-
-class MonitorConfig(NamedTuple):
-    """Windowing and alarm settings for the stream monitor."""
-
-    window_bits: int = 1 << 20
-    sigma_k: float = 3.0
-    deviation_threshold: float | None = None
-
-    def validate(self) -> None:
-        if not 1024 <= _integer(self.window_bits, "window_bits") <= _MAX_WINDOW_BITS:
-            raise ParameterError(
-                f"window_bits={self.window_bits} must be in [1024, {_MAX_WINDOW_BITS}]"
-            )
-        if not self.sigma_k > 0.0:
-            raise ParameterError(f"sigma_k={self.sigma_k} must be positive")
-        if self.deviation_threshold is not None and not self.deviation_threshold >= 0.0:
-            raise ParameterError(
-                f"deviation_threshold={self.deviation_threshold} must be non-negative"
-            )
 
 
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:
@@ -125,7 +96,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     # at least one piece, so a negative count fails and 0 writes an empty file
     pieces = (source.generate(min(_PIECE_BITS, n - k))
               for k in range(0, max(n, 1), _PIECE_BITS))
-    nbits = _replace(args.out, lambda fh: write_stream(pieces, fh, args.format))
+    nbits = write_stream(pieces, args.out, args.format)
     print(f"wrote {nbits} bits ({args.format}) to {args.out}")
     return 0
 
@@ -188,39 +159,11 @@ def cmd_nmax(args: argparse.Namespace) -> int:
     return 0
 
 
-def _monitor_stream(chunks, config: MonitorConfig) -> int:
-    """Sequential window scan of the chunks, whose order is semantic, so no
-    parallelism.  The lines of the windows each chunk completes are written
-    and flushed in batches of ``windows._WINDOW_BATCH`` before the next is
-    read, so a pipe reader sees a line once its window's bits arrive."""
-    from randev.model import deviation_sigma
-    from randev.stats import deviation_plugin
-    from randev.windows import _window_counts
-
-    w = config.window_bits
-    alarmed, index = False, 0
-    for windows in _window_counts(chunks, w):
-        lines = []
-        for counts in windows:
-            d_hat = sigma = math.nan
-            if counts.n >= 2:
-                d_hat = deviation_plugin(counts)
-                sigma = deviation_sigma(d_hat, counts.n)
-            status = "incomplete"
-            if counts.n == w:
-                alarm = d_hat > config.sigma_k * sigma
-                if config.deviation_threshold is not None:
-                    alarm = alarm and d_hat > config.deviation_threshold
-                alarmed |= alarm
-                status = "ALARM" if alarm else "ok"
-            lines.append(f"{index},{d_hat:.6g},{sigma:.6g},{status}\n")
-            index += 1
-        sys.stdout.write("".join(lines))
-        sys.stdout.flush()
-    return 2 if alarmed else 0
-
-
 def cmd_monitor(args: argparse.Namespace) -> int:
+    # windows before the bitstream of ``_input_chunks``: randev's modules
+    # then compile before numpy loads, at a lower peak
+    from randev.windows import _monitor_stream
+
     config = MonitorConfig(args.window_bits, args.sigma_k, args.deviation_threshold)
     config.validate()  # before the input is opened: it may be missing
     return _monitor_stream(_input_chunks(args.file, "raw", None), config)
@@ -256,40 +199,9 @@ def cmd_concat(args: argparse.Namespace) -> int:
     from randev.bitstream import read_stream, write_stream
 
     chunks = (c for path in args.inputs for c in read_stream(path, args.format))
-    nbits = _replace(args.out, lambda fh: write_stream(chunks, fh, args.format))
+    nbits = write_stream(chunks, args.out, args.format)
     print(f"wrote {nbits} bits to {args.out}")
     return 0
-
-
-def _replace(path: str, write):
-    """``write(fh)`` to a new file beside ``path`` (or the file a link at
-    ``path`` names), renamed over it once complete, and return what
-    ``write`` returns.  So a failed or interrupted write leaves ``path``
-    as it was, and a ``concat`` input that is also the output is read
-    before it is replaced.  A path that names no regular file, such as a
-    device or a pipe, is written in place: there is nothing to replace."""
-    target = os.path.realpath(path)
-    exists = os.path.exists(target)
-    if exists and not os.path.isfile(target):
-        with open(path, "wb") as fh:
-            return write(fh)
-    head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    try:
-        fh = open(tmp, "xb")
-    except OSError as exc:
-        exc.filename = path  # name the file asked for, not the temporary one
-        raise
-    try:
-        with fh:
-            result = write(fh)
-        if exists:
-            os.chmod(tmp, os.stat(target).st_mode & 0o7777)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return result
 
 
 def build_parser() -> argparse.ArgumentParser:

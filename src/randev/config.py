@@ -1,10 +1,12 @@
-"""Source configurations, their validation, and the names the parser offers.
+"""Source and monitor configurations, their validation, and the names the
+parser offers.
 
 This module imports nothing but the standard library, so the commands
 that only parse arguments or evaluate closed forms (``--help``,
 ``predict``, ``nmax``) load no numpy.  ``sources`` and ``model`` take
-their parameter types and checks from here, and ``bitstream`` its
-format names.
+their parameter types and checks from here, ``bitstream`` its format
+names, and ``windows`` the monitor's ``MonitorConfig``, whose defaults
+the parser offers.
 
 The records are ``NamedTuple``s: ``_replace`` makes a changed copy,
 ``_asdict`` gives the fields in order, and a record compares equal to
@@ -36,6 +38,10 @@ _FORMATS = ("raw", "ascii")
 
 # the dead-time simulator spends about tau_d/(2 tau) photons per emitted bit
 _MAX_DEAD_RATIO = 1e4
+
+# monitor holds no window whole, only the counts of its parts read so far,
+# so its memory does not depend on the window; the cap keeps the interface
+_MAX_WINDOW_BITS = 1 << 32
 
 
 class ParameterError(ValueError):
@@ -186,3 +192,23 @@ class SourceConfig(NamedTuple):
         elif self.kind == "xorshift64":
             if self.seed == 0:
                 raise ParameterError("xorshift64 requires a nonzero seed")
+
+
+class MonitorConfig(NamedTuple):
+    """Windowing and alarm settings for the stream monitor."""
+
+    window_bits: int = 1 << 20
+    sigma_k: float = 3.0
+    deviation_threshold: float | None = None
+
+    def validate(self) -> None:
+        if not 1024 <= _integer(self.window_bits, "window_bits") <= _MAX_WINDOW_BITS:
+            raise ParameterError(
+                f"window_bits={self.window_bits} must be in [1024, {_MAX_WINDOW_BITS}]"
+            )
+        if not self.sigma_k > 0.0:
+            raise ParameterError(f"sigma_k={self.sigma_k} must be positive")
+        if self.deviation_threshold is not None and not self.deviation_threshold >= 0.0:
+            raise ParameterError(
+                f"deviation_threshold={self.deviation_threshold} must be non-negative"
+            )

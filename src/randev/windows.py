@@ -1,5 +1,12 @@
-"""The counts of a chunked stream's fixed windows, as ``randev monitor``
-reports them.
+"""The stream monitor: the counts of a chunked stream's fixed windows, the
+alarm rule on each window's deviation, and the CSV line ``randev monitor``
+prints for it.
+
+``_monitor_stream`` scans the windows in stream order and writes one line
+per window, ``index,deviation,sigma,status``, flushed as each read's
+windows are counted.  A complete window raises ``ALARM`` when its
+deviation exceeds ``sigma_k`` of its sigma and, if one is set, the
+deviation threshold; the last, shorter window is ``incomplete``.
 
 ``_window_counts`` gives the PairCounts of each window of ``w`` bits.
 It counts all the windows of a chunk in one pass over the chunk's words:
@@ -18,15 +25,52 @@ compile this one.
 
 from __future__ import annotations
 
-import numpy as np
+import math
+import sys
 
+# randev's modules before numpy: a child run without bytecode files
+# compiles them from source, and does so at a lower peak before numpy is
+# mapped in
+from randev.config import MonitorConfig
+from randev.model import deviation_sigma
+from randev.stats import PairCounts, _merge_pairs, _pair_cells, deviation_plugin
 from randev.bitstream import _PASS_WORDS, _words
-from randev.stats import PairCounts, _merge_pairs, _pair_cells
+
+import numpy as np
 
 
 # windows ``_window_counts`` turns into PairCounts at a time, so a read
 # that completes thousands of small windows holds few of them as objects
 _WINDOW_BATCH = 128
+
+
+def _monitor_stream(chunks, config: MonitorConfig) -> int:
+    """Sequential window scan of the chunks, whose order is semantic, so no
+    parallelism; 2 if any window raised an alarm, else 0.  The lines of
+    the windows each chunk completes are written and flushed in batches of
+    ``_WINDOW_BATCH`` before the next is read, so a pipe reader sees a
+    line once its window's bits arrive."""
+    w = config.window_bits
+    alarmed, index = False, 0
+    for windows in _window_counts(chunks, w):
+        lines = []
+        for counts in windows:
+            d_hat = sigma = math.nan
+            if counts.n >= 2:
+                d_hat = deviation_plugin(counts)
+                sigma = deviation_sigma(d_hat, counts.n)
+            status = "incomplete"
+            if counts.n == w:
+                alarm = d_hat > config.sigma_k * sigma
+                if config.deviation_threshold is not None:
+                    alarm = alarm and d_hat > config.deviation_threshold
+                alarmed |= alarm
+                status = "ALARM" if alarm else "ok"
+            lines.append(f"{index},{d_hat:.6g},{sigma:.6g},{status}\n")
+            index += 1
+        sys.stdout.write("".join(lines))
+        sys.stdout.flush()
+    return 2 if alarmed else 0
 
 
 def _window_counts(chunks, w: int):

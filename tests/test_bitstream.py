@@ -1,5 +1,6 @@
 import io
 import random
+import stat
 
 import numpy as np
 import pytest
@@ -229,6 +230,27 @@ def test_write_stream_joins_chunks_at_any_bit(tmp_path):
         assert write_stream(chunks, path, format) == 300
         write_file(seq, tmp_path / "whole", format)
         assert path.read_bytes() == (tmp_path / "whole").read_bytes()
+
+
+def test_write_stream_replaces_a_path_once_complete(tmp_path):
+    # the bits go to a new file beside the path, renamed over it once
+    # complete: a chunk that fails midway leaves the old file whole
+    path = tmp_path / "x.bits"
+    path.write_bytes(b"OLD")
+    path.chmod(0o640)
+    seq = BitSequence.from_string("0110" * 4)
+
+    def chunks():
+        yield seq
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_stream(chunks(), path)
+    assert path.read_bytes() == b"OLD"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bits"]
+    assert write_stream([seq], path) == 16
+    assert path.read_bytes() == b"\x66\x66"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
 def test_unknown_format_rejected(tmp_path):

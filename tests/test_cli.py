@@ -20,7 +20,8 @@ import pytest
 import randev
 from randev import bitstream, cli, sources
 from randev.bitstream import BitSequence, read_file
-from randev.cli import MonitorConfig, main
+from randev.cli import main
+from randev.config import MonitorConfig
 from randev.estimators import _MAX_LAG, PairCounts, accumulate, analyze, deviation_plugin
 from randev.model import deviation_sigma
 from randev.sources import ParameterError, SourceConfig, generate
@@ -407,6 +408,7 @@ class TestNmax:
 
 class TestMonitorConfig:
     def test_defaults(self):
+        assert cli.MonitorConfig is MonitorConfig
         config = MonitorConfig()
         assert config.window_bits == 1 << 20
         assert config.sigma_k == 3.0
@@ -748,15 +750,22 @@ def fresh(code: str):
 
 
 def modules_after(argv):
-    """The modules a fresh interpreter holds after ``randev`` ran argv."""
-    return set(fresh("import json, sys\n"
-                     "from randev.cli import main\n"
-                     "try:\n"
-                     f"    code = main({argv!r})\n"
-                     "except SystemExit as exc:\n"
-                     "    code = exc.code\n"
-                     "assert code == 0\n"
-                     "print(json.dumps(sorted(sys.modules)))\n"))
+    """The modules a fresh interpreter holds after ``randev`` ran argv, in
+    the order their imports began.  ``sys.modules`` has the order they
+    ended: a module is moved to its end once its body has run."""
+    return fresh("import json, sys\n"
+                 "began = list(sys.modules)\n"
+                 "class Log:  # first on the meta path, so it sees each import begin\n"
+                 "    def find_spec(name, *rest):\n"
+                 "        began.append(name)\n"
+                 "sys.meta_path.insert(0, Log)\n"
+                 "from randev.cli import main\n"
+                 "try:\n"
+                 f"    code = main({argv!r})\n"
+                 "except SystemExit as exc:\n"
+                 "    code = exc.code\n"
+                 "assert code == 0\n"
+                 "print(json.dumps([m for m in dict.fromkeys(began) if m in sys.modules]))\n")
 
 
 class TestImports:
@@ -790,8 +799,14 @@ class TestImports:
     def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, needs, shuns):
         bits = tmp_path / "x.bits"
         bits.write_bytes(generate(SourceConfig.ideal(seed=1), 4096).data)
-        loaded = modules_after([a.format(bits=bits, out=tmp_path / "y.bits") for a in argv])
+        order = modules_after([a.format(bits=bits, out=tmp_path / "y.bits") for a in argv])
+        loaded = set(order)
         assert needs <= loaded
+        if argv[0] == "monitor":
+            # a child without bytecode files compiles randev's modules from
+            # source, at a lower peak before numpy is loaded
+            assert {"randev.windows", "randev.stats", "randev.model",
+                    "randev.bitstream"} <= set(order[:order.index("numpy")])
         # no record type is a dataclass, whose definition compiles code
         assert loaded & (shuns | {"dataclasses"}) == set()
 
