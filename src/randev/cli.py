@@ -32,7 +32,7 @@ import sys
 from randev.config import (_FORMATS, DEADTIME_MODES, SOURCE_KINDS, MonitorConfig, ParameterError,
                            SourceConfig)
 
-__all__ = ["MonitorConfig", "build_parser", "main", "cli_main"]
+__all__ = ["build_parser", "main", "cli_main"]
 
 
 class _UsageError(ValueError):

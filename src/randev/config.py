@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 __all__ = [
     "DEADTIME_MODES",
+    "MonitorConfig",
     "ParameterError",
     "SOURCE_KINDS",
     "SourceConfig",

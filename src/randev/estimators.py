@@ -43,36 +43,11 @@ import numpy as np
 
 from randev.bitstream import _PASS_WORDS, _PIECE_BITS, BitSequence, _pieces, _words
 from randev.config import _integer
-from randev.model import deviation_quadratic
-# the arithmetic on counts; its public names are this module's too
-from randev.stats import (AnalysisReport, DegenerateSequenceError, EmptyInputError,
-                          EstimatorError, InsufficientDataError, LagEstimate, PairCounts,
+from randev.stats import (AnalysisReport, EstimatorError, InsufficientDataError, PairCounts,
                           _analysis, _empty, _estimates, _lag1, _LagState, _merge_pairs,
-                          _merge_states, _pair_counts, _state, _window_ones, bias_estimate,
-                          cond_entropy_lag1, deviation_plugin, marginal_entropy_lag1,
-                          mutual_information_lag1)
+                          _merge_states, _pair_counts, _state, _window_ones)
 
-__all__ = [
-    "EstimatorError",
-    "EmptyInputError",
-    "InsufficientDataError",
-    "DegenerateSequenceError",
-    "PairCounts",
-    "LagAccumulator",
-    "LagEstimate",
-    "AnalysisReport",
-    "accumulate",
-    "merge",
-    "bias_estimate",
-    "autocorr",
-    "mutual_information_lag1",
-    "cond_entropy_lag1",
-    "marginal_entropy_lag1",
-    "deviation_plugin",
-    "deviation_quadratic",
-    "analyze",
-    "analyze_parallel",
-]
+__all__ = ["LagAccumulator", "accumulate", "merge", "autocorr", "analyze", "analyze_parallel"]
 
 # the largest max_lag.  A report's work and memory grow with its lags, not
 # only with its bits: each piece's state and the lag tuple hold one int a
@@ -207,7 +182,8 @@ def merge(a, b):
 
 
 def autocorr(data, k: int | None = None) -> tuple[float, float]:
-    """Lag-k serial autocorrelation coefficient and its 1/sqrt(n) sigma.
+    """Lag-k serial autocorrelation coefficient and its 1/sqrt(n) sigma,
+    the sigma for independent bits.
 
     ``data`` is a BitSequence (k defaults to 1) or a LagAccumulator
     (k defaults to the accumulator's lag).  The numerator and

@@ -13,7 +13,10 @@
                           passing every per-bit statistic while its true
                           information content is capped by the seed.
 
-All outputs are deterministic functions of their arguments.
+All outputs are deterministic functions of their arguments.  Both CSV
+tables, ``grid_csv_lines`` and ``fig2_csv_lines``, are rendered by one
+``_csv_lines``, and both grids are the multiples of a step that
+``_multiples`` gives.
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ def _check_rows(rows: float, what: str) -> None:
         raise ParameterError(f"{what} gives about {rows:.7g} rows, more than {_MAX_ROWS}")
 
 
+def _multiples(lo: float, hi: float, step: float) -> range:
+    """The integers i with i*step in [lo, hi], up to a rounding slack."""
+    return range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
+
+
 def validate_approx(grid_step: float, n_bits: int | None = None,
                     seed: int = 0) -> GridResult:
     """Sweep |b| <= 0.1, |a1| <= 0.1 in steps of grid_step and compare
@@ -123,12 +131,12 @@ def validate_approx(grid_step: float, n_bits: int | None = None,
         from randev.estimators import accumulate
         from randev.sources import generate
         from randev.stats import PairCounts, deviation_plugin
-    span = math.floor(0.1 / grid_step + 1e-9)
+    steps = _multiples(-0.1, 0.1, grid_step)
     rows = []
     worst = 0.0
     index = 0
-    for bi in range(-span, span + 1):
-        for ai in range(-span, span + 1):
+    for bi in steps:
+        for ai in steps:
             if bi == 0 and ai == 0:
                 continue
             b = bi * grid_step
@@ -180,14 +188,13 @@ def fig2_curve(a1_min: float, a1_max: float,
             f"range [{a1_min}, {a1_max}] invalid: need -1 <= min < max <= 1"
         )
     _check_rows((a1_max - a1_min) / step + 1, f"step={step}")
-    lo = math.ceil(a1_min / step - 1e-9)
-    hi = math.floor(a1_max / step + 1e-9)
-    if lo > hi:
+    steps = _multiples(a1_min, a1_max, step)
+    if not steps:
         raise ParameterError(
             f"step={step} leaves no grid point in [{a1_min}, {a1_max}]"
         )
     rows = []
-    for i in range(lo, hi + 1):
+    for i in steps:
         a1 = i * step
         if a1 > 1.0:
             a1 = 1.0
@@ -256,31 +263,24 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv_lines(header: str, rows) -> list[str]:
+    """The header, then one line per row: an int as it is, a float by
+    ``_fmt``, and a None cell left out."""
+    return [header, *(",".join(str(x) if isinstance(x, int) else _fmt(x)
+                                for x in row if x is not None) for row in rows)]
+
+
 def grid_csv_lines(result: GridResult) -> list[str]:
     """CSV rows for a grid sweep; empirical columns appear only when the
     sweep generated streams."""
     header = "b,a1,d_exact,d_approx,rel_err"
     if result.empirical:
         header += ",n_bits,d_plugin,z"
-    lines = [header]
-    for r in result.rows:
-        cells = [
-            _fmt(r.b), _fmt(r.a1), _fmt(r.deviation_exact),
-            _fmt(r.deviation_approx), _fmt(r.relative_error),
-        ]
-        if result.empirical:
-            cells += [str(r.n_bits), _fmt(r.deviation_plugin), _fmt(r.z_score)]
-        lines.append(",".join(cells))
-    return lines
+    return _csv_lines(header, result.rows)
 
 
 def fig2_csv_lines(rows) -> list[str]:
-    lines = ["a1,mi_exact,mi_approx"]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r.a1)},{_fmt(r.mi_exact)},{_fmt(r.mi_approx)}"
-        )
-    return lines
+    return _csv_lines("a1,mi_exact,mi_approx", rows)
 
 
 def write_csv(lines: list[str], path) -> None:

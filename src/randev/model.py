@@ -214,7 +214,12 @@ def n_max(deviation: float) -> float:
     """Longest usable sequence for a source with the given deviation in [0, 1].
 
     2 / (ln 2 * deviation); returns math.inf when the deviation is
-    exactly zero (no detectable imperfection at any length).
+    exactly zero (no detectable imperfection at any length).  At
+    n = N_max the source and an ideal one are n * D * ln 2 = 2 nats of
+    Kullback-Leibler divergence apart, so for a small deviation the
+    likelihood-ratio test between them errs with probability about
+    Phi(-1) = 0.16 at equal priors (0.159, 0.160 and 0.170 for a
+    balanced Markov source at a1 = 0.05, 0.2 and 0.6).
     """
     if not 0.0 <= deviation <= 1.0:
         raise ParameterError(f"deviation={deviation} must be non-negative and at most 1")

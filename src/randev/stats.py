@@ -160,15 +160,17 @@ def _merge_states(a: _LagState, b: _LagState) -> _LagState:
 
 
 def bias_estimate(counts: PairCounts) -> tuple[float, float]:
-    """Empirical bias 2*ones/n - 1 and its uncertainty 1/sqrt(n)."""
+    """Empirical bias 2*ones/n - 1 and its uncertainty 1/sqrt(n), the
+    sigma for independent bits: for a correlated source the spread can be
+    0.34-2.00 times that."""
     if counts.n == 0:
         raise EmptyInputError("cannot estimate bias of an empty stream")
     return 2.0 * counts.ones / counts.n - 1.0, 1.0 / math.sqrt(counts.n)
 
 
 def _estimates(s: _LagState) -> tuple[LagEstimate, ...]:
-    """The autocorrelation and its 1/sqrt(n) sigma at every lag of a state
-    with n >= lags[-1] + 2 bits.
+    """The autocorrelation and its 1/sqrt(n) sigma, the sigma for
+    independent bits, at every lag of a state with n >= lags[-1] + 2 bits.
 
     One loop in Python: numpy took more than twice as long for the 8
     default lags."""
@@ -268,7 +270,9 @@ class AnalysisReport(NamedTuple):
     ``deviation_plugin`` comes from the conditional-entropy route;
     ``deviation_markov`` is the quadratic form evaluated at the measured
     bias and lag-1 autocorrelation; ``n_max`` is math.inf when the
-    plug-in deviation is exactly zero.
+    plug-in deviation is exactly zero.  ``bias_sigma`` and each
+    autocorrelation's sigma are 1/sqrt(n), the sigma for independent
+    bits: for a correlated source the spread can be 0.34-2.00 times that.
     """
 
     n_bits: int

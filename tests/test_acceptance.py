@@ -13,18 +13,12 @@ import time
 import numpy as np
 
 from randev.bitstream import BitSequence
-from randev.estimators import (
-    PairCounts,
-    accumulate,
-    analyze,
-    analyze_parallel,
-    cond_entropy_lag1,
-    marginal_entropy_lag1,
-    mutual_information_lag1,
-)
+from randev.estimators import accumulate, analyze, analyze_parallel
 from randev.experiments import concat_property, fig2_curve, prng_demo, validate_approx
 from randev.model import deviation_sigma, n_max
 from randev.sources import SourceConfig, generate
+from randev.stats import (PairCounts, cond_entropy_lag1, marginal_entropy_lag1,
+                          mutual_information_lag1)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> bool:

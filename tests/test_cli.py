@@ -22,9 +22,10 @@ from randev import bitstream, cli, sources
 from randev.bitstream import BitSequence, read_file
 from randev.cli import main
 from randev.config import MonitorConfig
-from randev.estimators import _MAX_LAG, PairCounts, accumulate, analyze, deviation_plugin
+from randev.estimators import _MAX_LAG, accumulate, analyze
 from randev.model import deviation_sigma
 from randev.sources import ParameterError, SourceConfig, generate
+from randev.stats import PairCounts, deviation_plugin
 
 
 def run(capsys, *argv):
@@ -817,26 +818,28 @@ class TestImports:
                                     "print(json.dumps(sorted(sys.modules)))\n")
 
     def test_star_import_binds_all_from_home_modules(self):
-        # a name's home is the stage whose __all__ lists it; model's
-        # deviation_quadratic and the names of stats are also listed by
-        # estimators, as one object each
-        bound, names, mismatched = fresh(
+        # a name's home is the one stage whose __all__ lists it, and every
+        # module's __all__ lists only names that module defines, so a name
+        # imported from another stage is used there, not listed again
+        bound, names, mismatched, foreign = fresh(
             "import importlib, json, sys\n"
             "import randev\n"
             "bound = {}\n"
             "exec('from randev import *', bound)\n"
             "bound.pop('__builtins__')\n"
-            "stages = [importlib.import_module('randev.' + s) for s in\n"
-            "          ('config', 'bitstream', 'sources', 'model', 'stats',\n"
-            "           'estimators', 'experiments')]\n"
+            "stages = [importlib.import_module('randev.' + s) for s in randev._STAGES]\n"
+            "modules = stages + [importlib.import_module('randev.cli')]\n"
             "mismatched = [n for n in randev.__all__\n"
-            "              if not any(n in m.__all__ for m in stages)\n"
-            "              or any(n in m.__all__ and bound[n] is not getattr(m, n)\n"
-            "                     for m in stages)]\n"
-            "print(json.dumps([sorted(bound), randev.__all__, mismatched]))\n")
+            "              if [bound[n] is getattr(m, n) for m in stages\n"
+            "                  if n in getattr(m, '__all__', ())] != [True]]\n"
+            "foreign = [f'{m.__name__}.{n}' for m in modules\n"
+            "           for n in getattr(m, '__all__', ())\n"
+            "           if getattr(getattr(m, n), '__module__', m.__name__) != m.__name__]\n"
+            "print(json.dumps([sorted(bound), randev.__all__, mismatched, foreign]))\n")
         assert bound == names
         assert len(names) == 49
         assert mismatched == []
+        assert foreign == []
 
     def test_every_module_stays_below_4096_tokens(self):
         # CPython's parser doubles its token array at 4096 tokens, and a

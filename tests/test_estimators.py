@@ -13,29 +13,14 @@ import pytest
 
 from randev import estimators
 from randev.bitstream import BitSequence
-from randev.estimators import (
-    AnalysisReport,
-    DegenerateSequenceError,
-    EmptyInputError,
-    EstimatorError,
-    InsufficientDataError,
-    LagAccumulator,
-    LagEstimate,
-    PairCounts,
-    accumulate,
-    analyze,
-    analyze_parallel,
-    autocorr,
-    bias_estimate,
-    cond_entropy_lag1,
-    deviation_plugin,
-    deviation_quadratic,
-    marginal_entropy_lag1,
-    merge,
-    mutual_information_lag1,
-)
-from randev.model import deviation_sigma, mi_exact_unbiased, n_max
+from randev.estimators import (LagAccumulator, accumulate, analyze, analyze_parallel, autocorr,
+                               merge)
+from randev.model import deviation_quadratic, deviation_sigma, mi_exact_unbiased, n_max
 from randev.sources import SourceConfig, generate
+from randev.stats import (AnalysisReport, DegenerateSequenceError, EmptyInputError,
+                          EstimatorError, InsufficientDataError, LagEstimate, PairCounts,
+                          bias_estimate, cond_entropy_lag1, deviation_plugin,
+                          marginal_entropy_lag1, mutual_information_lag1)
 
 S = BitSequence.from_string
 

@@ -241,14 +241,18 @@ class TestCsvOutput:
         assert len(lines) == 200
 
     def test_values_roundtrip_to_nine_significant_digits(self):
-        res = validate_approx(0.02)
-        lines = grid_csv_lines(res)
-        for line, row in zip(lines[1:], res.rows):
-            fields = [float(x) for x in line.split(",")]
-            expect = [row.b, row.a1, row.deviation_exact,
-                      row.deviation_approx, row.relative_error]
-            for got, want in zip(fields, expect):
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+        for res in (validate_approx(0.02), validate_approx(0.1, n_bits=20_000, seed=7)):
+            for line, row in zip(grid_csv_lines(res)[1:], res.rows, strict=True):
+                cells = line.split(",")
+                expect = [row.b, row.a1, row.deviation_exact,
+                          row.deviation_approx, row.relative_error]
+                if res.empirical:
+                    # the bit count prints as an integer, not as a float
+                    assert cells.pop(5) == "20000"
+                    expect += [row.deviation_plugin, row.z_score]
+                assert len(cells) == len(expect)
+                for got, want in zip(cells, expect):
+                    assert float(got) == pytest.approx(want, rel=1e-9, abs=1e-15)
 
     def test_write_csv(self, tmp_path):
         lines = fig2_csv_lines(fig2_curve(-0.1, 0.1, 0.1))

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from randev import bitstream, estimators, sources, windows
 from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, read_stream
-from randev.estimators import (EstimatorError, LagAccumulator, analyze, analyze_parallel,
-                               merge)
+from randev.estimators import LagAccumulator, analyze, analyze_parallel, merge
 from randev.sources import (Source, SourceConfig, _threshold, generate,
                             markov_transition_matrix)
+from randev.stats import EstimatorError, PairCounts
 from splitmix_oracle import RngState, splitmix_next, uniform_from_output
 from test_sources import markov_reference
 
@@ -255,7 +255,7 @@ def test_window_counts_equal_accumulate(w, data):
         for batch in windows._window_counts(chunks(), w):
             assert 0 < len(batch) <= windows._WINDOW_BATCH
             got += batch
-    assert got == [estimators.accumulate(estimators.PairCounts(), seq[i:i + w])
+    assert got == [estimators.accumulate(PairCounts(), seq[i:i + w])
                    for i in range(0, n, w)]
 
 
