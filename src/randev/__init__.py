@@ -4,7 +4,8 @@ The package is organized as a pipeline:
 
 * ``config``      -- source and monitor configurations and their checks;
                      no numpy.
-* ``bitstream``   -- packed bit sequences and file I/O.
+* ``bitstream``   -- packed bit sequences and file I/O; loads no numpy at
+                     import, only where it makes an array.
 * ``sources``     -- seeded simulators of ideal, biased, correlated,
                      dead-time-afflicted, and deterministic bit sources.
 * ``model``       -- closed-form expected statistics for every source;

@@ -24,13 +24,19 @@ sequence, which a raw read without an override takes in one read.
 ``write_stream`` is also the one rule for writing a path: a new file
 beside it, renamed over it once complete, so a failed write leaves the
 old file whole.
+
+Importing this module loads no numpy: the four functions that make
+arrays, ``BitSequence.from_bits`` and ``to_array``, ``_words`` and
+``_from_ascii_bytes``, import it where they run.  So raw reads and
+writes, and ``randev concat`` of raw files, need none; and a ``generate``
+child, which without bytecode files compiles randev from source,
+compiles this module and ``sources`` before numpy is mapped in, so the
+compile's transient memory does not sit on top of numpy's.
 """
 
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 from randev.config import _FORMATS, _integer
 
@@ -93,6 +99,8 @@ class BitSequence:
     @classmethod
     def from_bits(cls, bits) -> "BitSequence":
         """Pack an iterable/array of 0/1 values into a sequence."""
+        import numpy as np
+
         arr = np.asarray(bits).reshape(-1)
         if arr.dtype == np.uint8 or arr.dtype == np.bool_:
             bad = arr.size and arr.max() > 1
@@ -112,6 +120,8 @@ class BitSequence:
 
     def to_array(self) -> np.ndarray:
         """Unpack to a uint8 array of 0/1 values, length nbits."""
+        import numpy as np
+
         raw = np.frombuffer(self._data, dtype=np.uint8)
         return np.unpackbits(raw, count=self._nbits, bitorder="little")
 
@@ -336,6 +346,8 @@ def _words(data: bytes, out: np.ndarray | None = None) -> np.ndarray:
     and one spare zero word for the carry of a shift.  Without ``out`` they
     view a padded copy of the bytes; with it, they are its first words,
     written over."""
+    import numpy as np
+
     nw = -(-len(data) // 8) + 1
     if out is None:
         return np.frombuffer(data.ljust(8 * nw, b"\0"), dtype="<u8")
@@ -390,6 +402,8 @@ def _first_bits(chunks, nbits_override: int | None):
 
 
 def _from_ascii_bytes(payload: bytes) -> BitSequence:
+    import numpy as np
+
     arr = np.frombuffer(payload, dtype=np.uint8)
     arr = arr[(arr != 10) & (arr != 13)]  # strip newlines
     bad = (arr != ord("0")) & (arr != ord("1"))

@@ -14,13 +14,14 @@ command's peak at the first length, where every ``monitor`` run is
 checked against the default-window one: the peak does not grow with the
 window, nor with the number of windows, either.
 
-First it runs ``randev --help`` and ``randev predict``, which load no
-numpy, and a bare ``import numpy``; it exits 1 unless each of the two
-commands peaks below the bare import, so a stray numpy import on their
-path fails.  Then it generates KIND_BITS bits of each source kind whose
-chunks keep other buffers than ideal's (bernoulli, markov with a1 < 0,
-dead time in both modes, xorshift64) and exits 1 if one of them peaks
-more than KIND_TOLERANCE_MIB above ideal at that length.
+First it runs a bare ``import numpy``.  Then it generates KIND_BITS bits
+of each source kind whose chunks keep other buffers than ideal's
+(bernoulli, markov with a1 < 0, dead time in both modes, xorshift64) and
+exits 1 if one of them peaks more than KIND_TOLERANCE_MIB above ideal at
+that length.  Then it runs ``randev --help``, ``randev predict`` and a
+raw ``randev concat`` of the ideal and xorshift64 files, which load no
+numpy, and exits 1 unless each of the three commands peaks below the
+bare import, so a stray numpy import on their path fails.
 
 A child's ``ru_maxrss`` also counts the process it was forked from, so
 this script forks the children itself and imports nothing large: run it
@@ -75,22 +76,25 @@ def main(lengths: list) -> int:
     numpy_peak = row["peak_mib"]
     print(json.dumps({**row, "ok": True}))
     first, failed = {}, False
-    for command, argv in (("--help", ["--help"]),
-                          ("predict", ["predict", "--source", "deadtime", "--tau", "1",
-                                       "--dead-time", "0.5"])):
-        row = {"command": command, "nbits": None, **child(argv)}
-        row["ok"] = row["peak_mib"] < numpy_peak
-        failed |= not row["ok"]
-        print(json.dumps(row))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ideal.bits")
-        ideal_peak = None
+        ideal_peak, kind_paths = None, []
         for kind, flags in KINDS.items():
+            kind_paths.append(os.path.join(tmp, f"kind{len(kind_paths)}.bits"))
             row = {"command": f"generate {kind}", "nbits": KIND_BITS,
                    **child(["generate", *flags, "--seed", "1", "--nbits", str(KIND_BITS),
-                            "--out", path])}
+                            "--out", kind_paths[-1]])}
             ideal_peak = ideal_peak or row["peak_mib"]
             row["ok"] = row["peak_mib"] - ideal_peak <= KIND_TOLERANCE_MIB
+            failed |= not row["ok"]
+            print(json.dumps(row))
+        for command, argv in (("--help", ["--help"]),
+                              ("predict", ["predict", "--source", "deadtime", "--tau", "1",
+                                           "--dead-time", "0.5"]),
+                              ("concat", ["concat", kind_paths[0], kind_paths[-1],
+                                          "--out", os.path.join(tmp, "joined.bits")])):
+            row = {"command": command, "nbits": None, **child(argv)}
+            row["ok"] = row["peak_mib"] < numpy_peak
             failed |= not row["ok"]
             print(json.dumps(row))
         for nbits in lengths:

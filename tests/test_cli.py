@@ -718,18 +718,20 @@ class TestMemory:
         # forked generate, analyze and monitor children at 2^23 and 2^27
         # bits, monitor also with 1024-bit windows and with one window
         # longer than either stream: the script checks each command's peaks
-        # are within 4 MiB of each other, that --help and predict peak
-        # below a bare numpy import, and that no source kind's generate
-        # peaks more than 1 MiB above ideal's at 2*10^6 bits
+        # are within 4 MiB of each other, that no source kind's generate
+        # peaks more than 1 MiB above ideal's at 2*10^6 bits, and that
+        # --help, predict and a raw concat of two of those files peak below
+        # a bare numpy import
         script = Path(__file__).with_name("cli_peak_rss.py")
         done = subprocess.run([sys.executable, str(script), str(2**23), str(2**27)],
                               capture_output=True, text=True, timeout=300)
         rows = [json.loads(line) for line in done.stdout.splitlines()]
         assert [(r["command"], r["nbits"]) for r in rows] == [
-            ("import numpy", None), ("--help", None), ("predict", None)] + [
+            ("import numpy", None)] + [
             (f"generate {kind}", 2_000_000) for kind in (
                 "ideal", "bernoulli", "markov a1<0", "deadtime reroute", "deadtime loss",
                 "xorshift64")] + [
+            ("--help", None), ("predict", None), ("concat", None)] + [
             (command, nbits) for nbits in (2**23, 2**27)
             for command in ("generate", "analyze", "monitor", "monitor --window-bits 1024",
                             "monitor --window-bits 2**30")]
@@ -790,31 +792,43 @@ class TestImports:
           "--out", "{out}"], {"randev.sources"},
          {"randev.estimators", "randev.windows", "randev.model", "randev.experiments",
           "randev.stats", "concurrent.futures"}),
+        # joining raw files moves packed bytes, and ascii ones parse characters
+        (["concat", "{bits}", "{bits}", "--out", "{out}"], {"randev.bitstream"},
+         {"numpy", "randev.sources", "randev.model", "randev.stats", "randev.estimators"}),
+        (["concat", "{text}", "{text}", "--format", "ascii", "--out", "{out}"],
+         {"randev.bitstream", "numpy"},
+         {"randev.sources", "randev.model", "randev.stats", "randev.estimators"}),
         # the closed-form experiments generate and measure no stream
         (["fig2"], {"randev.experiments", "randev.model"},
          {"numpy", "randev.bitstream", "randev.sources", "randev.estimators"}),
         (["validate-approx"], {"randev.experiments", "randev.model"},
          {"numpy", "randev.bitstream", "randev.sources", "randev.estimators"}),
-    ], ids=["help", "predict", "nmax", "analyze", "monitor", "generate", "fig2",
-            "validate-approx"])
+    ], ids=["help", "predict", "nmax", "analyze", "monitor", "generate", "concat",
+            "concat-ascii", "fig2", "validate-approx"])
     def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, needs, shuns):
-        bits = tmp_path / "x.bits"
+        bits, text = tmp_path / "x.bits", tmp_path / "x.txt"
         bits.write_bytes(generate(SourceConfig.ideal(seed=1), 4096).data)
-        order = modules_after([a.format(bits=bits, out=tmp_path / "y.bits") for a in argv])
+        text.write_text("0110\n")
+        order = modules_after([a.format(bits=bits, text=text, out=tmp_path / "y.bits")
+                               for a in argv])
         loaded = set(order)
         assert needs <= loaded
-        if argv[0] == "monitor":
-            # a child without bytecode files compiles randev's modules from
-            # source, at a lower peak before numpy is loaded
-            assert {"randev.windows", "randev.stats", "randev.model",
-                    "randev.bitstream"} <= set(order[:order.index("numpy")])
+        # a child without bytecode files compiles randev's modules from
+        # source, at a lower peak before numpy is loaded
+        early = {"monitor": {"randev.windows", "randev.stats", "randev.model",
+                             "randev.bitstream"},
+                 "generate": {"randev.bitstream", "randev.sources"}}.get(argv[0])
+        if early:
+            assert early <= set(order[:order.index("numpy")])
         # no record type is a dataclass, whose definition compiles code
         assert loaded & (shuns | {"dataclasses"}) == set()
 
-    def test_stats_loads_no_numpy(self):
-        # the arithmetic on counts needs only model and the standard library
+    @pytest.mark.parametrize("module", ["randev.stats", "randev.bitstream"])
+    def test_stats_loads_no_numpy(self, module):
+        # the arithmetic on counts needs only model and the standard library,
+        # and packed bytes need numpy only where an array is made
         assert "numpy" not in fresh("import json, sys\n"
-                                    "import randev.stats\n"
+                                    f"import {module}\n"
                                     "print(json.dumps(sorted(sys.modules)))\n")
 
     def test_star_import_binds_all_from_home_modules(self):
