@@ -17,7 +17,7 @@ The package is organized as a pipeline:
                      words, and ``analyze``.
 * ``windows``     -- the stream monitor: fixed-window counts, the alarm
                      rule and the line ``randev monitor`` prints.
-* ``experiments`` -- reproducible sweeps and demos built on the above.
+* ``experiments`` -- reproducible sweeps and curves built on the above.
 * ``cli``         -- the ``randev`` command.
 
 Each stage loads on first use: ``import randev`` imports no stage, and
@@ -45,20 +45,18 @@ _STAGES = {
         "LagAccumulator", "accumulate", "analyze", "analyze_parallel", "autocorr", "merge",
     ),
     "experiments": (
-        "CurveRow", "GridResult", "GridRow", "PrngDemo", "concat_property", "fig2_curve",
-        "prng_demo", "validate_approx",
+        "CurveRow", "GridResult", "GridRow", "fig2_curve", "validate_approx",
     ),
     "model": (
         "ModelPrediction", "binary_entropy", "deadtime_a1", "deviation_quadratic",
-        "deviation_sigma", "markov_prediction", "mi_exact_unbiased", "mi_parabolic", "n_max",
+        "deviation_sigma", "markov_prediction", "mi_exact_unbiased", "n_max",
         "predict_source",
     ),
     "sources": ("Source", "generate"),
     "stats": (
         "AnalysisReport", "DegenerateSequenceError", "EmptyInputError", "EstimatorError",
         "InsufficientDataError", "LagEstimate", "PairCounts", "bias_estimate",
-        "cond_entropy_lag1", "deviation_plugin", "marginal_entropy_lag1",
-        "mutual_information_lag1",
+        "cond_entropy_lag1", "deviation_plugin", "mutual_information_lag1",
     ),
     "windows": (),
 }

@@ -68,6 +68,9 @@ def _config_from_args(args: argparse.Namespace) -> SourceConfig:
     kind = args.source
     names = {"bernoulli": ("p",), "splitter": ("bias",), "markov": ("bias", "a1"),
              "deadtime": ("tau", "dead_time")}.get(kind, ())
+    for name in ("p", "bias", "a1", "tau", "dead_time"):
+        if name not in names and getattr(args, name) is not None:
+            raise ParameterError(f"--{name.replace('_', '-')} does not apply to {kind}")
     values = [getattr(args, name) for name in names]
     if None in values:
         flags = " and ".join("--" + name.replace("_", "-") for name in names)

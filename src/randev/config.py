@@ -150,9 +150,6 @@ class SourceConfig(NamedTuple):
         """
         return cls(kind="xorshift64", seed=seed)
 
-    def with_seed(self, seed: int) -> "SourceConfig":
-        return self._replace(seed=seed)
-
     def validate(self) -> None:
         """Raise ParameterError unless the configuration is admissible."""
         if self.kind not in SOURCE_KINDS:

@@ -6,12 +6,6 @@
                           simulated streams.
 * ``fig2_curve``       -- tabulates exact vs parabolic adjacent-bit
                           mutual information over an a1 range.
-* ``concat_property``  -- verifies that piecewise generation from one
-                          live source is bit-identical to one-shot
-                          generation, including the measured reports.
-* ``prng_demo``        -- shows a deterministic 64-bit-seed generator
-                          passing every per-bit statistic while its true
-                          information content is capped by the seed.
 
 All outputs are deterministic functions of their arguments.  Both CSV
 tables, ``grid_csv_lines`` and ``fig2_csv_lines``, are rendered by one
@@ -22,31 +16,25 @@ tables, ``grid_csv_lines`` and ``fig2_csv_lines``, are rendered by one
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 # the stages that make and measure streams load numpy, so the functions
 # that run them import them; the closed forms of ``fig2_curve`` and of
 # ``validate_approx`` without n_bits need only the model
-from randev.config import ParameterError, SourceConfig, _integer
+from randev.config import ParameterError, SourceConfig
 from randev.model import (
+    deviation_quadratic,
     deviation_sigma,
     markov_prediction,
     mi_exact_unbiased,
-    mi_parabolic,
 )
-
-if TYPE_CHECKING:
-    from randev.stats import AnalysisReport
 
 __all__ = [
     "GridRow",
     "GridResult",
     "CurveRow",
-    "PrngDemo",
     "validate_approx",
     "fig2_curve",
-    "concat_property",
-    "prng_demo",
     "grid_csv_lines",
     "fig2_csv_lines",
     "write_csv",
@@ -86,17 +74,6 @@ class CurveRow(NamedTuple):
     a1: float
     mi_exact: float
     mi_approx: float
-
-
-class PrngDemo(NamedTuple):
-    """Per-bit statistics of a deterministic generator next to its true
-    information bound."""
-
-    seed: int
-    n_bits: int
-    entropy_bound: float
-    report: AnalysisReport
-    reproducible: bool
 
 
 def _check_rows(rows: float, what: str) -> None:
@@ -200,63 +177,8 @@ def fig2_curve(a1_min: float, a1_max: float,
             a1 = 1.0
         elif a1 < -1.0:
             a1 = -1.0
-        rows.append(CurveRow(a1, mi_exact_unbiased(a1), mi_parabolic(a1)))
+        rows.append(CurveRow(a1, mi_exact_unbiased(a1), deviation_quadratic(0.0, a1)))
     return tuple(rows)
-
-
-def concat_property(config: SourceConfig, lengths, seed: int | None = None) -> bool:
-    """True iff piecewise generation from one live source equals one-shot
-    generation of the total length, bit for bit, and both analyses match.
-
-    ``lengths`` is the partition n_1..n_m; a seed given here overrides
-    the one in config.
-    """
-    from randev.bitstream import concat
-    from randev.estimators import accumulate, analyze
-    from randev.sources import Source, generate
-    from randev.stats import PairCounts
-
-    lengths = [_integer(n, "partition length") for n in lengths]
-    if any(n < 0 for n in lengths):
-        raise ParameterError("partition lengths must be non-negative")
-    if seed is not None:
-        config = config.with_seed(seed)
-    live = Source(config)
-    pieces = [live.generate(n) for n in lengths]
-    stitched = concat(*pieces)
-    whole = generate(config, sum(lengths))
-    if stitched != whole:
-        return False
-    ones = accumulate(PairCounts(), whole).ones
-    if whole.nbits >= 16 and 0 < ones < whole.nbits:
-        max_lag = min(8, whole.nbits - 2)
-        if analyze(pieces, max_lag=max_lag) != analyze(whole, max_lag=max_lag):
-            return False
-    return True
-
-
-def prng_demo(seed: int, n_bits: int) -> PrngDemo:
-    """Statistics of the deterministic xorshift64 stream next to the
-    hard bound on its information content.
-
-    A 64-bit seed can supply at most 64/n_bits bits of entropy per
-    emitted bit, no matter how clean the measured statistics look.
-    """
-    from randev.estimators import analyze
-    from randev.sources import generate
-
-    if n_bits < 64:
-        raise ParameterError(f"n_bits={n_bits} must be at least 64")
-    config = SourceConfig.xorshift64(seed=seed)
-    stream = generate(config, n_bits)
-    again = generate(config, n_bits)
-    return PrngDemo(
-        seed=seed,
-        n_bits=n_bits,
-        entropy_bound=64.0 / n_bits,
-        report=analyze(stream),
-        reproducible=stream == again,
-    )
 
 
 def _fmt(x: float) -> str:

@@ -27,7 +27,6 @@ __all__ = [
     "binary_entropy",
     "deadtime_a1",
     "mi_exact_unbiased",
-    "mi_parabolic",
     "deviation_quadratic",
     "markov_prediction",
     "predict_source",
@@ -106,18 +105,6 @@ def deviation_quadratic(bias: float, a1: float) -> float:
     """Quadratic deviation form (a1**2 + bias**2) / (2 ln 2), the
     small-bias, small-correlation limit of 1 - cond_entropy."""
     return (a1 * a1 + bias * bias) / (2.0 * _LN2)
-
-
-def mi_parabolic(a1: float) -> float:
-    """Small-correlation approximation deviation_quadratic(0, a1) of
-    mi_exact_unbiased.
-
-    Accepts the closed interval [-1, 1]; the quality of the
-    approximation degrades as |a1| grows (see mi_exact_unbiased).
-    """
-    if not -1.0 <= a1 <= 1.0:
-        raise ParameterError(f"a1={a1} outside [-1, 1]")
-    return deviation_quadratic(0.0, a1)
 
 
 class ModelPrediction(NamedTuple):

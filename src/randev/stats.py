@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from randev.model import binary_entropy, deviation_quadratic, deviation_sigma, n_max
+from randev.model import binary_entropy, deviation_sigma, n_max
 
 __all__ = [
     "EstimatorError",
@@ -40,7 +40,6 @@ __all__ = [
     "bias_estimate",
     "mutual_information_lag1",
     "cond_entropy_lag1",
-    "marginal_entropy_lag1",
     "deviation_plugin",
 ]
 
@@ -238,12 +237,6 @@ def cond_entropy_lag1(counts: PairCounts) -> float:
     return ce
 
 
-def marginal_entropy_lag1(counts: PairCounts) -> float:
-    """Plug-in entropy in bits of the second element of an adjacent pair."""
-    total = _require_pairs(counts)
-    return binary_entropy((counts.c01 + counts.c11) / total)
-
-
 def deviation_plugin(counts: PairCounts) -> float:
     """Empirical randomness deviation: 1 minus the plug-in conditional
     entropy, clamped to [0, 1]."""
@@ -268,11 +261,10 @@ class AnalysisReport(NamedTuple):
     """Every measured quantity for one stream.
 
     ``deviation_plugin`` comes from the conditional-entropy route;
-    ``deviation_markov`` is the quadratic form evaluated at the measured
-    bias and lag-1 autocorrelation; ``n_max`` is math.inf when the
-    plug-in deviation is exactly zero.  ``bias_sigma`` and each
-    autocorrelation's sigma are 1/sqrt(n), the sigma for independent
-    bits: for a correlated source the spread can be 0.34-2.00 times that.
+    ``n_max`` is math.inf when the plug-in deviation is exactly zero.
+    ``bias_sigma`` and each autocorrelation's sigma are 1/sqrt(n), the
+    sigma for independent bits: for a correlated source the spread can be
+    0.34-2.00 times that.
     """
 
     n_bits: int
@@ -282,7 +274,6 @@ class AnalysisReport(NamedTuple):
     mi_lag1_hat: float
     cond_entropy_hat: float
     deviation_plugin: float
-    deviation_markov: float
     deviation_sigma: float
     n_max: float
 
@@ -297,7 +288,6 @@ class AnalysisReport(NamedTuple):
             "mi_lag1": self.mi_lag1_hat,
             "cond_entropy": self.cond_entropy_hat,
             "deviation_plugin": self.deviation_plugin,
-            "deviation_markov": self.deviation_markov,
             "deviation_sigma": self.deviation_sigma,
             "n_max": "unbounded" if math.isinf(self.n_max) else self.n_max,
         }
@@ -318,7 +308,6 @@ def _analysis(state: _LagState) -> AnalysisReport:
         mi_lag1_hat=mutual_information_lag1(counts),
         cond_entropy_hat=cond_entropy,
         deviation_plugin=dev,
-        deviation_markov=deviation_quadratic(bias_hat, estimates[0].value),
         deviation_sigma=deviation_sigma(dev, counts.n),
         n_max=n_max(dev),
     )

@@ -12,13 +12,12 @@ import time
 
 import numpy as np
 
-from randev.bitstream import BitSequence
+from randev.bitstream import concat
 from randev.estimators import accumulate, analyze, analyze_parallel
-from randev.experiments import concat_property, fig2_curve, prng_demo, validate_approx
-from randev.model import deviation_sigma, n_max
-from randev.sources import SourceConfig, generate
-from randev.stats import (PairCounts, cond_entropy_lag1, marginal_entropy_lag1,
-                          mutual_information_lag1)
+from randev.experiments import fig2_curve, validate_approx
+from randev.model import binary_entropy, deviation_sigma, n_max
+from randev.sources import Source, SourceConfig, generate
+from randev.stats import PairCounts, cond_entropy_lag1, mutual_information_lag1
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> bool:
@@ -126,7 +125,7 @@ def test_criterion_07_entropy_chain_rule():
     for _ in range(1000):
         cells = [int(v) for v in rng.integers(1, 10**6, 4)]
         counts = _inject(*cells)
-        lhs = marginal_entropy_lag1(counts)
+        lhs = binary_entropy((counts.c01 + counts.c11) / counts.pair_total)
         rhs = cond_entropy_lag1(counts) + mutual_information_lag1(counts)
         worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-12
@@ -147,11 +146,16 @@ def test_criterion_08_concatenability_and_merge():
     rng = np.random.default_rng(88)
     partitions = 0
     for config in configs:
+        whole = generate(config, 4096)
+        report = analyze(whole)
         for _ in range(20):
             parts = int(rng.integers(2, 7))
             cuts = np.sort(rng.integers(0, 4097, parts - 1))
             lengths = np.diff(np.concatenate(([0], cuts, [4096])))
-            assert concat_property(config, lengths)
+            live = Source(config)
+            pieces = [live.generate(int(n)) for n in lengths]
+            assert concat(*pieces) == whole
+            assert analyze(pieces) == report
             partitions += 1
     merged_ok = True
     for config in configs:
@@ -166,16 +170,20 @@ def test_criterion_08_concatenability_and_merge():
 
 
 def test_criterion_09_deterministic_generator_demo():
-    demo = prng_demo(12345, 1 << 20)
-    report = demo.report
+    # a 64-bit seed supplies at most 64/n bits of entropy per emitted bit
+    n = 1 << 20
+    config = SourceConfig.xorshift64(seed=12345)
+    stream = generate(config, n)
+    report = analyze(stream)
+    entropy_bound = 64 / n
     z_values = [abs(report.bias_hat) / report.bias_sigma]
     z_values += [abs(e.value) / e.sigma for e in report.autocorr]
-    ok = (demo.entropy_bound == 6.103515625e-5
-          and demo.reproducible
+    ok = (entropy_bound == 6.103515625e-5
+          and stream == generate(config, n)
           and max(z_values) <= 4.0)
     assert _verdict(
         9, "deterministic generator passes statistics despite tiny entropy bound",
-        ok, f"entropy_bound={demo.entropy_bound:.3e}, max_abs_z={max(z_values):.2f}")
+        ok, f"entropy_bound={entropy_bound:.3e}, max_abs_z={max(z_values):.2f}")
 
 
 def test_criterion_10_throughput_soft_target():

@@ -179,7 +179,7 @@ class TestAnalyze:
         doc = json.loads(out)
         assert set(doc) == {"n_bits", "bias", "autocorr", "mi_lag1",
                             "cond_entropy", "deviation_plugin",
-                            "deviation_markov", "deviation_sigma", "n_max"}
+                            "deviation_sigma", "n_max"}
         assert set(doc["bias"]) == {"value", "sigma"}
         assert [e["lag"] for e in doc["autocorr"]] == list(range(1, 9))
         report = analyze(seq)
@@ -197,7 +197,7 @@ class TestAnalyze:
         labels = [line.split()[0] for line in lines]
         assert labels == ["n_bits", "bias", "autocorr[1]", "autocorr[2]",
                           "mi_lag1", "cond_entropy", "deviation_plugin",
-                          "deviation_markov", "deviation_sigma", "n_max"]
+                          "deviation_sigma", "n_max"]
         assert out == (
             "n_bits            20000\n"
             "bias              0.0023 +/- 0.00707107\n"
@@ -206,7 +206,6 @@ class TestAnalyze:
             "mi_lag1           6.2567e-06\n"
             "cond_entropy      0.99999\n"
             "deviation_plugin  9.90889e-06\n"
-            "deviation_markov  1.00726e-05\n"
             "deviation_sigma   3.78094e-05\n"
             "n_max             291192\n"
         )
@@ -222,7 +221,6 @@ class TestAnalyze:
             "mi_lag1           0\n"
             "cond_entropy      1\n"
             "deviation_plugin  0\n"
-            "deviation_markov  0.029921\n"
             "deviation_sigma   0\n"
             "n_max             unbounded\n"
         )
@@ -366,6 +364,23 @@ class TestPredict:
         a_lo = json.loads(loss)["a1"]
         assert a_lo == pytest.approx(-0.04 / 2.04)
         assert a_lo > a_re
+
+    @pytest.mark.parametrize("command", ["predict", "generate"])
+    @pytest.mark.parametrize("flags, stray", [
+        (["--source", "ideal", "--p", "0.9"], "--p does not apply to ideal"),
+        (["--source", "splitter", "--bias", "0.1", "--a1", "0.5"],
+         "--a1 does not apply to splitter"),
+        (["--source", "markov", "--bias", "0", "--a1", "0.1", "--tau", "1"],
+         "--tau does not apply to markov"),
+        (["--source", "xorshift64", "--seed", "5", "--dead-time", "1"],
+         "--dead-time does not apply to xorshift64"),
+    ], ids=["ideal-p", "splitter-a1", "markov-tau", "xorshift64-dead-time"])
+    def test_rejects_flags_of_other_kinds(self, capsys, tmp_path, command, flags, stray):
+        out = tmp_path / "out.bits"
+        extra = ["--nbits", "64", "--out", str(out)] if command == "generate" else []
+        code, stdout, err = run(capsys, command, *flags, *extra)
+        assert (code, stdout, err) == (1, "", f"error: {stray}\n")
+        assert not out.exists()
 
 
 class TestNmax:
@@ -851,7 +866,7 @@ class TestImports:
             "           if getattr(getattr(m, n), '__module__', m.__name__) != m.__name__]\n"
             "print(json.dumps([sorted(bound), randev.__all__, mismatched, foreign]))\n")
         assert bound == names
-        assert len(names) == 49
+        assert len(names) == 44
         assert mismatched == []
         assert foreign == []
 

@@ -15,12 +15,13 @@ from randev import estimators
 from randev.bitstream import BitSequence
 from randev.estimators import (LagAccumulator, accumulate, analyze, analyze_parallel, autocorr,
                                merge)
-from randev.model import deviation_quadratic, deviation_sigma, mi_exact_unbiased, n_max
+from randev.model import (binary_entropy, deviation_quadratic, deviation_sigma,
+                          mi_exact_unbiased, n_max)
 from randev.sources import SourceConfig, generate
 from randev.stats import (AnalysisReport, DegenerateSequenceError, EmptyInputError,
                           EstimatorError, InsufficientDataError, LagEstimate, PairCounts,
                           bias_estimate, cond_entropy_lag1, deviation_plugin,
-                          marginal_entropy_lag1, mutual_information_lag1)
+                          mutual_information_lag1)
 
 S = BitSequence.from_string
 
@@ -244,7 +245,7 @@ class TestInformationQuantities:
         fair = inject(2500, 2500, 2500, 2500)
         assert mutual_information_lag1(fair) == 0.0
         assert cond_entropy_lag1(fair) == 1.0
-        assert marginal_entropy_lag1(fair) == 1.0
+        assert binary_entropy((fair.c01 + fair.c11) / fair.pair_total) == 1.0
         assert deviation_plugin(fair) == 0.0
 
     def test_product_table_has_zero_information(self):
@@ -282,17 +283,15 @@ class TestInformationQuantities:
                 cells[rng.randrange(4)] = 1
             table = inject(*cells)
             mi = mutual_information_lag1(table)
-            residual = abs(
-                marginal_entropy_lag1(table) - cond_entropy_lag1(table) - mi
-            )
+            marginal = binary_entropy((table.c01 + table.c11) / table.pair_total)
+            residual = abs(marginal - cond_entropy_lag1(table) - mi)
             assert residual <= 1e-12
             assert mi >= 0.0
             assert 0.0 <= deviation_plugin(table) <= 1.0
 
     def test_insufficient_data(self):
         for counts in (PairCounts(), counts_of("1")):
-            for fn in (mutual_information_lag1, cond_entropy_lag1,
-                       marginal_entropy_lag1, deviation_plugin):
+            for fn in (mutual_information_lag1, cond_entropy_lag1, deviation_plugin):
                 with pytest.raises(InsufficientDataError):
                     fn(counts)
 
@@ -410,9 +409,6 @@ class TestAnalyze:
             report.deviation_plugin, report.n_bits
         )
         assert report.n_max == n_max(report.deviation_plugin)
-        assert report.deviation_markov == deviation_quadratic(
-            report.bias_hat, report.autocorr[0].value
-        )
         assert abs(report.autocorr[0].value - 0.1) <= 3.0 / math.sqrt(200_000)
         assert abs(report.mi_lag1_hat - mi_exact_unbiased(0.1)) <= 1e-3
         assert report.deviation_plugin == pytest.approx(
@@ -441,8 +437,7 @@ class TestAnalyze:
         payload = report.to_json_dict()
         assert set(payload) == {
             "n_bits", "bias", "autocorr", "mi_lag1", "cond_entropy",
-            "deviation_plugin", "deviation_markov", "deviation_sigma",
-            "n_max",
+            "deviation_plugin", "deviation_sigma", "n_max",
         }
         assert set(payload["bias"]) == {"value", "sigma"}
         assert len(payload["autocorr"]) == 8

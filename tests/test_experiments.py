@@ -1,4 +1,4 @@
-"""Experiment checks: grid sweep, curve table, concatenation, demo."""
+"""Experiment checks: grid sweep, curve table, CSV output."""
 
 import math
 import re
@@ -8,17 +8,14 @@ import pytest
 from randev.experiments import (
     CurveRow,
     GridResult,
-    PrngDemo,
-    concat_property,
     fig2_csv_lines,
     fig2_curve,
     grid_csv_lines,
-    prng_demo,
     validate_approx,
     write_csv,
 )
-from randev.model import mi_exact_unbiased, mi_parabolic
-from randev.sources import ParameterError, SourceConfig, generate
+from randev.model import mi_exact_unbiased
+from randev.sources import ParameterError
 
 LN2 = math.log(2.0)
 
@@ -156,69 +153,6 @@ class TestFig2Curve:
         with pytest.raises(ParameterError,
                            match=re.escape(f"about {rows} rows, more than 1000000")):
             fig2_curve(*args)
-
-
-class TestConcatProperty:
-    @pytest.mark.parametrize("config", [
-        SourceConfig.ideal(seed=4),
-        SourceConfig.bernoulli(0.3, seed=6),
-        SourceConfig.splitter(0.2, seed=2),
-        SourceConfig.markov(0.1, 0.1, seed=9),
-        SourceConfig.deadtime(1000.0, 40.0, seed=5),
-        SourceConfig.deadtime(1000.0, 40.0, seed=5, mode="loss"),
-        SourceConfig.xorshift64(seed=3),
-    ], ids=lambda c: f"{c.kind}-{c.deadtime_mode}" if c.kind == "deadtime" else c.kind)
-    def test_every_kind(self, config):
-        assert concat_property(config, [3, 5, 8])
-        assert concat_property(config, [1000, 1, 777])
-
-    def test_long_markov_partition_with_unit_piece(self):
-        config = SourceConfig.markov(0.1, 0.1, seed=9)
-        assert concat_property(config, [100_000, 1, 100_000])
-
-    def test_deadtime_state_survives_cut(self):
-        config = SourceConfig.deadtime(1000.0, 40.0, seed=5)
-        assert concat_property(config, [10_000, 10_000])
-
-    def test_zero_length_pieces(self):
-        assert concat_property(SourceConfig.ideal(seed=4), [0, 5, 0])
-        assert concat_property(SourceConfig.ideal(seed=4), [0])
-
-    def test_seed_override(self):
-        assert concat_property(SourceConfig.ideal(), [4, 4], seed=77)
-
-    def test_rejects_negative_length(self):
-        for lengths in ([4, -1], [2.5]):
-            with pytest.raises(ParameterError):
-                concat_property(SourceConfig.ideal(seed=1), lengths)
-
-
-class TestPrngDemo:
-    def test_bound_and_reproducibility(self):
-        demo = prng_demo(12345, 1 << 20)
-        assert isinstance(demo, PrngDemo)
-        assert demo.entropy_bound == 6.103515625e-05
-        assert demo.reproducible
-        assert demo.n_bits == 1 << 20
-        assert demo.report.n_bits == 1 << 20
-
-    def test_statistically_clean_despite_zero_entropy(self):
-        demo = prng_demo(12345, 1 << 20)
-        z_bias = abs(demo.report.bias_hat) / demo.report.bias_sigma
-        assert z_bias <= 4.0
-        for entry in demo.report.autocorr:
-            assert abs(entry.value) / entry.sigma <= 4.0
-
-    def test_different_seeds_diverge_quickly(self):
-        a = generate(SourceConfig.xorshift64(1), 128)
-        b = generate(SourceConfig.xorshift64(2), 128)
-        assert a != b
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            prng_demo(1, 63)
-        with pytest.raises(ParameterError):
-            prng_demo(0, 1 << 20)
 
 
 class TestCsvOutput:

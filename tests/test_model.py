@@ -8,10 +8,10 @@ from randev.model import (
     ModelPrediction,
     binary_entropy,
     deadtime_a1,
+    deviation_quadratic,
     deviation_sigma,
     markov_prediction,
     mi_exact_unbiased,
-    mi_parabolic,
     n_max,
     predict_source,
 )
@@ -134,19 +134,19 @@ class TestMutualInfoCurves:
             )
 
     def test_parabolic_frozen_values(self):
-        assert mi_parabolic(0.0) == 0.0
-        assert mi_parabolic(0.1) == pytest.approx(MI_PARA_01, rel=1e-12)
-        assert mi_parabolic(0.5) == pytest.approx(MI_PARA_05, rel=1e-12)
-        assert mi_parabolic(1.0) == pytest.approx(1.0 / (2.0 * LN2), rel=1e-13)
+        assert deviation_quadratic(0.0, 0.0) == 0.0
+        assert deviation_quadratic(0.0, 0.1) == pytest.approx(MI_PARA_01, rel=1e-12)
+        assert deviation_quadratic(0.0, 0.5) == pytest.approx(MI_PARA_05, rel=1e-12)
+        assert deviation_quadratic(0.0, 1.0) == pytest.approx(1.0 / (2.0 * LN2), rel=1e-13)
 
     def test_parabolic_remainder_bound(self):
         # quartic remainder: |exact - parabolic| <= a1**4 for |a1| <= 0.5
         for i in range(-50, 51):
             a1 = i / 100.0
-            err = abs(mi_exact_unbiased(a1) - mi_parabolic(a1))
+            err = abs(mi_exact_unbiased(a1) - deviation_quadratic(0.0, a1))
             assert err <= a1**4 + 1e-18
 
-    @pytest.mark.parametrize("fn", [mi_exact_unbiased, mi_parabolic])
+    @pytest.mark.parametrize("fn", [mi_exact_unbiased])
     def test_domain(self, fn):
         with pytest.raises(ParameterError):
             fn(1.0001)

@@ -195,7 +195,7 @@ def test_config_validation_errors():
     # a numpy integer seed is the same seed as the int
     for seed in (np.uint64(2**64 - 1), np.int64(5)):
         for cfg in (SourceConfig.ideal(seed=seed), SourceConfig.xorshift64(seed)):
-            assert generate(cfg, 100) == generate(cfg.with_seed(int(seed)), 100)
+            assert generate(cfg, 100) == generate(cfg._replace(seed=int(seed)), 100)
 
 
 def test_generate_rejects_negative_count():
@@ -431,6 +431,12 @@ def test_xorshift_deterministic_and_seed_sensitive():
     assert (a != b).any()
 
 
+def test_different_seeds_diverge_quickly():
+    a = generate(SourceConfig.xorshift64(1), 128)
+    b = generate(SourceConfig.xorshift64(2), 128)
+    assert a != b
+
+
 def test_xorshift_statistically_unremarkable():
     n = 10**6
     b, (a1,) = bias_a_k(generate(SourceConfig.xorshift64(seed=42), n), 1)
@@ -479,6 +485,16 @@ def test_live_source_concatenability(cfg):
         for p in pieces:
             acc = concat(acc, p)
         assert acc == whole
+    # fixed takes with their own totals: short and unit takes, empty ones,
+    # and, for markov and dead time, long takes that carry state across a cut
+    fixed = [[3, 5, 8], [1000, 1, 777], [0, 5, 0], [0]]
+    if cfg.kind == "markov":
+        fixed.append([100_000, 1, 100_000])
+    if cfg.kind == "deadtime":
+        fixed.append([10_000, 10_000])
+    for takes in fixed:
+        src = Source(cfg)
+        assert concat(*(src.generate(take) for take in takes)) == generate(cfg, sum(takes))
 
 
 def test_dropped_source_frees_its_chunk_buffers():
