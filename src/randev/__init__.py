@@ -41,9 +41,7 @@ _STAGES = {
         "markov_transition_matrix",
     ),
     "bitstream": ("BitSequence", "concat", "from_raw_bytes", "read_file", "write_file"),
-    "estimators": (
-        "LagAccumulator", "accumulate", "analyze", "analyze_parallel", "autocorr", "merge",
-    ),
+    "estimators": ("LagAccumulator", "accumulate", "analyze", "analyze_parallel", "merge"),
     "experiments": (
         "CurveRow", "GridResult", "GridRow", "fig2_curve", "validate_approx",
     ),

@@ -29,8 +29,8 @@ import sys
 # the stages it runs, so ``--help``, ``predict``, ``nmax``, ``fig2`` and
 # ``validate-approx`` load no numpy, ``analyze`` and ``monitor`` no
 # generators, and ``generate`` no estimators
-from randev.config import (_FORMATS, DEADTIME_MODES, SOURCE_KINDS, MonitorConfig, ParameterError,
-                           SourceConfig)
+from randev.config import (_FORMATS, _PARAMS, DEADTIME_MODES, SOURCE_KINDS, MonitorConfig,
+                           ParameterError, SourceConfig)
 
 __all__ = ["build_parser", "main", "cli_main"]
 
@@ -58,25 +58,33 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
                      help="mean inter-event interval (deadtime)")
     sub.add_argument("--dead-time", type=float, default=None,
                      help="detector dead time, same unit as --tau (deadtime)")
-    sub.add_argument("--dead-mode", choices=DEADTIME_MODES, default="reroute",
-                     help="what happens to events during dead time")
+    sub.add_argument("--dead-mode", choices=DEADTIME_MODES, default=None,
+                     help="what happens to events during dead time "
+                          "(deadtime; default reroute)")
     sub.add_argument("--seed", type=int, default=0,
                      help="rng seed (nonzero required for xorshift64)")
 
 
+# the flag of each SourceConfig parameter, as its ``args`` attribute, and
+# of the dead-time mode
+_FLAGS = {"p": "p", "b": "bias", "a1": "a1", "tau": "tau", "tau_d": "dead_time",
+          "deadtime_mode": "dead_mode"}
+
+
 def _config_from_args(args: argparse.Namespace) -> SourceConfig:
     kind = args.source
-    names = {"bernoulli": ("p",), "splitter": ("bias",), "markov": ("bias", "a1"),
-             "deadtime": ("tau", "dead_time")}.get(kind, ())
-    for name in ("p", "bias", "a1", "tau", "dead_time"):
-        if name not in names and getattr(args, name) is not None:
+    names = [_FLAGS[field] for field in _PARAMS.get(kind, ())]
+    # deadtime also reads its mode, which may be left out for reroute
+    allowed = [*names, "dead_mode"] if kind == "deadtime" else names
+    for name in _FLAGS.values():
+        if name not in allowed and getattr(args, name) is not None:
             raise ParameterError(f"--{name.replace('_', '-')} does not apply to {kind}")
     values = [getattr(args, name) for name in names]
     if None in values:
         flags = " and ".join("--" + name.replace("_", "-") for name in names)
         raise ParameterError(f"{kind} requires {flags}")
     if kind == "deadtime":
-        return SourceConfig.deadtime(*values, seed=args.seed, mode=args.dead_mode)
+        return SourceConfig.deadtime(*values, seed=args.seed, mode=args.dead_mode or "reroute")
     return getattr(SourceConfig, kind)(*values, seed=args.seed)
 
 

@@ -4,9 +4,10 @@ parser offers.
 This module imports nothing but the standard library, so the commands
 that only parse arguments or evaluate closed forms (``--help``,
 ``predict``, ``nmax``) load no numpy.  ``sources`` and ``model`` take
-their parameter types and checks from here, ``bitstream`` its format
-names, and ``windows`` the monitor's ``MonitorConfig``, whose defaults
-the parser offers.
+their parameter types and checks from here, ``cli`` the parameters each
+source kind reads (``_PARAMS``, which ``SourceConfig.validate`` also
+holds a config to), ``bitstream`` its format names, and ``windows`` the
+monitor's ``MonitorConfig``, whose defaults the parser offers.
 
 The records are ``NamedTuple``s: ``_replace`` makes a changed copy,
 ``_asdict`` gives the fields in order, and a record compares equal to
@@ -33,6 +34,11 @@ _MASK64 = (1 << 64) - 1
 
 SOURCE_KINDS = ("ideal", "bernoulli", "splitter", "markov", "deadtime", "xorshift64")
 DEADTIME_MODES = ("reroute", "loss")
+
+# the parameters each kind reads, besides its seed and the dead-time mode;
+# a kind not listed reads none
+_PARAMS = {"bernoulli": ("p",), "splitter": ("b",), "markov": ("b", "a1"),
+           "deadtime": ("tau", "tau_d")}
 
 # the bit-file formats of ``bitstream``
 _FORMATS = ("raw", "ascii")
@@ -158,6 +164,10 @@ class SourceConfig(NamedTuple):
             )
         if not 0 <= _integer(self.seed, "seed") <= _MASK64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        params = _PARAMS.get(self.kind, ())
+        for name in ("p", "b", "a1", "tau", "tau_d"):
+            if name not in params and getattr(self, name) is not None:
+                raise ParameterError(f"{name} does not apply to {self.kind}")
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ParameterError(f"bernoulli requires 0 <= p <= 1, got p={self.p}")

@@ -15,8 +15,11 @@ lags in one pass, and a 2**20-bit piece one lag per pass, as a pass of
 one row, so a short stream pays a few numpy calls, not a few per lag.
 ``randev.stats`` reads the edges from the piece's edge bytes.
 
-``LagAccumulator(k)`` is the one-lag state, and ``accumulate`` folds a
-sequence into ``PairCounts``, the lag-1 view.
+``analyze`` makes every autocorrelation estimate, from the state of
+lags 1..max_lag; a stream given as an iterable of chunks is measured as
+it is read.  ``LagAccumulator(k)`` and ``accumulate`` give mergeable
+counts: the former the bit count, ones and lag-k product of the one-lag
+state, the latter ``PairCounts``, the lag-1 view.
 
 Every field is an exact integer, so any partition of a stream measured
 piece by piece and merged in order reproduces the serial state field for
@@ -44,10 +47,10 @@ import numpy as np
 from randev.bitstream import _PASS_WORDS, _PIECE_BITS, BitSequence, _pieces, _words
 from randev.config import _integer
 from randev.stats import (AnalysisReport, EstimatorError, InsufficientDataError, PairCounts,
-                          _analysis, _empty, _estimates, _lag1, _LagState, _merge_pairs,
-                          _merge_states, _pair_counts, _state, _window_ones)
+                          _analysis, _empty, _lag1, _LagState, _merge_pairs, _merge_states,
+                          _pair_counts, _state)
 
-__all__ = ["LagAccumulator", "accumulate", "merge", "autocorr", "analyze", "analyze_parallel"]
+__all__ = ["LagAccumulator", "accumulate", "merge", "analyze", "analyze_parallel"]
 
 # the largest max_lag.  A report's work and memory grow with its lags, not
 # only with its bits: each piece's state and the lag tuple hold one int a
@@ -136,16 +139,6 @@ class LagAccumulator:
     n = property(lambda self: self._state.n)
     ones = property(lambda self: self._state.ones)
     sum_prod = property(lambda self: self._state.prods[0])
-    sum_head = property(lambda self: _window_ones(self._state, self.k)[0])
-    sum_tail = property(lambda self: _window_ones(self._state, self.k)[1])
-    ring = property(lambda self: self._edge(self._state.tail),
-                    doc="Last min(k, n) bits seen.")
-    head = property(lambda self: self._edge(self._state.head),
-                    doc="First min(k, n) bits seen.")
-
-    def _edge(self, bits: int) -> np.ndarray:
-        e = min(self.k, self.n)
-        return BitSequence(bits.to_bytes(-(-e // 8), "little"), e).to_array()
 
     def add(self, seq: BitSequence) -> None:
         self._state = _fold(self._state, [seq])
@@ -157,8 +150,7 @@ class LagAccumulator:
 
     def __repr__(self) -> str:
         return (f"LagAccumulator(k={self.k}, n={self.n}, ones={self.ones}, "
-                f"sum_prod={self.sum_prod}, sum_head={self.sum_head}, "
-                f"sum_tail={self.sum_tail})")
+                f"sum_prod={self.sum_prod})")
 
 
 def merge(a, b):
@@ -179,32 +171,6 @@ def merge(a, b):
     raise TypeError(
         f"cannot merge {type(a).__name__} with {type(b).__name__}"
     )
-
-
-def autocorr(data, k: int | None = None) -> tuple[float, float]:
-    """Lag-k serial autocorrelation coefficient and its 1/sqrt(n) sigma,
-    the sigma for independent bits.
-
-    ``data`` is a BitSequence (k defaults to 1) or a LagAccumulator
-    (k defaults to the accumulator's lag).  The numerator and
-    denominator sums use the full-sequence mean and run over the first
-    n - k positions; a BitSequence is measured into a LagAccumulator
-    first, so both forms give the identical value.
-    """
-    if not isinstance(data, LagAccumulator):
-        acc = LagAccumulator(1 if k is None else k)
-        acc.add(data)
-        return autocorr(acc)
-    if k is not None and k != data.k:
-        raise EstimatorError(
-            f"requested lag {k} but accumulator holds lag {data.k}"
-        )
-    if data.n < data.k + 2:
-        raise InsufficientDataError(
-            f"lag-{data.k} autocorrelation needs at least {data.k + 2} bits, got {data.n}"
-        )
-    (estimate,) = _estimates(data._state)
-    return estimate.value, estimate.sigma
 
 
 def _report(max_lag: int, fold) -> AnalysisReport:

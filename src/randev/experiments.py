@@ -105,8 +105,9 @@ def validate_approx(grid_step: float, n_bits: int | None = None,
     side = 0.2 / grid_step + 1
     _check_rows(side * side - 1, f"grid_step={grid_step}")
     if n_bits is not None:
+        from randev.bitstream import _PIECE_BITS
         from randev.estimators import accumulate
-        from randev.sources import generate
+        from randev.sources import Source
         from randev.stats import PairCounts, deviation_plugin
     steps = _multiples(-0.1, 0.1, grid_step)
     rows = []
@@ -126,9 +127,13 @@ def validate_approx(grid_step: float, n_bits: int | None = None,
             worst = max(worst, rel)
             empirical = {}
             if n_bits is not None:
-                config = SourceConfig.markov(b, a1, seed=seed + index)
-                stream = generate(config, n_bits)
-                d_hat = deviation_plugin(accumulate(PairCounts(), stream))
+                # folded a piece at a time, as ``randev generate`` writes
+                # it, so no stream is held whole
+                source = Source(SourceConfig.markov(b, a1, seed=seed + index))
+                counts = PairCounts()
+                for k in range(0, n_bits, _PIECE_BITS):
+                    counts = accumulate(counts, source.generate(min(_PIECE_BITS, n_bits - k)))
+                d_hat = deviation_plugin(counts)
                 sigma = deviation_sigma(pred.deviation_exact, n_bits)
                 empirical = dict(
                     n_bits=n_bits,

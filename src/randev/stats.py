@@ -6,7 +6,8 @@ last min(K, n) bits as little-endian ints.  The one-counts of the head
 window x[0 .. n-k) and tail window x[k .. n) are the one-count minus the
 ones among the last or first k edge bits.  States of consecutive pieces
 merge in integer arithmetic on their edge bits, and one Python loop
-makes every lag's estimate.
+makes every lag's estimate, the ones ``analyze`` reports; no other
+module reads a state's edge bits.
 
 ``PairCounts`` (bits, one-bits, the four adjacent-pair counts) is the
 lag-1 view: c11 is the lag-1 product, c10 and c01 the head and tail
@@ -82,10 +83,13 @@ class PairCounts(NamedTuple):
 
 
 def _pair_counts(s: _LagState) -> PairCounts:
-    """The adjacent-pair view of a state whose first lag is 1."""
+    """The adjacent-pair view of a state whose first lag is 1: the head
+    window x[0 .. n-1) lacks the last bit, the top bit of the tail edge,
+    and the tail window x[1 .. n) the first bit, bit 0 of the head edge."""
     if s.n == 0:
         return PairCounts()
-    return PairCounts(*_pair_cells(s.n, s.ones, *_window_ones(s, 1), s.prods[0]))
+    last, first = s.tail >> (min(s.lags[-1], s.n) - 1), s.head & 1
+    return PairCounts(*_pair_cells(s.n, s.ones, s.ones - last, s.ones - first, s.prods[0]))
 
 
 def _pair_cells(n, ones, head_ones, tail_ones, c11):
@@ -127,13 +131,6 @@ def _state(lags: tuple[int, ...], n: int, sums: list[int], data: bytes) -> _LagS
         int.from_bytes(data[:-(-edge // 8)], "little") & ~(-1 << edge),
         int.from_bytes(data[start >> 3:], "little") >> (start & 7),
     )
-
-
-def _window_ones(s: _LagState, k: int) -> tuple[int, int]:
-    """One-counts of the head window x[0 .. n-k) and tail window x[k .. n)."""
-    k = min(k, s.n)
-    return (s.ones - (s.tail >> (min(s.lags[-1], s.n) - k)).bit_count(),
-            s.ones - (s.head & ~(-1 << k)).bit_count())
 
 
 def _merge_states(a: _LagState, b: _LagState) -> _LagState:
@@ -179,8 +176,8 @@ def _estimates(s: _LagState) -> tuple[LagEstimate, ...]:
     # tuple.__new__ builds a LagEstimate in half the time of its Python __new__
     estimates, new = [], tuple.__new__
     for k, prod in zip(s.lags, s.prods):
-        # the one-counts of the head and tail windows, as ``_window_ones``
-        # gives them
+        # the one-counts of the head window x[0 .. n-k) and the tail
+        # window x[k .. n): the ones less the last or first k edge bits
         sum_head = ones - (tail >> (edge - k)).bit_count()
         sum_tail = ones - (head & ~(-1 << k)).bit_count()
         terms = n - k

@@ -374,7 +374,8 @@ class TestPredict:
          "--tau does not apply to markov"),
         (["--source", "xorshift64", "--seed", "5", "--dead-time", "1"],
          "--dead-time does not apply to xorshift64"),
-    ], ids=["ideal-p", "splitter-a1", "markov-tau", "xorshift64-dead-time"])
+        (["--source", "ideal", "--dead-mode", "loss"], "--dead-mode does not apply to ideal"),
+    ], ids=["ideal-p", "splitter-a1", "markov-tau", "xorshift64-dead-time", "ideal-dead-mode"])
     def test_rejects_flags_of_other_kinds(self, capsys, tmp_path, command, flags, stray):
         out = tmp_path / "out.bits"
         extra = ["--nbits", "64", "--out", str(out)] if command == "generate" else []
@@ -866,7 +867,7 @@ class TestImports:
             "           if getattr(getattr(m, n), '__module__', m.__name__) != m.__name__]\n"
             "print(json.dumps([sorted(bound), randev.__all__, mismatched, foreign]))\n")
         assert bound == names
-        assert len(names) == 44
+        assert len(names) == 43
         assert mismatched == []
         assert foreign == []
 

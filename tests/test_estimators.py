@@ -13,8 +13,7 @@ import pytest
 
 from randev import estimators
 from randev.bitstream import BitSequence
-from randev.estimators import (LagAccumulator, accumulate, analyze, analyze_parallel, autocorr,
-                               merge)
+from randev.estimators import LagAccumulator, accumulate, analyze, analyze_parallel, merge
 from randev.model import (binary_entropy, deviation_quadratic, deviation_sigma,
                           mi_exact_unbiased, n_max)
 from randev.sources import SourceConfig, generate
@@ -103,18 +102,22 @@ class TestBiasEstimate:
             bias_estimate(PairCounts())
 
 
+def autocorr(seq: BitSequence, k: int) -> tuple[float, float]:
+    """The lag-k estimate of ``analyze``, which makes every lag's."""
+    estimate = analyze(seq, max_lag=k).autocorr[k - 1]
+    assert estimate.lag == k
+    return estimate.value, estimate.sigma
+
+
 class TestAutocorr:
     def test_alternating_is_minus_one(self):
-        value, sigma = autocorr(S("01010101"))
+        value, sigma = autocorr(S("01010101"), 1)
         assert value == -1.0
         assert sigma == 1.0 / math.sqrt(8)
 
     def test_hand_value(self):
         value, _ = autocorr(S("0011"), 1)
         assert value == pytest.approx(1.0 / 3.0, rel=1e-14)
-
-    def test_lag_defaults_to_one(self):
-        assert autocorr(S("0011")) == autocorr(S("0011"), 1)
 
     def test_alternating_lag2_is_plus_one(self):
         value, _ = autocorr(S("0101010101"), 2)
@@ -123,7 +126,7 @@ class TestAutocorr:
     @pytest.mark.parametrize("text", ["0000", "1111111"])
     def test_constant_is_degenerate(self, text):
         with pytest.raises(DegenerateSequenceError):
-            autocorr(S(text))
+            autocorr(S(text), 1)
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
@@ -134,7 +137,7 @@ class TestAutocorr:
     def test_bad_lag(self):
         for k in (0, 2.0):
             with pytest.raises(EstimatorError):
-                autocorr(S("0110"), k)
+                analyze(S("0110"), max_lag=k)
 
     def test_markov_stream_recovers_a1(self):
         seq = generate(SourceConfig.markov(0.0, 0.1, seed=11), 200_000)
@@ -145,20 +148,32 @@ class TestAutocorr:
 
 class TestLagAccumulator:
     def test_tracks_first_and_last_bits(self):
-        acc = LagAccumulator(3)
-        acc.add(S("0110011"))
-        assert acc.n == 7
-        assert list(acc.head) == [0, 1, 1]
-        assert list(acc.ring) == [0, 1, 1]
+        # the state keeps its first and last k bits: a merge counts the
+        # lag-k pairs that span the boundary, on either side
+        def acc_of(text):
+            acc = LagAccumulator(3)
+            acc.add(S(text))
+            return acc
+
+        acc = acc_of("0110011")
+        assert (acc.n, acc.sum_prod) == (7, 1)
+        # last bits 011 against 111 after them: pairs (0,1), (1,1), (1,1)
+        after = merge(acc, acc_of("111"))
+        assert (after.n, after.sum_prod) == (10, 3)
+        assert after == acc_of("0110011111")
+        # 111 before the first bits 011: pairs (1,0), (1,1), (1,1)
+        before = merge(acc_of("111"), acc)
+        assert (before.n, before.sum_prod) == (10, 3)
+        assert before == acc_of("1110110011")
 
     def test_window_sums_small_input(self):
+        acc = LagAccumulator(3)
+        acc.add(S("0110011"))
+        assert (acc.k, acc.n, acc.ones, acc.sum_prod) == (3, 7, 4, 1)
+        # a lag longer than the stream has no product
         acc = LagAccumulator(5)
         acc.add(S("011"))
-        assert acc.n == 3
-        assert acc.sum_head == 0 and acc.sum_tail == 0 and acc.sum_prod == 0
-        assert acc.ones == 2
-        assert list(acc.head) == [0, 1, 1]
-        assert list(acc.ring) == [0, 1, 1]
+        assert (acc.n, acc.ones, acc.sum_prod) == (3, 2, 0)
 
     def test_streaming_merge_and_direct_agree(self):
         rng = random.Random(2024)
@@ -185,20 +200,9 @@ class TestLagAccumulator:
                 merged = one if merged is None else merge(merged, one)
             assert merged == whole
 
-            assert whole.ones == whole.sum_head + int(whole.ring.sum())
-            assert whole.ones == whole.sum_tail + int(whole.head.sum())
+            assert (whole.n, whole.ones) == (n, bits.count("1"))
             arr = np.array([int(b) for b in bits], dtype=np.uint8)
             assert whole.sum_prod == int(np.count_nonzero(arr[:-k] & arr[k:]))
-            ones = bits.count("1")
-            if n >= k + 2 and ones not in (0, n):
-                assert autocorr(whole) == autocorr(S(bits), k)
-
-    def test_autocorr_lag_mismatch(self):
-        acc = LagAccumulator(2)
-        acc.add(S("011010"))
-        assert autocorr(acc) == autocorr(S("011010"), 2)
-        with pytest.raises(EstimatorError):
-            autocorr(acc, 1)
 
     def test_merge_lag_mismatch(self):
         with pytest.raises(EstimatorError):
@@ -221,9 +225,17 @@ class TestLagAccumulator:
     def test_empty_add_is_noop(self):
         acc = LagAccumulator(4)
         acc.add(S("0110"))
-        before = (acc.n, acc.ones, acc.sum_prod, acc.sum_head, acc.sum_tail)
+        before = (acc.n, acc.ones, acc.sum_prod)
         acc.add(S(""))
-        assert (acc.n, acc.ones, acc.sum_prod, acc.sum_head, acc.sum_tail) == before
+        assert (acc.n, acc.ones, acc.sum_prod) == before
+        same = LagAccumulator(4)
+        same.add(S("0110"))
+        assert acc == same
+
+    def test_repr_shows_the_counts(self):
+        acc = LagAccumulator(1)
+        acc.add(S("0110011"))
+        assert repr(acc) == "LagAccumulator(k=1, n=7, ones=4, sum_prod=2)"
 
 
 def inject(c00: int, c01: int, c10: int, c11: int) -> PairCounts:

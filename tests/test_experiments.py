@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -14,8 +15,10 @@ from randev.experiments import (
     validate_approx,
     write_csv,
 )
-from randev.model import mi_exact_unbiased
-from randev.sources import ParameterError
+from randev.estimators import accumulate
+from randev.model import deviation_sigma, mi_exact_unbiased
+from randev.sources import ParameterError, SourceConfig, generate
+from randev.stats import PairCounts, deviation_plugin
 
 LN2 = math.log(2.0)
 
@@ -73,6 +76,29 @@ class TestValidateApprox:
         assert all(r.n_bits == 200_000 for r in res.rows)
         assert all(r.deviation_plugin is not None for r in res.rows)
         assert res.max_abs_z <= 4.0
+
+    def test_empirical_streams_are_folded_a_piece_at_a_time(self):
+        # 2**24 + 5 bits a point, 2 MiB packed: the sweep holds no stream
+        # whole, so its peak stays below one stream's bytes, and each row
+        # is what the whole stream of its point gives
+        n = 2**24 + 5
+        validate_approx(0.1, n_bits=2, seed=3)  # the stages load outside the trace
+        tracemalloc.start()
+        try:
+            res = validate_approx(0.1, n_bits=n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        closed = validate_approx(0.1)
+        assert len(res.rows) == 8
+        for index, (row, want) in enumerate(zip(res.rows, closed.rows)):
+            assert row[:5] == want[:5]
+            stream = generate(SourceConfig.markov(row.b, row.a1, seed=3 + index), n)
+            d_hat = deviation_plugin(accumulate(PairCounts(), stream))
+            assert (row.n_bits, row.deviation_plugin) == (n, d_hat)
+            assert row.z_score == (d_hat - row.deviation_exact) / deviation_sigma(
+                row.deviation_exact, n)
 
     def test_empirical_is_deterministic(self):
         a = validate_approx(0.1, n_bits=20_000, seed=7)

@@ -14,7 +14,7 @@ import pytest
 
 import randev
 from randev.bitstream import BitSequence, concat
-from randev.model import deadtime_a1
+from randev.model import deadtime_a1, predict_source
 from randev.sources import (
     _DRAWS,
     ParameterError,
@@ -187,11 +187,17 @@ def test_config_validation_errors():
         SourceConfig.ideal(seed=2.0),
         SourceConfig.markov(0.1, 0.1, seed=None),
         SourceConfig.xorshift64(seed=1.5),
+        # a parameter the kind does not read
+        SourceConfig(kind="ideal", p=0.9),
+        SourceConfig.markov(0, 0.1)._replace(tau=1.0),
     ):
         with pytest.raises(ParameterError):
             Source(bad)
         with pytest.raises(ParameterError):
             generate(bad, 10)
+    # the model rejects it too, and does not call the source perfect
+    with pytest.raises(ParameterError, match="^p does not apply to ideal$"):
+        predict_source(SourceConfig(kind="ideal", p=0.9))
     # a numpy integer seed is the same seed as the int
     for seed in (np.uint64(2**64 - 1), np.int64(5)):
         for cfg in (SourceConfig.ideal(seed=seed), SourceConfig.xorshift64(seed)):
