@@ -168,6 +168,13 @@ class SourceConfig(NamedTuple):
         for name in ("p", "b", "a1", "tau", "tau_d"):
             if name not in params and getattr(self, name) is not None:
                 raise ParameterError(f"{name} does not apply to {self.kind}")
+        # only deadtime reads its mode; any other kind keeps the default
+        if self.deadtime_mode not in DEADTIME_MODES:
+            raise ParameterError(
+                f"deadtime mode {self.deadtime_mode!r} not one of {DEADTIME_MODES}"
+            )
+        if self.kind != "deadtime" and self.deadtime_mode != "reroute":
+            raise ParameterError(f"deadtime_mode does not apply to {self.kind}")
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ParameterError(f"bernoulli requires 0 <= p <= 1, got p={self.p}")
@@ -192,10 +199,6 @@ class SourceConfig(NamedTuple):
                     f"deadtime requires tau_d/tau <= {_MAX_DEAD_RATIO:g} (about "
                     f"tau_d/(2 tau) photons are spent per bit), got "
                     f"tau_d/tau={self.tau_d / self.tau:.6g}"
-                )
-            if self.deadtime_mode not in DEADTIME_MODES:
-                raise ParameterError(
-                    f"deadtime mode {self.deadtime_mode!r} not one of {DEADTIME_MODES}"
                 )
         elif self.kind == "xorshift64":
             if self.seed == 0:

@@ -1,5 +1,6 @@
 """In-process tests of the command-line interface."""
 
+import gc
 import io
 import json
 import math
@@ -727,6 +728,50 @@ class TestTopLevel:
     def test_unknown_command_exits_1(self, capsys):
         code, _, err = run(capsys, "bogus")
         assert code == 1 and "invalid choice" in err
+
+
+class TestExit:
+    """``cli_main`` freezes the heap before the process exits, so the
+    collector's last pass skips what the imports left; ``main`` never does."""
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys, tmp_path):
+        path = tmp_path / "x.bits"
+        path.write_bytes(generate(SourceConfig.ideal(seed=1), 4096).data)
+        before = gc.get_freeze_count()
+        for argv in (["analyze", str(path), "--json"], ["predict", "--source", "ideal"],
+                     ["predict", "--source", "ideal", "--p", "0.9"]):
+            run(capsys, *argv)
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, want", [
+        (["predict", "--source", "ideal"], 0),
+        (["predict", "--source", "ideal", "--p", "0.9"], 1),
+    ], ids=["predict", "stray-flag"])
+    def test_cli_main_exits_with_mains_code_on_a_frozen_heap(self, monkeypatch, argv, want):
+        monkeypatch.setattr(sys, "argv", ["randev", *argv])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.cli_main()
+            assert exc.value.code == want
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_child_prints_and_writes_what_main_does(self, capsys, tmp_path):
+        path, out = tmp_path / "x.bits", tmp_path / "y.bits"
+        path.write_bytes(generate(SourceConfig.markov(0.05, 0.1, seed=4), 100_003).data)
+        code, want, _ = run(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        done = subprocess.run([sys.executable, "-m", "randev.cli", "analyze", str(path),
+                               "--json"], stdout=subprocess.PIPE, env=child_env(),
+                              timeout=120)
+        assert (done.returncode, done.stdout.decode()) == (0, want)
+        done = subprocess.run([sys.executable, "-m", "randev.cli", "generate", "--source",
+                               "markov", "--bias", "0.1", "--a1", "0.1", "--seed", "7",
+                               "--nbits", "100003", "--out", str(out)],
+                              stdout=subprocess.DEVNULL, env=child_env(), timeout=120)
+        assert done.returncode == 0
+        assert out.read_bytes() == generate(SourceConfig.markov(0.1, 0.1, seed=7), 100_003).data
 
 
 class TestMemory:

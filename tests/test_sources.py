@@ -190,6 +190,9 @@ def test_config_validation_errors():
         # a parameter the kind does not read
         SourceConfig(kind="ideal", p=0.9),
         SourceConfig.markov(0, 0.1)._replace(tau=1.0),
+        # a dead-time mode on a kind that reads none, known or not
+        SourceConfig(kind="ideal", deadtime_mode="bounce"),
+        SourceConfig.markov(0.0, 0.1)._replace(deadtime_mode="loss"),
     ):
         with pytest.raises(ParameterError):
             Source(bad)
@@ -198,6 +201,13 @@ def test_config_validation_errors():
     # the model rejects it too, and does not call the source perfect
     with pytest.raises(ParameterError, match="^p does not apply to ideal$"):
         predict_source(SourceConfig(kind="ideal", p=0.9))
+    with pytest.raises(ParameterError, match="^deadtime_mode does not apply to markov$"):
+        predict_source(SourceConfig(kind="markov", b=0.0, a1=0.1, deadtime_mode="loss"))
+    with pytest.raises(ParameterError, match="^deadtime mode 'bounce' not one of"):
+        SourceConfig(kind="ideal", deadtime_mode="bounce").validate()
+    # the default mode stays admissible for every kind
+    for cfg in ALL_KIND_CONFIGS:
+        cfg.validate()
     # a numpy integer seed is the same seed as the int
     for seed in (np.uint64(2**64 - 1), np.int64(5)):
         for cfg in (SourceConfig.ideal(seed=seed), SourceConfig.xorshift64(seed)):
