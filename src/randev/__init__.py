@@ -8,6 +8,8 @@ The package is organized as a pipeline:
                      import, only where it makes an array.
 * ``sources``     -- seeded simulators of ideal, biased, correlated,
                      dead-time-afflicted, and deterministic bit sources.
+* ``draws``       -- the base generators the sources are built on:
+                     SplitMix64 draws and the xorshift64 jump tables.
 * ``model``       -- closed-form expected statistics for every source;
                      needs only ``config``, so it loads no numpy.
 * ``stats``       -- the arithmetic on a stream's counts: the pair counts,

@@ -113,11 +113,11 @@ def _lag_products(words: np.ndarray, lags: list[int]) -> list[int]:
     return prods
 
 
-def _fold(state: _LagState, chunks) -> _LagState:
-    """``state`` followed by the chunks, cut into pieces of _PIECE_BITS
-    bits (which bounds a measure's numpy temporaries), each measured and
+def _fold(state: _LagState, chunks, bits: int = _PIECE_BITS) -> _LagState:
+    """``state`` followed by the chunks, cut into pieces of ``bits`` bits
+    (which bounds a measure's numpy temporaries), each measured and
     merged in order."""
-    for piece in _pieces(chunks, _PIECE_BITS):
+    for piece in _pieces(chunks, bits):
         state = _merge_states(state, _measure(piece, state.lags))
     return state
 
@@ -244,8 +244,7 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
     def fold(state):
         def span(start):
             cuts = range(start, min(start + width, seq.nbits), _SPAN_BITS)
-            return functools.reduce(
-                _merge_states, (_measure(seq[i:i + _SPAN_BITS], state.lags) for i in cuts), state)
+            return _fold(state, (seq[i:i + _SPAN_BITS] for i in cuts), _SPAN_BITS)
 
         with ThreadPoolExecutor(threads) as pool:
             return functools.reduce(_merge_states, pool.map(span, range(0, seq.nbits, width)), state)

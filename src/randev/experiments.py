@@ -21,7 +21,7 @@ from typing import NamedTuple
 # the stages that make and measure streams load numpy, so the functions
 # that run them import them; the closed forms of ``fig2_curve`` and of
 # ``validate_approx`` without n_bits need only the model
-from randev.config import ParameterError, SourceConfig
+from randev.config import ParameterError, SourceConfig, _integer
 from randev.model import (
     deviation_quadratic,
     deviation_sigma,
@@ -100,7 +100,7 @@ def validate_approx(grid_step: float, n_bits: int | None = None,
         raise ParameterError(
             f"grid_step={grid_step} outside (0, 0.1]"
         )
-    if n_bits is not None and n_bits < 2:
+    if n_bits is not None and (n_bits := _integer(n_bits, "n_bits")) < 2:
         raise ParameterError(f"n_bits={n_bits} must be at least 2")
     side = 0.2 / grid_step + 1
     _check_rows(side * side - 1, f"grid_step={grid_step}")

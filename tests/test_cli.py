@@ -850,7 +850,7 @@ class TestImports:
          {"randev.sources", "randev.experiments", "randev.estimators"}),
         # generating one runs no estimator
         (["generate", "--source", "xorshift64", "--seed", "1", "--nbits", "1000",
-          "--out", "{out}"], {"randev.sources"},
+          "--out", "{out}"], {"randev.sources", "randev.draws"},
          {"randev.estimators", "randev.windows", "randev.model", "randev.experiments",
           "randev.stats", "concurrent.futures"}),
         # joining raw files moves packed bytes, and ascii ones parse characters
@@ -878,7 +878,7 @@ class TestImports:
         # source, at a lower peak before numpy is loaded
         early = {"monitor": {"randev.windows", "randev.stats", "randev.model",
                              "randev.bitstream"},
-                 "generate": {"randev.bitstream", "randev.sources"}}.get(argv[0])
+                 "generate": {"randev.bitstream", "randev.sources", "randev.draws"}}.get(argv[0])
         if early:
             assert early <= set(order[:order.index("numpy")])
         # no record type is a dataclass, whose definition compiles code

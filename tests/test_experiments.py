@@ -116,6 +116,10 @@ class TestValidateApprox:
             validate_approx(-0.01)
         with pytest.raises(ParameterError):
             validate_approx(0.02, n_bits=1)
+        # a bit count that is no integer is a ParameterError, not range's TypeError
+        for n_bits in (2.5, 1e3, math.nan):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                validate_approx(0.1, n_bits=n_bits)
 
     @pytest.mark.parametrize("step, rows", [
         (1e-4, "4004000"), (1e-7, "4.000004e+12"), (1e-201, "inf"), (5e-324, "inf"),

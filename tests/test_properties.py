@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from randev import bitstream, estimators, sources, windows
+from randev import bitstream, draws, estimators, sources, windows
 from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, read_stream
 from randev.estimators import LagAccumulator, analyze, analyze_parallel, merge
-from randev.sources import (Source, SourceConfig, _threshold, generate,
-                            markov_transition_matrix)
+from randev.draws import _threshold
+from randev.sources import Source, SourceConfig, generate, markov_transition_matrix
 from randev.stats import EstimatorError, PairCounts
 from splitmix_oracle import RngState, splitmix_next, uniform_from_output
 from test_sources import markov_reference
@@ -25,7 +25,7 @@ from test_sources import markov_reference
 FEW = settings(max_examples=60, deadline=None)
 
 # a chunk's bits, and the SplitMix64 draws made and compared at a time
-CHUNK, DRAWS = sources._GEN_CHUNK, sources._DRAWS
+CHUNK, DRAWS = draws._GEN_CHUNK, draws._DRAWS
 PHOTON_BLOCK = sources._PHOTON_BLOCK
 
 
@@ -331,6 +331,9 @@ def test_markov_thresholds_are_the_float_comparisons(case):
 @example((0.0, 1.0), 5, 1, [DRAWS + 1, CHUNK])
 @example((0.0, -1.0), 5, 1, [DRAWS + 1, DRAWS + 2])
 @example((0.1, 0.999), 5, 700, [2 * DRAWS - 1])
+# at a1 = 0 the rows are equal, and every chunk is the packed compare
+@example((0.0, 0.0), 7, 700, [DRAWS + 1, CHUNK])
+@example((-0.3, 0.0), 8, 1, [1, DRAWS - 1, DRAWS + 2])
 def test_live_markov_matches_sequential_definition(case, seed, extra, cuts):
     # one live source cut anywhere, in calls that cross chunks and draw
     # blocks, grow past the chunk function built before them or reuse it
@@ -506,8 +509,7 @@ def test_xorshift_matches_scalar_recurrence(seed, n, steps):
 def test_cached_source_tables_are_shared_and_read_only(config, built):
     # each kind builds only the tables it uses, once per process, and
     # every source shares them, so none may be written to
-    tables = [getattr(sources, name) for name in
-              ("_gamma_steps", "_xorshift_tables")]
+    tables = [draws._gamma_steps, draws._xorshift_tables]
     for table in tables:
         table.cache_clear()
     first = generate(config, 3000)

@@ -257,6 +257,9 @@ GOLDEN_STREAMS = [
      "084e29128d21460218a7890b78dd3b1ece89c894d109fe501d12616390161277"),
     (SourceConfig.markov(-0.05, -0.4, seed=105),
      "02f4ed71e186b2d31240b9614651a660cfd43e47fbd301ccd98d45126ea8d843"),
+    # at a1 = 0 the chain's rows are equal: the splitter's stream
+    (SourceConfig.markov(-0.2, 0.0, seed=103),
+     "055f6d87934fc56cbd5b9f69940d544f39994faacfa32a6463a5fac5e216741d"),
     (SourceConfig.deadtime(1000.0, 40.0, seed=106),
      "c249e0b1bf18a7377233968be094ff9e1222c64041cf9ae2d7960d010b1d6f88"),
     (SourceConfig.deadtime(1000.0, 40.0, seed=107, mode="loss"),
@@ -269,7 +272,7 @@ GOLDEN_STREAMS = [
 @pytest.mark.parametrize(
     "cfg,digest", GOLDEN_STREAMS,
     ids=["ideal", "bernoulli", "splitter", "markov_carry", "markov_flip",
-         "deadtime_reroute", "deadtime_loss", "xorshift64"],
+         "markov_memoryless", "deadtime_reroute", "deadtime_loss", "xorshift64"],
 )
 def test_golden_stream(cfg, digest):
     n = 2**20 + 13
