@@ -4,7 +4,8 @@ parser offers.
 This module imports nothing but the standard library, so the commands
 that only parse arguments or evaluate closed forms (``--help``,
 ``predict``, ``nmax``) load no numpy.  ``sources`` and ``model`` take
-their parameter types and checks from here, ``cli`` the parameters each
+their parameter types, their checks and the two-state chain each kind
+draws from (``_chain_matrix``) from here, ``cli`` the parameters each
 source kind reads (``_PARAMS``, which ``SourceConfig.validate`` also
 holds a config to), ``bitstream`` its format names, and ``windows`` the
 monitor's ``MonitorConfig``, whose defaults the parser offers.
@@ -203,6 +204,20 @@ class SourceConfig(NamedTuple):
         elif self.kind == "xorshift64":
             if self.seed == 0:
                 raise ParameterError("xorshift64 requires a nonzero seed")
+
+
+def _chain_matrix(config: SourceConfig) -> TransitionMatrix:
+    """The two-state chain a source draws its bits from: markov's
+    ``markov_transition_matrix``, and for every other kind the chain with
+    equal rows, both going to 1 with probability p: p for bernoulli,
+    (1 + b)/2 for splitter, 1/2 otherwise.  p is computed as each kind
+    defines it, not from a bias, so ``sources`` compares exact thresholds
+    and ``model`` evaluates the chain those thresholds draw from."""
+    if config.kind == "markov":
+        return markov_transition_matrix(config.b, config.a1)
+    p = (config.p if config.kind == "bernoulli" else
+         (1.0 + config.b) / 2.0 if config.kind == "splitter" else 0.5)
+    return TransitionMatrix(p, p, 1.0 - p, p)
 
 
 class MonitorConfig(NamedTuple):

@@ -7,12 +7,19 @@ any platform.  Its state after d draws is seed + d*GAMMA mod 2**64, so
 any range of draws is a base plus the fixed steps d*GAMMA, a table built
 once per process, read-only, and only by the kinds that use it.  Each
 call slices it, so a 2**14-bit ``generate`` after the first builds none.
-``_drawer`` makes a source's draws in blocks of at most ``_DRAWS`` =
+``_draw`` makes a source's draws in blocks of at most ``_DRAWS`` =
 2**15, so the draws of a 2**16-bit chunk take 256 KiB and are compared
 into the chunk's buffers a block at a time.  A draw z stands for the
 uniform (z >> 11) * 2**-53, and a bit that is 1 when that uniform is
 below p compares z itself with ``_threshold(p) << 11``, so no draw is
 shifted first.
+
+The buffers a chunk is worked out in carry nothing from one chunk to the
+next, so they belong to the thread, not to a source: ``_buffers`` gives
+each thread its own, allocated on its first chunk, and a fresh source
+allocates none.  Different sources may run on different threads at
+once; numpy releases the GIL inside its ufuncs, so buffers shared by the
+whole process would mix two threads' chunks.
 
 xorshift64 (Marsaglia 2003) is linear over GF(2): one step is a fixed
 64x64 bit matrix M, and word i + 2**k of the stream is M**(2**k) applied
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -42,7 +50,7 @@ _S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 _GEN_CHUNK = 1 << 16
 
 # SplitMix64 draws per block: a chunk draws and compares its bits a block
-# at a time, so the drawer's two uint64 buffers and the step table hold
+# at a time, so a thread's two uint64 buffers and the step table hold
 # 256 KiB each, where a chunk's draws would take 512 KiB each
 _DRAWS = 1 << 15
 
@@ -61,34 +69,39 @@ def _threshold(p: float) -> int:
     return max(0, math.ceil(p * 2.0**53))
 
 
-def _drawer(size: int):
-    """A function (src, m) -> the SplitMix64 outputs z of the next
-    m <= min(size, _DRAWS) draws of src, a generator state with a seed
-    ``src.config.seed`` and a count ``src._draws`` of the draws made so far,
-    which it advances; and its scratch buffer, free between calls.  A
-    caller compares z with ``_threshold(p) << 11``: ``(z >> 11) < T``
-    exactly when ``z < T * 2**11``, so no draw is shifted to be compared.
+_scratch = threading.local()
 
-    Every call writes into the same buffers, allocated here once, and
-    returns a view of them.
-    """
-    size = min(size, _DRAWS)
-    steps = _gamma_steps()
-    out = np.empty(size, dtype=np.uint64)
-    tmp = np.empty(size, dtype=np.uint64)
 
-    def draw(src, m: int) -> np.ndarray:
-        z, t = out[:m], tmp[:m]
-        base = (src.config.seed + (src._draws + 1) * _GAMMA) & _MASK64
-        src._draws += m
-        np.add(steps[:m], base, out=z)
-        # the output mix; uint64 arithmetic wraps mod 2**64
-        np.bitwise_xor(z, np.right_shift(z, _S30, out=t), out=z)
-        np.multiply(z, _MIX1, out=z)
-        np.bitwise_xor(z, np.right_shift(z, _S27, out=t), out=z)
-        np.multiply(z, _MIX2, out=z)
-        return np.bitwise_xor(z, np.right_shift(z, _S31, out=t), out=z)
-    return draw, tmp
+def _buffers() -> tuple:
+    """This thread's scratch: two uint64 buffers of ``_DRAWS`` draws, for
+    ``_draw``, and two bool buffers of ``_GEN_CHUNK`` bits, allocated on
+    the thread's first call.  A caller keeps nothing in them from one
+    chunk to the next."""
+    try:
+        return _scratch.buffers
+    except AttributeError:
+        _scratch.buffers = (np.empty(_DRAWS, dtype=np.uint64), np.empty(_DRAWS, dtype=np.uint64),
+                            np.empty(_GEN_CHUNK, dtype=bool), np.empty(_GEN_CHUNK, dtype=bool))
+        return _scratch.buffers
+
+
+def _draw(src, m: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The SplitMix64 outputs z of the next m <= _DRAWS draws of src, a
+    generator state with a seed ``src.config.seed`` and a count
+    ``src._draws`` of the draws made so far, which it advances; a view of
+    ``out``, worked out with ``tmp`` as scratch.  A caller compares z with
+    ``_threshold(p) << 11``: ``(z >> 11) < T`` exactly when
+    ``z < T * 2**11``, so no draw is shifted to be compared."""
+    z, t = out[:m], tmp[:m]
+    base = (src.config.seed + (src._draws + 1) * _GAMMA) & _MASK64
+    src._draws += m
+    np.add(_gamma_steps()[:m], base, out=z)
+    # the output mix; uint64 arithmetic wraps mod 2**64
+    np.bitwise_xor(z, np.right_shift(z, _S30, out=t), out=z)
+    np.multiply(z, _MIX1, out=z)
+    np.bitwise_xor(z, np.right_shift(z, _S27, out=t), out=z)
+    np.multiply(z, _MIX2, out=z)
+    return np.bitwise_xor(z, np.right_shift(z, _S31, out=t), out=z)
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

@@ -227,7 +227,11 @@ def analyze_parallel(seq: BitSequence, max_lag: int = 8,
     Each thread measures its span a piece at a time and merges the pieces
     in order, and the spans' states are merged in order.  Every count is
     an exact integer, so the report equals analyze()'s field for field.
+    Unlike analyze(), it takes one ``BitSequence`` only, not chunks, as
+    it cuts the spans by length; anything else raises TypeError.
     """
+    if not isinstance(seq, BitSequence):
+        raise TypeError(f"analyze_parallel needs a BitSequence, got {type(seq).__name__}")
     if workers is None:
         workers = os.cpu_count() or 1
     workers = _integer(workers, "workers", EstimatorError)

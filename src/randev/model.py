@@ -19,6 +19,7 @@ from randev.config import (
     ParameterError,
     SourceConfig,
     TransitionMatrix,
+    _chain_matrix,
     markov_transition_matrix,
 )
 
@@ -159,11 +160,12 @@ def predict_source(config: SourceConfig) -> ModelPrediction:
     """Closed-form expected statistics for any source configuration.
 
     Each kind is evaluated as its two-state chain.  ideal, bernoulli,
-    splitter and xorshift64 are memoryless: a chain with equal rows, both
-    going to 1 with probability (1 + b)/2, which holds |b| = 1 as well
-    (a constant stream: zero entropy, deviation 1).  markov is its own
-    chain, and dead time the balanced chain with a1 = ``deadtime_a1``, so
-    its a1 and its order-1 deviation_exact = 1 - h((1 - a1)/2) are exact.
+    splitter, markov and xorshift64 are the chain ``Source`` draws from
+    (``config._chain_matrix``): equal rows for the memoryless kinds, which
+    holds p = 0 and 1 as well (a constant stream: zero entropy, deviation
+    1), and markov's own chain.  Dead time is the balanced chain with a1 =
+    ``deadtime_a1``, so its a1 and its order-1 deviation_exact =
+    1 - h((1 - a1)/2) are exact.
 
     The xorshift64 generator is statistically indistinguishable from
     the ideal source at the pair level, so its prediction is all-zero
@@ -172,15 +174,12 @@ def predict_source(config: SourceConfig) -> ModelPrediction:
     """
     config.validate()
     kind = config.kind
-    if kind == "markov":
-        return markov_prediction(config.b, config.a1)
     if kind == "deadtime":
         a1 = deadtime_a1(config.tau, config.tau_d, config.deadtime_mode)
         return markov_prediction(0.0, a1)
     b = (2.0 * config.p - 1.0 if kind == "bernoulli" else
-         config.b if kind == "splitter" else 0.0)
-    p1, p0 = (1.0 + b) / 2.0, (1.0 - b) / 2.0
-    return _chain_prediction(TransitionMatrix(p1, p1, p0, p1), b, 0.0)
+         config.b if kind in ("splitter", "markov") else 0.0)
+    return _chain_prediction(_chain_matrix(config), b, config.a1 if kind == "markov" else 0.0)
 
 
 def deviation_sigma(deviation: float, n_bits: float) -> float:

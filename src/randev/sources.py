@@ -22,14 +22,14 @@ splitter and markov, two per photon for dead time.
 
 ideal, bernoulli and splitter are the two-state chain with equal rows,
 ``TransitionMatrix(p, p, 1 - p, p)``, and markov the chain of
-``markov_transition_matrix``, so one chunk function makes all four.
+``markov_transition_matrix``, so one chunk method makes all four.
 When its two rows' thresholds are equal, a chunk is its draws' compare,
 packed.  Otherwise it is made packed: its resets (the draws that fix a
 bit whatever the bit before) are filled forward by one carry through the
 chunk read as a Python int, so its cost does not depend on a1.
 
 A dead-time chunk is one block of 2**14 photons, one draw block.  Once
-its draws are read, the block's clock lives in the drawer's scratch
+its draws are read, the block's clock lives in the draws' scratch
 buffer and its dead-until times over the spent draws.  Renewal photons
 and the photon right after each renewal get their bits in vector form;
 Python runs the photon-by-photon rule only for the rest of each cluster.
@@ -42,7 +42,11 @@ words made 1.3-1.6e8.
 
 A live Source carries its state across calls: generate(n1) followed by
 generate(n2) emits exactly the bits of a fresh identically-configured
-source asked for n1 + n2 bits.
+source asked for n1 + n2 bits.  It holds no scratch buffer of its own
+(xorshift64's last chunk aside, which the next chunk jumps from): a
+chunk is worked out in the buffers of the thread that makes it
+(``draws._buffers``), so a fresh Source allocates none, and different
+Sources may run on different threads at once.
 
 A source's parameters, ``SourceConfig``, and their checks live in the
 numpy-free ``randev.config``.
@@ -55,9 +59,8 @@ import math
 # randev's modules first, so a ``generate`` child compiles them before
 # numpy is mapped in
 from randev.bitstream import BitSequence, concat
-from randev.config import (_MASK64, ParameterError, SourceConfig, TransitionMatrix, _integer,
-                           markov_transition_matrix)
-from randev.draws import _DRAWS, _GEN_CHUNK, _drawer, _jump, _threshold, _xorshift_tables
+from randev.config import _MASK64, ParameterError, SourceConfig, _chain_matrix, _integer
+from randev.draws import _DRAWS, _GEN_CHUNK, _buffers, _draw, _jump, _threshold, _xorshift_tables
 
 import numpy as np
 
@@ -73,11 +76,15 @@ _EMPTY = BitSequence(b"", 0)
 # the dead-time value of a lost photon, beside the bits 0 and 1
 _LOST = 2
 
+# a flip chain's parity of each bit position i of a chunk, (i + 1) & 1
+_ODD = int.from_bytes(b"\x55" * (_GEN_CHUNK // 8), "little")
+
 
 class Source:
     """A live, stateful bit source.
 
-    Single-threaded mutable state: generate(n1) then generate(n2) emits
+    Mutable state for one thread at a time (different Sources may run on
+    different threads at once): generate(n1) then generate(n2) emits
     exactly the bits a fresh source with the same config emits for
     n1 + n2.  Each kind makes its bits in whole units (dead time a whole
     photon block, xorshift64 whole state words), and the bits a call makes
@@ -92,25 +99,33 @@ class Source:
         self.config = config
         self._draws = 0  # SplitMix64 draws consumed (all kinds but xorshift64)
         self._pending = _EMPTY  # made, not yet emitted
-        # the chunk function of the largest call so far, and its size; it
-        # takes the source it advances and holds none, so a dropped Source
-        # frees its buffers at once, not at the next garbage collection
-        self._chunk, self._size = None, 0
+        # the kind's chunk method, (src, m) -> src's next bits, packed, for
+        # m <= _GEN_CHUNK: exactly m bits for the chain kinds, whole 64-bit
+        # state words for xorshift64, and one whole photon block, however
+        # many bits it emits, for dead time.  The plain function, not a
+        # bound method, so a dropped Source is no cycle and frees at once
         kind = config.kind
         if kind == "deadtime":
+            self._chunk = Source._deadtime_chunk
             # the state at the end of the last photon block
             self._t = 0.0             # arrival clock
             self._dead = [0.0, 0.0]   # per-detector dead-until times
         elif kind == "xorshift64":
+            self._chunk = Source._xorshift_chunk
             self._x = config.seed
+            self._words = np.empty(_GEN_CHUNK // 64, dtype="<u8")
+            self._made = 0  # _words[:_made] hold the chunk made last
         else:
             # one draw per bit: the two-state chain, whose rows differ
-            # only for markov.  p is computed as each kind defines it, not
-            # from a bias, so every threshold stays exact
-            p = (0.5 if kind == "ideal" else
-                 config.p if kind == "bernoulli" else (1.0 + config.b) / 2.0)
-            self._tm = (markov_transition_matrix(config.b, config.a1) if kind == "markov"
-                        else TransitionMatrix(p, p, 1.0 - p, p))
+            # only for markov.  A draw below both row thresholds is a reset
+            # to 1, one between them a carry (a1 >= 0) or a flip (a1 < 0:
+            # row 1's threshold below row 0's)
+            self._chunk = Source._chain_chunk
+            tm = _chain_matrix(config)
+            t0, t1 = _threshold(tm.p1_given_0) << 11, _threshold(tm.p1_given_1) << 11
+            self._lo, self._hi = min(t0, t1), max(t0, t1)
+            self._pi1 = _threshold(tm.pi1) << 11
+            self._odd = _ODD if t1 < t0 else 0
             self._prev: int | None = None  # the last bit made, once the fill runs
 
     def generate(self, n: int) -> BitSequence:
@@ -118,8 +133,6 @@ class Source:
         if (n := _integer(n, "bit count")) < 0:
             raise ParameterError(f"bit count must be non-negative, got {n}")
         part, parts, owed = self._pending, [], n
-        if part.nbits < n and (size := min(n - part.nbits, _GEN_CHUNK)) > self._size:
-            self._chunk, self._size = self._chunks(size), size
         while part.nbits < owed:
             if part.nbits:
                 parts.append(part)
@@ -129,115 +142,92 @@ class Source:
         part = part[:owed]
         return concat(*parts, part) if parts else part
 
-    def _chunks(self, size: int):
-        """A function (src, m) -> source src's next bits, packed, for m <= size:
-        exactly m bits for the chain kinds, whole 64-bit state words for
-        xorshift64, and one whole photon block, however many bits it
-        emits, for dead time.  Its buffers are allocated once here, so a
-        chunk allocates nothing large (dead time's lists of clustered
-        photons aside)."""
-        if self.config.kind == "deadtime":
-            return self._deadtime_chunks()
-        if self.config.kind == "xorshift64":
-            return self._xorshift_chunks(size)
-        return self._chain_chunks(size)
-
     # ---- the two-state chain: ideal, bernoulli, splitter, markov ----
 
-    def _chain_chunks(self, size: int):
+    def _chain_chunk(self, m):
         # Renewal scan, bit-identical to the sequential definition
         # x_{i+1} ~ Bernoulli(p1_given_{x_i}) with one uniform per bit:
         # each uniform u either fixes the next bit outright (u decides the
         # same way from both states: a "reset"), or carries/flips the
-        # previous bit.  A draw below both thresholds is a reset to 1, one
-        # between them a carry (a1 >= 0) or a flip (a1 < 0), so a chunk is
-        # its resets filled forward, on Python ints: a 1 added just above
-        # each reset to 1, or at bit 0 when the bit before the chunk is 1,
-        # carries up its run of free bits and stops at the next reset.
-        # With equal thresholds every draw is a reset, and the chunk is
-        # the packed compare; pi1 lies between the rows, so the stationary
-        # first bit is that compare too
-        tm = self._tm
-        t0, t1 = _threshold(tm.p1_given_0) << 11, _threshold(tm.p1_given_1) << 11
-        lo, hi = min(t0, t1), max(t0, t1)
-        draw, _ = _drawer(size)
-        below_lo = np.empty(size, dtype=bool)
-        below_hi = np.empty(size, dtype=bool) if lo < hi else None
-        # a flip chain (row 1's threshold below row 0's: a1 < 0) has bit i
-        # its last reset's value xor the parity of the steps since; each position's parity, (i + 1) & 1, is xored
-        # into the resets before the fill and into every bit after it
-        odd = int.from_bytes(b"\x55" * -(-size // 8), "little") if t1 < t0 else 0
-
-        def chunk(src, m):
-            for i in range(0, m, _DRAWS):
-                z = draw(src, min(_DRAWS, m - i))
-                np.less(z, lo, out=below_lo[i:i + z.size])
-                if lo < hi:
-                    np.less(z, hi, out=below_hi[i:i + z.size])
-                    if not i and src._prev is None:
-                        # very first bit of the stream draws from the stationary law
-                        below_lo[0] = below_hi[0] = int(z[0]) < _threshold(tm.pi1) << 11
-            ones = np.packbits(below_lo[:m], bitorder="little")
-            if lo == hi:
-                return BitSequence(ones.tobytes(), m)
-            # ones: 1 at the resets to 1, free: 1 at the bits that are no reset
-            ones = int.from_bytes(ones, "little")
-            free = int.from_bytes(np.packbits(below_hi[:m], bitorder="little"), "little") ^ ones
-            ones ^= odd & ~free
-            bits = ones | ((free + (ones << 1 | (src._prev or 0))) ^ free) & free
-            # no bit at or above m is set, so none is masked: & free drops
-            # the carry out of the top run, and there the two xors cancel
-            bits ^= odd
-            src._prev = bits >> (m - 1)
-            return BitSequence(bits.to_bytes(-(-m // 8), "little"), m)
-        return chunk
+        # previous bit, so a chunk is its resets filled forward, on Python
+        # ints: a 1 added just above each reset to 1, or at bit 0 when the
+        # bit before the chunk is 1, carries up its run of free bits and
+        # stops at the next reset.  With equal thresholds every draw is a
+        # reset, and the chunk is the packed compare; pi1 lies between the
+        # rows, so the stationary first bit is that compare too
+        out, tmp, below_lo, below_hi = _buffers()
+        lo, hi = self._lo, self._hi
+        for i in range(0, m, _DRAWS):
+            z = _draw(self, min(_DRAWS, m - i), out, tmp)
+            np.less(z, lo, out=below_lo[i:i + z.size])
+            if lo < hi:
+                np.less(z, hi, out=below_hi[i:i + z.size])
+                if not i and self._prev is None:
+                    # very first bit of the stream draws from the stationary law
+                    below_lo[0] = below_hi[0] = int(z[0]) < self._pi1
+        ones = np.packbits(below_lo[:m], bitorder="little")
+        if lo == hi:
+            return BitSequence(ones.tobytes(), m)
+        # ones: 1 at the resets to 1, free: 1 at the bits that are no reset
+        ones = int.from_bytes(ones, "little")
+        free = int.from_bytes(np.packbits(below_hi[:m], bitorder="little"), "little") ^ ones
+        # a flip chain has bit i its last reset's value xor the parity of
+        # the steps since, so each position's parity is xored into the
+        # resets before the fill and into every bit after it; an even
+        # shift keeps the pattern and leaves m or m + 1 bits of it
+        odd = self._odd >> ((_GEN_CHUNK - m) & ~1)
+        ones ^= odd & ~free
+        bits = ones | ((free + (ones << 1 | (self._prev or 0))) ^ free) & free
+        # no bit at or above m is set, so none is masked: & free drops
+        # the carry out of the top run, and there the two xors cancel
+        bits ^= odd
+        self._prev = bits >> (m - 1)
+        return BitSequence(bits.to_bytes(-(-m // 8), "little"), m)
 
     # ---- dead-time detector pair ----
 
-    def _deadtime_chunks(self):
+    def _deadtime_chunk(self, m):
         # A photon with t_i >= t_{i-1} + tau_d is a renewal point: every
         # dead-until time is some earlier t + tau_d <= t_{i-1} + tau_d
         # (float addition is monotone), so both detectors are live and it
         # emits its route bit.  Only the other photons, the clusters, need
         # the detector state (see _clusters).
+        # One whole block, however many bits are owed: photon j of the
+        # stream takes draws 2j+1 (inter-arrival) and 2j+2 (route).
+        # (z >> 11) * 2**-53 is the uniform of z; all the draws are
+        # shifted, as one contiguous pass took less time than a strided
+        # pass over the inter-arrival half
         tau, tau_d = self.config.tau, self.config.tau_d
-        draw, scratch = _drawer(_DRAWS)
-        # the clock before and at each photon, in the drawer's scratch
-        # buffer, which is free once a block's draws are made
-        times = scratch.view(np.float64)[:_PHOTON_BLOCK + 1]
-        value = np.empty(_PHOTON_BLOCK, dtype=np.uint8)  # bit emitted, or _LOST
-
-        def chunk(src, m):
-            # one whole block, however many bits are owed: photon j of
-            # the stream takes draws 2j+1 (inter-arrival) and 2j+2 (route)
-            # (z >> 11) * 2**-53 is the uniform of z; all the draws are
-            # shifted, as one contiguous pass took less time than a strided
-            # pass over the inter-arrival half
-            z = draw(src, _DRAWS)
-            np.right_shift(z, 11, out=z)
-            dts = times[1:]
-            np.multiply(z[0::2], -2.0**-53, out=dts)  # minus the uniform, exactly
-            np.log1p(dts, out=dts)
-            np.multiply(dts, -tau, out=dts)
-            np.less(z[1::2], _threshold(0.5), out=value)
-            # the draws are read: the dead-until times, times + tau_d, go
-            # over them
-            until = z.view(np.float64)[:_PHOTON_BLOCK + 1]
-            times[0] = src._t
-            np.add.accumulate(times, out=times)
-            np.add(times, tau_d, out=until)
-            src._clusters(times, until, value)
-            codes = value.tobytes()
-            # the carried state: the clock, and each detector's last
-            # detection time plus tau_d
-            for k in (0, 1):
-                if (j := codes.rfind(k)) >= 0:
-                    src._dead[k] = float(until[j + 1])
-            src._t = float(times[-1])
-            # the bits: the codes of every photon that was not lost
-            bits = np.frombuffer(codes.replace(bytes([_LOST]), b""), dtype=np.uint8)
-            return BitSequence(np.packbits(bits, bitorder="little").tobytes(), bits.size)
-        return chunk
+        out, tmp, value, _ = _buffers()
+        z = _draw(self, _DRAWS, out, tmp)
+        np.right_shift(z, 11, out=z)
+        # the clock before and at each photon, in the draws' scratch
+        # buffer, which is free once the block's draws are made, and each
+        # photon's code, the bit it emits or _LOST
+        times = tmp.view(np.float64)[:_PHOTON_BLOCK + 1]
+        value = value.view(np.uint8)[:_PHOTON_BLOCK]
+        dts = times[1:]
+        np.multiply(z[0::2], -2.0**-53, out=dts)  # minus the uniform, exactly
+        np.log1p(dts, out=dts)
+        np.multiply(dts, -tau, out=dts)
+        np.less(z[1::2], _threshold(0.5), out=value)
+        # the draws are read: the dead-until times, times + tau_d, go
+        # over them
+        until = z.view(np.float64)[:_PHOTON_BLOCK + 1]
+        times[0] = self._t
+        np.add.accumulate(times, out=times)
+        np.add(times, tau_d, out=until)
+        self._clusters(times, until, value)
+        codes = value.tobytes()
+        # the carried state: the clock, and each detector's last
+        # detection time plus tau_d
+        for k in (0, 1):
+            if (j := codes.rfind(k)) >= 0:
+                self._dead[k] = float(until[j + 1])
+        self._t = float(times[-1])
+        # the bits: the codes of every photon that was not lost
+        bits = np.frombuffer(codes.replace(bytes([_LOST]), b""), dtype=np.uint8)
+        return BitSequence(np.packbits(bits, bitorder="little").tobytes(), bits.size)
 
     def _clusters(self, t, until, value):
         # value holds every photon's route and gets the bits of those that
@@ -303,41 +293,34 @@ class Source:
 
     # ---- xorshift64 demo ----
 
-    def _xorshift_chunks(self, size: int):
+    def _xorshift_chunk(self, m):
         # words[i] is M**(i + 1) applied to the word before the chunk, for
         # one xorshift step M, and word i + 2**k is M**(2**k) applied to
         # word i.  A chunk that follows a whole 2**16-bit chunk is one jump
         # by M**1024 from it; any other steps 32 words on from the carried
         # word and doubles from there
-        tables = _xorshift_tables()
-        words = np.empty((size + 63) // 64, dtype="<u8")
-        made = 0  # words[:made] hold the chunk made last
-
-        def chunk(src, m):
-            nonlocal made
-            k = (m + 63) // 64
-            if made == _GEN_CHUNK // 64:
-                _jump(tables[-1], words[:k], words[:k])
-            else:
-                # a jump costs the numpy overhead of about 16 steps, so
-                # doubling pays from about 32 words on
-                x, stepped = src._x, []
-                for _ in range(min(k, 32)):
-                    x ^= (x << 13) & _MASK64
-                    x ^= x >> 7
-                    x ^= (x << 17) & _MASK64
-                    stepped.append(x)
-                made = len(stepped)
-                words[:made] = stepped
-                while made < k:
-                    step = min(made, k - made)
-                    _jump(tables[made.bit_length() - 1], words[:step],
-                          words[made:made + step])
-                    made += step
-            made = k
-            src._x = int(words[k - 1])
-            return BitSequence(words[:k].tobytes(), 64 * k)
-        return chunk
+        tables, words = _xorshift_tables(), self._words
+        k = (m + 63) // 64
+        if self._made == _GEN_CHUNK // 64:
+            _jump(tables[-1], words[:k], words[:k])
+        else:
+            # a jump costs the numpy overhead of about 16 steps, so
+            # doubling pays from about 32 words on
+            x, stepped = self._x, []
+            for _ in range(min(k, 32)):
+                x ^= (x << 13) & _MASK64
+                x ^= x >> 7
+                x ^= (x << 17) & _MASK64
+                stepped.append(x)
+            made = len(stepped)
+            words[:made] = stepped
+            while made < k:
+                step = min(made, k - made)
+                _jump(tables[made.bit_length() - 1], words[:step], words[made:made + step])
+                made += step
+        self._made = k
+        self._x = int(words[k - 1])
+        return BitSequence(words[:k].tobytes(), 64 * k)
 
 
 def generate(config: SourceConfig, n: int) -> BitSequence:

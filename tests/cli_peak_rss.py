@@ -15,7 +15,7 @@ checked against the default-window one: the peak does not grow with the
 window, nor with the number of windows, either.
 
 First it runs a bare ``import numpy``.  Then it generates KIND_BITS bits
-of each source kind whose chunks keep other buffers than ideal's
+of each source kind whose chunks take another path than ideal's
 (bernoulli, markov with a1 < 0, dead time in both modes, xorshift64) and
 exits 1 if one of them peaks more than KIND_TOLERANCE_MIB above ideal at
 that length.  Then it runs ``randev --help``, ``randev predict`` and a

@@ -521,6 +521,9 @@ class TestAnalyze:
         for workers in (0, -1, 1.5):
             with pytest.raises(EstimatorError):
                 analyze_parallel(S("01101001" * 4), workers=workers)
+        # the chunks analyze reads have no length to cut into spans
+        with pytest.raises(TypeError, match="needs a BitSequence, got list$"):
+            analyze_parallel([S("0110"), S("1001")], workers=2)
 
     def test_report_is_frozen_value(self):
         report = analyze(S("00110"), max_lag=1)

@@ -288,6 +288,13 @@ class TestPredictSource:
         ):
             assert predict_source(cfg) == markov_prediction(b, 0.0)
 
+    def test_bernoulli_is_the_chain_its_source_draws_from(self):
+        # rows at p itself, as the source compares its draws with p; the
+        # chain of bias 2p - 1 has rows (1 + (2p - 1))/2, an ulp off p here
+        for p in (0.1, 0.05, 0.01):
+            assert predict_source(SourceConfig.bernoulli(p)).cond_entropy == binary_entropy(p)
+        assert predict_source(SourceConfig.bernoulli(0.1)).bias == 2.0 * 0.1 - 1.0
+
     def test_constant_bernoulli(self):
         p = predict_source(SourceConfig.bernoulli(1.0))
         assert p.bias == 1.0

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from randev import bitstream, draws, estimators, sources, windows
 from randev.bitstream import BitSequence, concat, from_raw_bytes, read_file, read_stream
+from randev.config import markov_transition_matrix
 from randev.estimators import LagAccumulator, analyze, analyze_parallel, merge
 from randev.draws import _threshold
-from randev.sources import Source, SourceConfig, generate, markov_transition_matrix
+from randev.sources import Source, SourceConfig, generate
 from randev.stats import EstimatorError, PairCounts
 from splitmix_oracle import RngState, splitmix_next, uniform_from_output
 from test_sources import markov_reference

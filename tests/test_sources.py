@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 
 import randev
 from randev.bitstream import BitSequence, concat
+from randev.config import markov_transition_matrix
 from randev.model import deadtime_a1, predict_source
 from randev.sources import (
     _DRAWS,
@@ -21,7 +24,6 @@ from randev.sources import (
     Source,
     SourceConfig,
     generate,
-    markov_transition_matrix,
 )
 from splitmix_oracle import RngState, splitmix_next, uniform_from_output
 
@@ -481,9 +483,7 @@ ALL_KIND_CONFIGS = [
 def test_live_source_concatenability(cfg):
     # the total and the largest take cross 2**16-bit chunks and, for dead
     # time at 0.04 tau, photon blocks, with bits left pending.  The first
-    # run's takes grow, so each call larger than any before it builds a
-    # new chunk function, then shrink and grow again, so later calls reuse
-    # the one of the largest size, 2**16 bits: xorshift64 then makes a
+    # run's takes grow, then shrink and grow again: xorshift64 makes a
     # chunk by a jump from a whole chunk, and one after a shorter chunk by
     # steps.  The take of _DRAWS + 1 bits makes a chunk of one whole draw
     # block and one of a single draw
@@ -517,9 +517,9 @@ def test_live_source_concatenability(cfg):
 
 
 def test_dropped_source_frees_its_chunk_buffers():
-    # a Source keeps the chunk function of its largest call; that function
-    # must not refer back to it, or the cycle would hold its buffers until
-    # a garbage collection
+    # a Source keeps its kind's chunk method, which must not be bound to
+    # it, or the cycle would hold the source, and xorshift64's buffer,
+    # until a garbage collection
     gc.disable()
     try:
         for cfg in ALL_KIND_CONFIGS:
@@ -530,6 +530,69 @@ def test_dropped_source_frees_its_chunk_buffers():
             assert ref() is None, cfg.kind
     finally:
         gc.enable()
+
+
+# every kind and mode, a flip and a carry chain, and dead time with long
+# clusters, so the threads run every chunk method at once
+THREAD_CONFIGS = [*ALL_KIND_CONFIGS,
+                  SourceConfig.markov(-0.05, -0.4, seed=27),
+                  SourceConfig.markov(0.2, 0.9, seed=28),
+                  SourceConfig.bernoulli(0.9, seed=29),
+                  SourceConfig.deadtime(1.0, 0.5, seed=30),
+                  SourceConfig.deadtime(1.0, 2.0, seed=31, mode="loss")]
+
+
+def test_generate_is_safe_across_threads():
+    # a chunk's scratch belongs to the thread that makes it; numpy releases
+    # the GIL inside its ufuncs, so two threads sharing one set of buffers
+    # would write into each other's chunks.  A short switch interval makes
+    # the threads change hands inside a chunk, not only between calls
+    n = 200_003
+    serial = [generate(cfg, n).data for cfg in THREAD_CONFIGS]
+    barrier = threading.Barrier(2)
+    made = []  # (config index, equal to the serial bytes) per call
+
+    def run(order):
+        barrier.wait()
+        for _ in range(3):
+            for i in order:
+                made.append((i, generate(THREAD_CONFIGS[i], n).data == serial[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        order = list(range(len(THREAD_CONFIGS)))
+        threads = [threading.Thread(target=run, args=(o,)) for o in (order, order[::-1])]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(made) == 2 * 3 * len(THREAD_CONFIGS)  # no call raised
+    assert [THREAD_CONFIGS[i] for i, same in made if not same] == []
+
+
+@pytest.mark.parametrize("cfg", [SourceConfig.markov(0.1, -0.2, seed=1),
+                                 SourceConfig.splitter(-0.2, seed=1),
+                                 SourceConfig.deadtime(1000.0, 40.0, seed=1),
+                                 SourceConfig.xorshift64(seed=1)],
+                         ids=lambda c: c.kind)
+def test_fresh_source_allocates_no_large_scratch(cfg):
+    # once a thread has made a chunk, a fresh Source's short call works in
+    # that thread's buffers and allocates only its own chunk's bits and
+    # Python ints (xorshift64 also its 8 KiB of words), where buffers of
+    # its own would take 2 x 128 KiB of draws for 2**14 bits
+    n = 2**14 + 11
+    generate(cfg, n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        generate(cfg, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 1024
 
 
 def test_deadtime_few_bits_at_the_largest_ratio():
